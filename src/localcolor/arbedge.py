@@ -107,15 +107,28 @@ class ArbParams:
 def estimate_arboricity(g: Graph) -> int:
     """Upper-bound estimate from degeneracy (degeneracy <= 2a-1); good
     enough to drive the peeling, not the exact arboricity."""
-    remaining = {v: set(g.adj[v]) for v in g.adj}
-    degen = 0
-    heap = sorted(remaining, key=lambda v: (len(remaining[v]), v))
-    while remaining:
-        v = min(remaining, key=lambda u: (len(remaining[u]), u))
-        degen = max(degen, len(remaining[v]))
-        for w in remaining[v]:
-            remaining[w].discard(v)
-        del remaining[v]
+    # bucket-queue degeneracy in O(n+m) (Matula & Beck 1983): buckets[d]
+    # holds vertices last seen at remaining degree d; stale entries are
+    # skipped.  Peeling a vertex lowers the minimum degree by at most one.
+    deg = {v: len(ns) for v, ns in g.adj.items()}
+    buckets: list[list[int]] = [[] for _ in range(g.max_degree + 1)]
+    for v, d in deg.items():
+        buckets[d].append(v)
+    degen = d = 0
+    while deg:
+        while True:
+            while not buckets[d]:
+                d += 1
+            v = buckets[d].pop()
+            if deg.get(v) == d:
+                break
+        degen = max(degen, d)
+        del deg[v]
+        for w in g.adj[v]:
+            if w in deg:
+                deg[w] -= 1
+                buckets[deg[w]].append(w)
+        d = max(d - 1, 0)
     return max(1, -(-degen // 2))
 
 

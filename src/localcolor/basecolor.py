@@ -16,7 +16,7 @@ import math
 from sympy import nextprime
 
 from .graph import Coloring, Graph, GraphError
-from .sim import LocalView, RoundTrace, VertexProgram, run
+from .sim import LocalView, RoundTrace, Sleep, VertexProgram, run
 from .verify import is_proper_vertex
 
 # palette factor guaranteed by the construction ((2Delta)^2 with Bertrand slack)
@@ -113,11 +113,20 @@ def linial_coloring(g: Graph) -> tuple[Coloring, RoundTrace]:
                          round_cap=len(schedule) + 1)
     final = m0 if not schedule else schedule[-1][1] ** 2
     col = Coloring("vertex", dict(outputs), final)
-    assert is_proper_vertex(g, col).ok
+    _require_proper(g, col, "linial_coloring output")
     return col, trace
 
 
+def _require_proper(g: Graph, col: Coloring, what: str) -> None:
+    verdict = is_proper_vertex(g, col)
+    if not verdict.ok:
+        raise GraphError(f"{what} improper: {verdict.violations[:3]}")
+
+
 class _ReduceProgram(VertexProgram):
+    """Color class ``palette - r`` recolors in round r.  A vertex sleeps
+    except when mail arrives, at its own turn and in the last round."""
+
     def __init__(self, palette: int, target: int):
         self.palette = palette
         self.target = target
@@ -130,7 +139,14 @@ class _ReduceProgram(VertexProgram):
         self.total_rounds = self.palette - self.target
         if self.total_rounds == 0:
             return {}, True
-        return {w: self.color for w in view.neighbors}, False
+        return {w: self.color for w in view.neighbors}, self._sleep(0)
+
+    def _sleep(self, round_no: int) -> Sleep:
+        turn = self.palette - self.color
+        if self.color >= self.target and turn > round_no:
+            return Sleep(turn)
+        # everyone stays for the full schedule so the round count is fixed
+        return Sleep(self.total_rounds)
 
     def step(self, round_no: int, inbox: dict):
         self.neighbor_colors.update(inbox)
@@ -140,8 +156,9 @@ class _ReduceProgram(VertexProgram):
             self.color = next(c for c in range(self.target) if c not in used)
             self.output = self.color
             outbox = {w: self.color for w in self.neighbor_colors}
-        # everyone stays for the full schedule so the round count is fixed
-        return outbox, round_no == self.total_rounds
+        if round_no == self.total_rounds:
+            return outbox, True
+        return outbox, self._sleep(round_no)
 
 
 def reduce_colors(g: Graph, c: Coloring,
@@ -151,9 +168,7 @@ def reduce_colors(g: Graph, c: Coloring,
     class recolored greedily per round."""
     if c.kind != "vertex":
         raise GraphError("reduce_colors expects a vertex coloring")
-    verdict = is_proper_vertex(g, c)
-    if not verdict.ok:
-        raise GraphError(f"input coloring improper: {verdict.violations[:3]}")
+    _require_proper(g, c, "input coloring")
     delta = g.max_degree
     if target is None:
         target = delta + 1
@@ -169,7 +184,7 @@ def reduce_colors(g: Graph, c: Coloring,
 
     outputs, trace = run(g, make, round_cap=c.palette_size - target + 1)
     out = Coloring("vertex", dict(outputs), target)
-    assert is_proper_vertex(g, out).ok
+    _require_proper(g, out, "reduce_colors output")
     return out, trace
 
 
@@ -187,7 +202,5 @@ def refresh_ids(g: Graph, base: Coloring) -> Graph:
     coloring, shrinking the label space for later log*-style phases.  The
     new labels are only neighborhood-distinct, which is all downstream
     subroutines require."""
-    verdict = is_proper_vertex(g, base)
-    if not verdict.ok:
-        raise GraphError(f"base coloring improper: {verdict.violations[:3]}")
+    _require_proper(g, base, "base coloring")
     return Graph(g.adj, {v: base.assignment[v] for v in g.adj})

@@ -25,7 +25,7 @@ def _tokens(path):
 
 
 def load_edgelist(path) -> Graph:
-    edges = []
+    edges = set()
     verts = set()
     for lineno, toks in _tokens(path):
         if len(toks) != 2:
@@ -37,16 +37,16 @@ def load_edgelist(path) -> Graph:
         if u == v:
             raise ParseError(f"{path}:{lineno}: self-loop {u}")
         e = norm_edge(u, v)
-        if e in set(edges):
+        if e in edges:
             raise ParseError(f"{path}:{lineno}: duplicate edge {e}")
-        edges.append(e)
+        edges.add(e)
         verts.update(e)
     return Graph.from_edges(verts, edges)
 
 
 def load_dimacs(path) -> Graph:
     n = m = None
-    edges = []
+    edges = set()
     for lineno, toks in _tokens(path):
         if toks[0] == "c":
             continue
@@ -63,9 +63,9 @@ def load_dimacs(path) -> Graph:
             if u == v:
                 raise ParseError(f"{path}:{lineno}: self-loop {u}")
             e = norm_edge(u, v)
-            if e in set(edges):
+            if e in edges:
                 raise ParseError(f"{path}:{lineno}: duplicate edge {e}")
-            edges.append(e)
+            edges.add(e)
         else:
             raise ParseError(f"{path}:{lineno}: unknown record {toks[0]!r}")
     if n is None:

@@ -1,14 +1,24 @@
 """Deterministic synchronous round engine (LOCAL model).
 
-Each vertex runs a local program; once per round every non-halted vertex
+Each vertex runs a local program; in every round each vertex that is due
 receives last round's messages, computes, and emits messages to neighbors.
 Message size and local computation are unrestricted; the engine only counts
 rounds and enforces the locality contract (messages go to neighbors only).
+
+A program reports after every call whether it is done: ``True`` halts it
+for good, ``False`` has it stepped again next round, and ``Sleep(until)``
+has it stepped again only when mail arrives or at round ``until``,
+whichever comes first.  Each round therefore costs time in the vertices
+stepped and messages sent, not in the size of the graph.  Rounds in which
+no vertex is due are skipped but still counted, so the round count is the
+same as if every sleeping vertex had been stepped with an empty inbox.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .graph import Graph, GraphError
@@ -46,12 +56,22 @@ class LocalView:
     neighbor_labels: dict[int, int]
 
 
+@dataclass(frozen=True)
+class Sleep:
+    """Returned in place of ``halted``: not halted, but step me next only
+    when mail arrives or at round ``until``, whichever comes first.  A
+    due wake-up without mail delivers an empty inbox."""
+
+    until: int
+
+
 class VertexProgram:
     """Per-vertex local program.  Subclasses override init/step.
 
     init(view) and step(round_no, inbox) both return (outbox, halted) where
-    outbox maps neighbor id -> message.  A halted vertex is never stepped
-    again and sends nothing further.
+    outbox maps neighbor id -> message and halted is True, False or a
+    :class:`Sleep`.  A halted vertex is never stepped again and sends
+    nothing further.
     """
 
     def init(self, view: LocalView):
@@ -74,15 +94,31 @@ def run(g: Graph, make_program, round_cap: int | None = None):
     """Run one program instance per vertex until all halt.
 
     ``make_program`` is a factory ``vertex_id -> VertexProgram`` (programs
-    carry per-vertex state).  Returns ({vertex: output}, RoundTrace); a
-    program's output is whatever its final (outbox, halted, output) tuple
-    carried -- concretely, programs expose ``output`` as an attribute.
+    carry per-vertex state).  Due vertices are stepped in ascending id
+    order.  Returns ({vertex: output}, RoundTrace), where a vertex's output
+    is its program's ``output`` attribute once every vertex has halted.
     """
     if round_cap is None:
         round_cap = ROUND_CAP if ROUND_CAP is not None else default_round_cap(g)
     programs = {}
-    halted = {}
-    outboxes = {}
+    awake: list[int] = []                # stepped next round, ascending
+    sleeping: dict[int, int] = {}        # vertex -> round it wakes at
+    calendar: dict[int, list[int]] = {}  # round -> vertices that asked for it
+    wake_rounds: list[int] = []          # heap of the calendar's rounds
+    sent: dict[int, dict] = {}           # last round's nonempty outboxes
+
+    def sleep(v: int, until: int, round_no: int) -> None:
+        if until <= round_no:
+            raise GraphError(f"vertex {v} asked in round {round_no} "
+                             f"to sleep until round {until}")
+        sleeping[v] = until
+        due = calendar.get(until)
+        if due is None:
+            calendar[until] = [v]
+            heapq.heappush(wake_rounds, until)
+        else:
+            due.append(v)
+
     for v in g.adj:
         prog = make_program(v)
         view = LocalView(v, g.label(v), g.adj[v],
@@ -90,31 +126,53 @@ def run(g: Graph, make_program, round_cap: int | None = None):
         out, h = prog.init(view)
         _check_outbox(g, v, out)
         programs[v] = prog
-        outboxes[v] = out
-        halted[v] = h
+        if out:
+            sent[v] = out
+        if not h:
+            awake.append(v)
+        elif isinstance(h, Sleep):
+            sleep(v, h.until, 0)
 
     trace = RoundTrace()
     rounds = 0
-    while not all(halted.values()):
-        if rounds >= round_cap:
-            raise RoundBudgetExceeded(
-                f"round budget {round_cap} exceeded; "
-                f"{sum(1 for h in halted.values() if not h)} vertices active")
-        inboxes: dict[int, dict] = {v: {} for v in g.adj}
-        for v, out in outboxes.items():
+    while awake or sleeping:
+        inboxes: defaultdict[int, dict] = defaultdict(dict)
+        for v, out in sent.items():
             for w, msg in out.items():
                 inboxes[w][v] = msg
-        rounds += 1
-        new_outboxes: dict[int, dict] = {}
-        for v in g.adj:
-            if halted[v]:
-                continue
-            out, h = programs[v].step(rounds, inboxes[v])
+        due = awake
+        round_no = rounds + 1
+        if sleeping:
+            woken = [w for w in inboxes if w in sleeping]
+            for w in woken:
+                del sleeping[w]
+            if not due and not woken:
+                round_no = wake_rounds[0]  # skip rounds where nothing is due
+            if wake_rounds[0] == round_no:
+                heapq.heappop(wake_rounds)
+                for v in calendar.pop(round_no):
+                    # stale if mail woke v since it asked for this round
+                    if sleeping.get(v) == round_no:
+                        del sleeping[v]
+                        woken.append(v)
+            if woken:
+                due = sorted(due + woken)
+        if round_no > round_cap:
+            raise RoundBudgetExceeded(
+                f"round budget {round_cap} exceeded; "
+                f"{len(due) + len(sleeping)} vertices active")
+        rounds = round_no
+        awake, sent = [], {}
+        for v in due:
+            out, h = programs[v].step(round_no, inboxes[v])
             _check_outbox(g, v, out)
             # a halting vertex may still flush its final messages
-            new_outboxes[v] = out
-            halted[v] = h
-        outboxes = new_outboxes
+            if out:
+                sent[v] = out
+            if not h:
+                awake.append(v)
+            elif isinstance(h, Sleep):
+                sleep(v, h.until, round_no)
     trace.add_phase("run", rounds)
     return {v: getattr(programs[v], "output", None) for v in g.adj}, trace
 
@@ -123,17 +181,3 @@ def _check_outbox(g: Graph, v: int, out: dict) -> None:
     for w in out:
         if not g.has_edge(v, w):
             raise GraphError(f"vertex {v} addressed non-neighbor {w}")
-
-
-def run_on_partition(subgraphs: list[Graph], make_programs,
-                     round_cap: int | None = None):
-    """Run disjoint subgraphs in parallel: rounds = max over subgraphs."""
-    outputs: dict[int, object] = {}
-    trace = RoundTrace()
-    traces = []
-    for i, sub in enumerate(subgraphs):
-        outs, t = run(sub, make_programs[i], round_cap)
-        outputs.update(outs)
-        traces.append(t)
-    trace.merge_parallel("parallel", traces)
-    return outputs, trace

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localcolor.arbedge import (arb_edge_coloring, arb_palette_bound,
                                 acyclic_orientation, auto_params,
@@ -190,3 +191,25 @@ def test_auto_params_branches():
 def test_estimate_arboricity():
     assert estimate_arboricity(gen_forest(50, 4, seed=0)) == 1
     assert estimate_arboricity(gen_complete(9)) == 4
+
+
+def _min_scan_arboricity(g):
+    """Reference: peel a vertex of least remaining degree by scanning all
+    remaining vertices, O(n^2)."""
+    remaining = {v: set(g.adj[v]) for v in g.adj}
+    degen = 0
+    while remaining:
+        v = min(remaining, key=lambda u: (len(remaining[u]), u))
+        degen = max(degen, len(remaining[v]))
+        for w in remaining[v]:
+            remaining[w].discard(v)
+        del remaining[v]
+    return max(1, -(-degen // 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 25), st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)),
+                                    max_size=80))
+def test_estimate_arboricity_matches_min_scan(n, pairs):
+    g = Graph.from_edges(range(n), [(u, v) for u, v in pairs if u != v and max(u, v) < n])
+    assert estimate_arboricity(g) == _min_scan_arboricity(g)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localcolor import basecolor
 from localcolor.basecolor import (LINIAL_CL, delta_plus_one, linial_coloring,
                                   linial_schedule, reduce_colors, refresh_ids)
 from localcolor.graph import Coloring, Graph, GraphError
@@ -30,6 +31,39 @@ def test_reduce_colors_round_count_exact():
     assert out.palette_size == 3
     assert trace.rounds == 4 - 3
     assert is_proper_vertex(g, out).ok
+
+
+def test_reduce_colors_steps_only_due_vertices(monkeypatch):
+    counts = {"steps": 0, "messages": 0}
+    real_run = basecolor.run
+
+    def counting_run(g, make_program, *args, **kwargs):
+        def make(v):
+            prog = make_program(v)
+            init, step = prog.init, prog.step
+
+            def counted_init(view):
+                out, halted = init(view)
+                counts["messages"] += len(out)
+                return out, halted
+
+            def counted_step(round_no, inbox):
+                out, halted = step(round_no, inbox)
+                counts["steps"] += 1
+                counts["messages"] += len(out)
+                return out, halted
+
+            prog.init, prog.step = counted_init, counted_step
+            return prog
+        return real_run(g, make, *args, **kwargs)
+
+    monkeypatch.setattr(basecolor, "run", counting_run)
+    g = gen_random(200, 10, seed=3)
+    ids = Coloring("vertex", {v: v for v in g.adj}, g.n)
+    out, trace = reduce_colors(g, ids)
+    assert trace.rounds == g.n - (g.max_degree + 1)
+    assert is_proper_vertex(g, out).ok
+    assert counts["steps"] <= 2 * g.n + counts["messages"]
 
 
 def test_reduce_rejects_improper_input():

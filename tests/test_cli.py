@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -32,6 +33,17 @@ def test_edgelist_errors(tmp_path):
     p.write_text("1 2 3\n")
     with pytest.raises(ParseError, match=":1:"):
         load_edgelist(p)
+
+
+def test_duplicate_edge_on_last_line(tmp_path):
+    p = tmp_path / "dup.el"
+    p.write_text("1 2\n2 3\n3 4\n# comment\n3 2\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:5: duplicate edge (2, 3)")):
+        load_edgelist(p)
+    p = tmp_path / "dup.col"
+    p.write_text("p edge 4 3\ne 1 2\ne 2 3\ne 3 2\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:4: duplicate edge (2, 3)")):
+        load_dimacs(p)
 
 
 def test_dimacs_k4(tmp_path):

@@ -1,7 +1,7 @@
 import pytest
 
 from localcolor.graph import Graph, GraphError
-from localcolor.sim import RoundBudgetExceeded, RoundTrace, VertexProgram, run
+from localcolor.sim import RoundBudgetExceeded, RoundTrace, Sleep, VertexProgram, run
 from helpers import cycle
 
 
@@ -101,3 +101,82 @@ def test_halted_at_init_still_delivers_outbox():
     out, trace = run(g, lambda v: OneShot(v))
     assert out[1] == [0]  # vertex 0 halted at init but its message arrived
     assert trace.rounds == 1
+
+
+class Scripted(VertexProgram):
+    """Returns ``plan[round_no]`` (round 0 is init; halts on rounds the plan
+    leaves out) and logs (round, vertex, inbox) for every step."""
+
+    def __init__(self, vertex, plan, log):
+        self.vertex = vertex
+        self.plan = plan
+        self.log = log
+
+    def init(self, view):
+        return self.plan[0]
+
+    def step(self, round_no, inbox):
+        self.log.append((round_no, self.vertex, dict(inbox)))
+        return self.plan.get(round_no, ({}, True))
+
+
+def run_scripted(g, plans, round_cap=None):
+    log = []
+    _, trace = run(g, lambda v: Scripted(v, plans[v], log), round_cap)
+    return log, trace
+
+
+def test_mail_wakes_a_sleeping_vertex():
+    g = Graph.from_edges([0, 1], [(0, 1)])
+    plans = {0: {0: ({}, Sleep(10))},
+             1: {0: ({}, False), 1: ({}, False), 2: ({0: "hi"}, True)}}
+    log, trace = run_scripted(g, plans)
+    assert log == [(1, 1, {}), (2, 1, {}), (3, 0, {1: "hi"})]
+    assert trace.rounds == 3
+
+
+def test_due_wake_up_delivers_empty_inbox():
+    g = Graph.from_edges([0, 1], [(0, 1)])
+    plans = {0: {0: ({}, Sleep(4))}, 1: {0: ({}, True)}}
+    log, trace = run_scripted(g, plans)
+    assert log == [(4, 0, {})]
+    assert trace.rounds == 4
+
+
+def test_skipped_silent_rounds_still_count():
+    g = Graph.from_edges([0, 1], [(0, 1)])
+    plans = {0: {0: ({}, Sleep(7)), 7: ({}, Sleep(20))},
+             1: {0: ({}, Sleep(12))}}
+    log, trace = run_scripted(g, plans)
+    assert log == [(7, 0, {}), (12, 1, {}), (20, 0, {})]
+    assert trace.rounds == 20
+    # the same schedule busy-waiting every round takes as many rounds
+    busy = {0: {r: ({}, False) for r in range(20)}, 1: {r: ({}, False) for r in range(12)}}
+    _, busy_trace = run_scripted(g, busy)
+    assert busy_trace.rounds == trace.rounds
+
+
+def test_round_cap_enforced_across_a_skip():
+    g = Graph.from_edges([0, 1], [(0, 1)])
+    plans = {0: {0: ({}, Sleep(30))}, 1: {0: ({}, True)}}
+    with pytest.raises(RoundBudgetExceeded):
+        run_scripted(g, plans, round_cap=29)
+    _, trace = run_scripted(g, plans, round_cap=30)
+    assert trace.rounds == 30
+
+
+def test_due_vertices_stepped_in_ascending_id_order():
+    # round 2: 0 wakes on schedule, 1 wakes on mail, 2 was never asleep
+    g = Graph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
+    plans = {0: {0: ({}, Sleep(2))},
+             1: {0: ({}, Sleep(5))},
+             2: {0: ({}, False), 1: ({1: "x"}, False)}}
+    log, _ = run_scripted(g, plans)
+    assert [(r, v) for r, v, _ in log] == [(1, 2), (2, 0), (2, 1), (2, 2)]
+
+
+def test_sleep_must_end_in_a_later_round():
+    g = Graph.from_edges([0, 1], [(0, 1)])
+    plans = {0: {0: ({}, False), 1: ({}, Sleep(1))}, 1: {0: ({}, True)}}
+    with pytest.raises(GraphError, match="sleep"):
+        run_scripted(g, plans)
