@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .basecolor import _require_proper
 from .graph import Coloring, Graph, GraphError, edge_subgraph, induced_subgraph, norm_edge
 from .sim import RoundTrace
-from .staredge import greedy_edge_coloring, star_edge_coloring_4delta
+from .staredge import _free_color, _pullback_classes, greedy_edge_coloring, star_edge_coloring_4delta
 from .verify import is_proper_edge
 
 EPSILON_DEFAULT = 0.5
@@ -213,11 +214,9 @@ def merge_cross_coloring(g: Graph, A, B, colA: Coloring, colB: Coloring,
         active = sorted((w, v, e) for e, (i, v, w) in labels.items()
                         if i == rnd)
         for w, v, e in active:
-            used = {assign[f] for u in e for z in g.adj[u]
-                    for f in [norm_edge(u, z)] if f != e and f in assign}
-            assign[e] = next(c for c in range(low) if c not in used)
+            assign[e] = _free_color(g, e, assign, low)
     col = Coloring("edge", assign, low + colA.palette_size)
-    assert is_proper_edge(g, col).ok
+    _require_proper(g, col, "merge_cross_coloring output")
     return col, d
 
 
@@ -259,17 +258,15 @@ def arb_edge_coloring(g: Graph, a: int,
     for i in range(hp.ell - 2, -1, -1):
         for v in sorted(hp.sets[i]):
             cross = [w for w in g.adj[v] if hp.set_of[w] > i]
-            for rnd, w in enumerate(cross, start=1):
+            for w in cross:
                 e = norm_edge(v, w)
-                used = {assign[f] for u in e for z in g.adj[u]
-                        for f in [norm_edge(u, z)] if f != e and f in assign}
-                assign[e] = next(c for c in range(low) if c not in used)
+                assign[e] = _free_color(g, e, assign, low)
         merge_rounds += d
     trace.add_phase("merge-sweep", merge_rounds)
 
     col = Coloring("edge", assign, low + 4 * d)
     assert col.palette_size == arb_palette_bound(delta, a, q)
-    assert is_proper_edge(g, col).ok
+    _require_proper(g, col, "arb_edge_coloring output")
     return col, trace
 
 
@@ -364,9 +361,7 @@ def delta_plus_little_o(g: Graph, a: int,
     trace.extend(phi_trace, "phi:")
 
     psi_palette = arb_palette_bound(k + rt_d, rt_d, q)
-    classes = [[] for _ in range(phi.palette_size)]
-    for e, ce in conn.edge_map.items():
-        classes[phi.assignment[ce]].append(e)
+    classes = _pullback_classes(conn, phi, phi.palette_size)
     assign = {}
     class_traces = []
     for i, cls in enumerate(classes):
@@ -382,7 +377,7 @@ def delta_plus_little_o(g: Graph, a: int,
 
     col = Coloring("edge", assign, phi.palette_size * psi_palette)
     assert col.palette_size <= little_o_palette_bound(delta, a, q)
-    assert is_proper_edge(g, col).ok
+    _require_proper(g, col, "delta_plus_little_o output")
     return col, trace
 
 
@@ -395,9 +390,7 @@ def _oriented_sweep(sub: Graph, orient: Orientation, palette: int):
     for v in reversed(orient.topo_order()):
         for w in orient.out[v]:
             e = norm_edge(v, w)
-            used = {assign[f] for u in e for z in sub.adj[u]
-                    for f in [norm_edge(u, z)] if f != e and f in assign}
-            assign[e] = next(c for c in range(palette) if c not in used)
+            assign[e] = _free_color(sub, e, assign, palette)
     return assign
 
 
@@ -446,9 +439,7 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
         # greedy needs deg(a)+deg(b)-1 <= gin+gout-1 colors on a bipartite
         # connector, even though it declares the generic 2*Delta-1 palette
         assert max(phi.assignment.values(), default=0) < level_palette
-        classes = [[] for _ in range(level_palette)]
-        for e, ce in conn.edge_map.items():
-            classes[phi.assignment[ce]].append(e)
+        classes = _pullback_classes(conn, phi, level_palette)
         radix = leaf_radix * level_palette ** (x - depth - 2)
         out = {}
         for i, cls in enumerate(classes):
@@ -463,7 +454,7 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
     assign = rec(g, orient, 0)
     col = Coloring("edge", assign, leaf_radix * level_palette ** (x - 1))
     assert col.palette_size <= powered_palette_bound(delta, a, q, x)
-    assert is_proper_edge(g, col).ok
+    _require_proper(g, col, "powered_edge_coloring output")
     return col, trace
 
 

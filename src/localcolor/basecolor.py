@@ -17,7 +17,7 @@ from sympy import nextprime
 
 from .graph import Coloring, Graph, GraphError
 from .sim import LocalView, RoundTrace, Sleep, VertexProgram, run
-from .verify import is_proper_vertex
+from .verify import is_proper_edge, is_proper_vertex
 
 # palette factor guaranteed by the construction ((2Delta)^2 with Bertrand slack)
 LINIAL_CL = 16
@@ -31,6 +31,16 @@ def _int_ceil_root(m: int, r: int) -> int:
     while x ** r >= m:
         x -= 1
     while x ** r < m:
+        x += 1
+    return x
+
+
+def _int_floor_root(m: int, r: int) -> int:
+    """Largest x with x**r <= m (m >= 0)."""
+    x = int(round(m ** (1.0 / r)))
+    while x ** r > m:
+        x -= 1
+    while (x + 1) ** r <= m:
         x += 1
     return x
 
@@ -118,7 +128,10 @@ def linial_coloring(g: Graph) -> tuple[Coloring, RoundTrace]:
 
 
 def _require_proper(g: Graph, col: Coloring, what: str) -> None:
-    verdict = is_proper_vertex(g, col)
+    """Raise GraphError unless ``col`` is a proper vertex or edge coloring
+    of ``g``; a real check, unlike an assert, survives ``python -O``."""
+    check = is_proper_vertex if col.kind == "vertex" else is_proper_edge
+    verdict = check(g, col)
     if not verdict.ok:
         raise GraphError(f"{what} improper: {verdict.violations[:3]}")
 

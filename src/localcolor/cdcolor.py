@@ -9,31 +9,16 @@ D^(x+1)*S color count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .basecolor import delta_plus_one, reduce_colors
-from .cliques import CliqueCover, build_vertex_connector, max_clique_size
+from .basecolor import _int_floor_root, _require_proper, delta_plus_one, reduce_colors
+from .cliques import CliqueCover, build_vertex_connector
 from .graph import Coloring, Graph, GraphError, induced_subgraph
 from .sim import RoundTrace
-from .verify import is_proper_vertex
 
 # below this clique size the refined family's arithmetic loses to the
 # direct D(S-1)+1 coloring, so we fall back to it
 REFINED_SMALL_S = 16
-
-
-@dataclass
-class RecursionParams:
-    t: int
-    x: int
-    variant: str = "plain"  # "plain" | "refined"
-
-    def __post_init__(self):
-        if self.t < 2:
-            raise GraphError(f"part size t must be at least 2, got {self.t}")
-        if self.x < 1:
-            raise GraphError(f"recursion depth x must be at least 1, got {self.x}")
 
 
 @dataclass
@@ -53,7 +38,6 @@ class LevelStats:
 @dataclass
 class DecompositionReport:
     levels: list[LevelStats] = field(default_factory=list)
-    final_palette: int = 0
     rounds: int = 0
 
     def leaf_count(self) -> int:
@@ -64,12 +48,7 @@ def choose_params(S: int, x: int) -> int:
     """t = max(2, floor(S^(1/(x+1))))."""
     if S < 2 or x < 1:
         raise GraphError("choose_params needs S >= 2 and x >= 1")
-    t = max(2, int(round(S ** (1.0 / (x + 1)))))
-    while t ** (x + 1) > S:
-        t -= 1
-    while (t + 1) ** (x + 1) <= S:
-        t += 1
-    return max(2, t)
+    return max(2, _int_floor_root(S, x + 1))
 
 
 def _audit_level(classes: list[Graph], k: int, D: int,
@@ -89,7 +68,7 @@ def _audit_level(classes: list[Graph], k: int, D: int,
 def _one_level(g: Graph, cover: CliqueCover, t: int, D: int, S: int,
                audit: bool, report: DecompositionReport, depth: int):
     """Connector stage shared by the plain and refined variants.  Returns
-    (phi assignment, gamma, per-class (subgraph, subcover), k, trace)."""
+    (gamma, per-class (subgraph, subcover), k, trace)."""
     conn = build_vertex_connector(g, cover, t)
     phi, trace = delta_plus_one(conn.derived)
     gamma = D * (t - 1) + 1
@@ -112,7 +91,34 @@ def _one_level(g: Graph, cover: CliqueCover, t: int, D: int, S: int,
     if audit:
         _audit_level([sub for sub, _ in classes], k, D, stats)
     report.levels[depth].absorb(stats)
-    return phi.assignment, gamma, classes, k, trace
+    return gamma, classes, k, trace
+
+
+def _leaf_colorer(radix: int):
+    """Class colorer of the last level: Delta+1 colors, at most ``radix``."""
+    def color(cls: Graph, _cover):
+        psi, trace = delta_plus_one(cls)
+        assert psi.palette_size <= radix, (psi.palette_size, radix)
+        return psi.assignment, trace
+    return color
+
+
+def _color_classes(classes, radix: int, color_class, label: str,
+                   trace: RoundTrace) -> dict[int, int]:
+    """Color every nonempty class i with ``color_class(subgraph, subcover)``
+    -> (assignment, trace), flatten its color c to i*radix + c, and charge
+    the classes to ``trace`` as one parallel phase."""
+    assignment: dict[int, int] = {}
+    traces = []
+    for i, (cls, ccover) in enumerate(classes):
+        if cls.n == 0:
+            continue
+        child, ctr = color_class(cls, ccover)
+        traces.append(ctr)
+        for v, c in child.items():
+            assignment[v] = i * radix + c
+    trace.merge_parallel(label, traces)
+    return assignment
 
 
 def cd_coloring(g: Graph, cover: CliqueCover, t: int, x: int,
@@ -120,11 +126,13 @@ def cd_coloring(g: Graph, cover: CliqueCover, t: int, x: int,
     """CD-Coloring: x connector levels, leaves colored with D(ceil(S/t)-1)+1
     colors, colors combined as (branch index, leaf color) flattened with
     per-level padded radixes."""
-    RecursionParams(t, x, "plain")
+    if t < 2:
+        raise GraphError(f"part size t must be at least 2, got {t}")
+    if x < 1:
+        raise GraphError(f"recursion depth x must be at least 1, got {x}")
     report = DecompositionReport()
     D, S = cover.D, cover.S
     if D == 0 or g.m == 0:
-        report.final_palette = 1
         return Coloring("vertex", {v: 0 for v in g.adj}, 1), report
 
     def leaf_palette(S_cur: int) -> int:
@@ -132,49 +140,30 @@ def cd_coloring(g: Graph, cover: CliqueCover, t: int, x: int,
 
     def total_palette(S_cur: int, x_cur: int) -> int:
         gamma = D * (t - 1) + 1
-        if x_cur == 0:
-            return leaf_palette(S_cur)  # unused; leaves handled at x_cur==1
         if x_cur == 1:
             return gamma * leaf_palette(S_cur)
         return gamma * total_palette(-(-S_cur // t), x_cur - 1)
 
     def rec(sub: Graph, subcover: CliqueCover, S_cur: int, x_cur: int,
             depth: int):
-        if sub.n == 0:
-            return {}, RoundTrace()
-        phi, gamma, classes, k, trace = _one_level(
+        _, classes, k, trace = _one_level(
             sub, subcover, t, D, S_cur, audit, report, depth)
-        child_traces = []
-        assignment: dict[int, int] = {}
         if x_cur == 1:
             radix = leaf_palette(S_cur)
-            for i, (cls, _) in enumerate(classes):
-                if cls.n == 0:
-                    child_traces.append(RoundTrace())
-                    continue
-                psi, ctr = delta_plus_one(cls)
-                assert psi.palette_size <= radix, (psi.palette_size, radix)
-                child_traces.append(ctr)
-                for v, c in psi.assignment.items():
-                    assignment[v] = i * radix + c
+            color_class = _leaf_colorer(radix)
         else:
             radix = total_palette(k, x_cur - 1)
-            for i, (cls, ccover) in enumerate(classes):
-                if cls.n == 0:
-                    child_traces.append(RoundTrace())
-                    continue
-                child, ctr = rec(cls, ccover, k, x_cur - 1, depth + 1)
-                child_traces.append(ctr)
-                for v, c in child.items():
-                    assignment[v] = i * radix + c
-        trace.merge_parallel(f"level-{depth}-classes", child_traces)
+
+            def color_class(cls, ccover):
+                return rec(cls, ccover, k, x_cur - 1, depth + 1)
+        assignment = _color_classes(classes, radix, color_class,
+                                    f"level-{depth}-classes", trace)
         return assignment, trace
 
     assignment, trace = rec(g, cover, S, x, 0)
     palette = total_palette(S, x)
     col = Coloring("vertex", assignment, palette)
-    assert is_proper_vertex(g, col).ok
-    report.final_palette = palette
+    _require_proper(g, col, "cd_coloring output")
     report.rounds = trace.rounds
     # palette stays inside the coarse decomposition envelope
     assert palette <= (t * D) ** x * ((S / t ** x + 2) * D) + (t * D) ** x
@@ -198,7 +187,6 @@ def refined_coloring(g: Graph, cover: CliqueCover, x: int,
     report = DecompositionReport()
     D, S = cover.D, cover.S
     if D == 0 or g.m == 0:
-        report.final_palette = 1
         return Coloring("vertex", {v: 0 for v in g.adj}, 1), report
 
     def rec(sub: Graph, subcover: CliqueCover, S_cur: int, x_cur: int,
@@ -209,33 +197,20 @@ def refined_coloring(g: Graph, cover: CliqueCover, x: int,
             assert psi.palette_size <= target
             return dict(psi.assignment), target, trace
         t = choose_params(S_cur, x_cur)
-        phi, gamma, classes, k, trace = _one_level(
+        gamma, classes, k, trace = _one_level(
             sub, subcover, t, D, S_cur, audit, report, depth)
-        child_traces = []
-        assignment: dict[int, int] = {}
         if x_cur == 1:
             radix = D * (k - 1) + 1
-            for i, (cls, _) in enumerate(classes):
-                if cls.n == 0:
-                    child_traces.append(RoundTrace())
-                    continue
-                psi, ctr = delta_plus_one(cls)
-                assert psi.palette_size <= radix
-                child_traces.append(ctr)
-                for v, c in psi.assignment.items():
-                    assignment[v] = i * radix + c
+            color_class = _leaf_colorer(radix)
         else:
             radix = refined_palette_bound(D, k, x_cur - 1)
-            for i, (cls, ccover) in enumerate(classes):
-                if cls.n == 0:
-                    child_traces.append(RoundTrace())
-                    continue
+
+            def color_class(cls, ccover):
                 child, child_pal, ctr = rec(cls, ccover, k, x_cur - 1, depth + 1)
                 assert child_pal == radix
-                child_traces.append(ctr)
-                for v, c in child.items():
-                    assignment[v] = i * radix + c
-        trace.merge_parallel(f"level-{depth}-classes", child_traces)
+                return child, ctr
+        assignment = _color_classes(classes, radix, color_class,
+                                    f"level-{depth}-classes", trace)
         combined_palette = gamma * radix
         if combined_palette > target:
             # the appendix trim: basic reduction down to the exact bound
@@ -248,8 +223,7 @@ def refined_coloring(g: Graph, cover: CliqueCover, x: int,
 
     assignment, palette, trace = rec(g, cover, S, x, 0)
     col = Coloring("vertex", assignment, palette)
-    assert is_proper_vertex(g, col).ok
-    report.final_palette = palette
+    _require_proper(g, col, "refined_coloring output")
     report.rounds = trace.rounds
     assert palette <= refined_palette_bound(D, S, x)
     return col, report

@@ -15,9 +15,9 @@ import time
 from . import arbedge, sim
 from .cdcolor import cd_coloring, choose_params, refined_coloring, refined_palette_bound
 from .cliques import CliqueCover, enumerate_maximal_cliques
-from .graph import Coloring, Graph, GraphError, hypergraph_line_graph, line_graph
+from .graph import Coloring, GraphError, hypergraph_line_graph, line_graph, norm_edge
 from .io import GENERATORS, ParseError, load_graph
-from .staredge import recursive_star_edge_coloring, star_edge_coloring_4delta
+from .staredge import recursive_star_edge_coloring
 from .verify import count_colors, is_proper_edge, is_proper_vertex
 
 
@@ -151,6 +151,22 @@ def _cmd_gen(args):
     return 0
 
 
+def _load_coloring(path) -> Coloring:
+    """A coloring from a JSON file with "kind", "palette" and "assignment";
+    anything else is a ParseError naming the file."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+            kind, items = data["kind"], data["assignment"].items()
+            if kind == "vertex":
+                assignment = {int(k): int(v) for k, v in items}
+            else:  # keys "u,w"
+                assignment = {norm_edge(*map(int, k.split(","))): int(v) for k, v in items}
+            return Coloring(kind, assignment, int(data["palette"]))
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise ParseError(f"{path}: not a coloring file: {e!r}") from None
+
+
 def _cmd_verify(args):
     start = time.monotonic()
     g = load_graph(args.input, args.format) if args.format != "hyper" else \
@@ -164,21 +180,8 @@ def _cmd_verify(args):
         }
         _emit(report, args, time.monotonic() - start)
         return 0
-    with open(args.coloring) as fh:
-        data = json.load(fh)
-    kind = data["kind"]
-    palette = int(data["palette"])
-    if kind == "vertex":
-        assignment = {int(k): int(v) for k, v in data["assignment"].items()}
-        col = Coloring("vertex", assignment, palette)
-        verdict = is_proper_vertex(g, col)
-    else:
-        assignment = {}
-        for k, v in data["assignment"].items():
-            u, w = k.split(",")
-            assignment[(min(int(u), int(w)), max(int(u), int(w)))] = int(v)
-        col = Coloring("edge", assignment, palette)
-        verdict = is_proper_edge(g, col)
+    col = _load_coloring(args.coloring)
+    verdict = (is_proper_vertex if col.kind == "vertex" else is_proper_edge)(g, col)
     report = {
         "algorithm": "verify",
         "graph": {"n": g.n, "m": g.m, "delta": g.max_degree},
@@ -212,12 +215,8 @@ def _run_algorithm(args):
                    "leaf_count": rep.leaf_count()})
     elif args.command == "star-edge":
         g = load_graph(args.input, args.format)
-        if args.x <= 1:
-            col, rep = star_edge_coloring_4delta(g)
-            theory = max(4 * g.max_degree, 1)
-        else:
-            col, rep = recursive_star_edge_coloring(g, args.x)
-            theory = max(2 ** (args.x + 1) * g.max_degree, 1)
+        col, rep = recursive_star_edge_coloring(g, args.x)
+        theory = max(2 ** (args.x + 1) * g.max_degree, 1)
         report, code = _report(args, "star-edge", g, col, rep.rounds,
                                rep.phases, col.palette_size, theory,
                                extra={"class_count": rep.class_count,

@@ -96,10 +96,6 @@ def enumerate_maximal_cliques(g: Graph, cap: int = CLIQUE_CAP) -> CliqueCover:
     return CliqueCover.from_cliques(g, cliques, mode="intrinsic")
 
 
-def diversity(cover: CliqueCover) -> int:
-    return cover.D
-
-
 def elect_masters(cover: CliqueCover) -> dict[int, int]:
     """Master of each clique = its highest-ID vertex."""
     return {cid: max(q) for cid, q in enumerate(cover.cliques)}

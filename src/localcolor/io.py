@@ -53,11 +53,18 @@ def load_dimacs(path) -> Graph:
         if toks[0] == "p":
             if len(toks) != 4 or toks[1] != "edge":
                 raise ParseError(f"{path}:{lineno}: bad problem line {toks}")
-            n, m = int(toks[2]), int(toks[3])
+            try:
+                n, m = int(toks[2]), int(toks[3])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: bad problem line {toks}") from None
         elif toks[0] == "e":
             if n is None:
                 raise ParseError(f"{path}:{lineno}: edge before problem line")
-            u, v = int(toks[1]), int(toks[2])
+            try:
+                _, u, v = toks
+                u, v = int(u), int(v)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: expected 'e u v', got {toks}") from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"{path}:{lineno}: vertex out of range")
             if u == v:
@@ -206,11 +213,3 @@ GENERATORS = {
     "forest": lambda params, seed: gen_forest(int(params["n"]), int(params["delta"]), seed),
     "random": lambda params, seed: gen_random(int(params["n"]), int(params["delta"]), seed),
 }
-
-
-def generate(kind, params, seed=0):
-    """Dispatch for the plain-graph generators; line-graph kinds return a
-    (Graph, CliqueCover) pair via gen_line_of / gen_hyper_line."""
-    if kind in GENERATORS:
-        return GENERATORS[kind](params, seed)
-    raise GraphError(f"unknown generator kind {kind!r}")

@@ -53,7 +53,6 @@ class LocalView:
     vertex: int
     label: int
     neighbors: tuple[int, ...]
-    neighbor_labels: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,7 @@ def run(g: Graph, make_program, round_cap: int | None = None):
 
     for v in g.adj:
         prog = make_program(v)
-        view = LocalView(v, g.label(v), g.adj[v],
-                         {w: g.label(w) for w in g.adj[v]})
-        out, h = prog.init(view)
+        out, h = prog.init(LocalView(v, g.label(v), g.adj[v]))
         _check_outbox(g, v, out)
         programs[v] = prog
         if out:

@@ -11,12 +11,10 @@ recursing and combining gives the 4*Delta and 2^(x+1)*Delta schemes.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
+from .basecolor import _int_floor_root, _require_proper
 from .graph import Coloring, Graph, GraphError, edge_subgraph, norm_edge
-from .sim import RoundTrace
-from .verify import is_proper_edge
 
 
 @dataclass
@@ -33,7 +31,6 @@ class EdgeConnector:
 class StarPartitionReport:
     class_count: int = 0
     max_star: int = 0
-    final_palette: int = 0
     rounds: int = 0
     phases: list[tuple[str, int]] = field(default_factory=list)
 
@@ -76,6 +73,18 @@ def greedy_edge_coloring(g: Graph) -> Coloring:
     return Coloring("edge", assign, max(2 * g.max_degree - 1, 1))
 
 
+def _free_color(g: Graph, e: tuple[int, int], assign: dict,
+                palette: int) -> int:
+    """Smallest color in [palette] on no colored edge adjacent to ``e``;
+    ``e``'s own entry in ``assign`` is ignored."""
+    used = {assign[f] for u in e for z in g.adj[u]
+            for f in [norm_edge(u, z)] if f != e and f in assign}
+    for c in range(palette):
+        if c not in used:
+            return c
+    raise GraphError(f"no free color for edge {e} in a palette of {palette}")
+
+
 def reduce_edge_colors(g: Graph, c: Coloring,
                        target: int) -> tuple[Coloring, int]:
     """Basic color reduction on edges: one top class per round recolors
@@ -86,26 +95,14 @@ def reduce_edge_colors(g: Graph, c: Coloring,
     if target < max(2 * g.max_degree - 1, 1):
         raise GraphError(f"edge reduction target {target} below 2*Delta-1")
     assign = dict(c.assignment)
-    incident: dict[int, set] = {v: set() for v in g.adj}
-    for (u, v), col in assign.items():
-        incident[u].add(col)
-        incident[v].add(col)
-    rounds = c.palette_size - target
     for col in range(c.palette_size - 1, target - 1, -1):
         for e in sorted(e for e, ec in assign.items() if ec == col):
-            u, v = e
-            incident[u].discard(col)
-            incident[v].discard(col)
-            used = {assign[f] for w in (u, v) for x in g.adj[w]
-                    for f in [norm_edge(w, x)] if f != e}
-            nc = next(k for k in range(target) if k not in used)
-            assign[e] = nc
-            incident[u].add(nc)
-            incident[v].add(nc)
-    return Coloring("edge", assign, target), rounds
+            assign[e] = _free_color(g, e, assign, target)
+    return Coloring("edge", assign, target), c.palette_size - target
 
 
-def _pullback_classes(conn: EdgeConnector, phi: Coloring, palette: int):
+def _pullback_classes(conn, phi: Coloring, palette: int):
+    """Base edges grouped by the color of their connector edge."""
     classes: list[list[tuple[int, int]]] = [[] for _ in range(palette)]
     for e, ce in conn.edge_map.items():
         classes[phi.assignment[ce]].append(e)
@@ -113,51 +110,17 @@ def _pullback_classes(conn: EdgeConnector, phi: Coloring, palette: int):
 
 
 def star_edge_coloring_4delta(g: Graph) -> tuple[Coloring, StarPartitionReport]:
-    """Two-stage scheme: connector with t = floor(sqrt(Delta)) colored with
-    2t-1 colors, classes (stars of size <= ceil(Delta/t)) colored with
-    2k-1 colors each, combined and trimmed to at most 4*Delta colors."""
-    delta = g.max_degree
-    report = StarPartitionReport()
-    if delta < 2:
-        col = greedy_edge_coloring(g)
-        report.class_count = 1 if g.m else 0
-        report.max_star = delta
-        report.final_palette = col.palette_size
-        return col, report
-    t = max(2, math.isqrt(delta))
-    k = -(-delta // t)
-    conn = build_edge_connector(g, t)
-    phi = greedy_edge_coloring(conn.derived)
-    assert phi.palette_size <= 2 * t - 1
-    classes = _pullback_classes(conn, phi, 2 * t - 1)
-
-    radix = 2 * k - 1
-    assign: dict[tuple[int, int], int] = {}
-    for i, cls in enumerate(classes):
-        sub = edge_subgraph(g, cls)
-        assert sub.max_degree <= k, (sub.max_degree, k)
-        report.max_star = max(report.max_star, sub.max_degree)
-        psi = greedy_edge_coloring(sub)
-        assert psi.palette_size <= radix
-        for e in cls:
-            assign[e] = phi.assignment[conn.edge_map[e]] * radix + psi.assignment[e]
-    report.class_count = sum(1 for cls in classes if cls)
-    combined = (2 * t - 1) * radix
-    col = Coloring("edge", assign, combined)
-    if combined > 4 * delta:
-        col, r = reduce_edge_colors(g, col, 4 * delta)
-        report.phases.append(("trim", r))
-        report.rounds += r
-    report.final_palette = col.palette_size
-    assert is_proper_edge(g, col).ok
-    assert col.palette_size <= 4 * delta
-    return col, report
+    """The two-stage 4*Delta scheme, which is recursive_star_edge_coloring
+    with x=1: t = floor(sqrt(Delta)), stars of size at most ceil(Delta/t)
+    colored with 2*ceil(Delta/t)-1 colors each, trimmed to 4*Delta."""
+    return recursive_star_edge_coloring(g, 1)
 
 
 def recursive_star_edge_coloring(g: Graph,
                                  x: int) -> tuple[Coloring, StarPartitionReport]:
     """x connector levels with a single t = floor(Delta^(1/(x+1))), leaves
-    colored greedily, palette trimmed to at most 2^(x+1)*Delta."""
+    colored greedily, palette trimmed to at most 2^(x+1)*Delta.  The
+    report's max_star is the largest star of the top-level partition."""
     if x < 1:
         raise GraphError("x must be at least 1")
     delta = g.max_degree
@@ -165,12 +128,9 @@ def recursive_star_edge_coloring(g: Graph,
     if delta < 2:
         col = greedy_edge_coloring(g)
         report.class_count = 1 if g.m else 0
-        report.final_palette = col.palette_size
+        report.max_star = delta
         return col, report
-    t = max(2, int(delta ** (1.0 / (x + 1))))
-    while t ** (x + 1) > delta:
-        t -= 1
-    t = max(2, t)
+    t = max(2, _int_floor_root(delta, x + 1))
 
     # per-level star-size bounds: b[0]=Delta, b[j+1]=ceil(b[j]/t)
     bounds = [delta]
@@ -179,11 +139,14 @@ def recursive_star_edge_coloring(g: Graph,
     leaf_radix = max(2 * bounds[x] - 1, 1)
 
     def rec(sub: Graph, depth: int) -> dict[tuple[int, int], int]:
-        assert sub.max_degree <= bounds[depth], (sub.max_degree, bounds[depth])
+        star = sub.max_degree
+        assert star <= bounds[depth], (star, bounds[depth])
+        if depth == 1:
+            report.max_star = max(report.max_star, star)
         if depth == x:
             psi = greedy_edge_coloring(sub)
             assert psi.palette_size <= leaf_radix or sub.m == 0
-            return dict(psi.assignment)
+            return psi.assignment
         if sub.m == 0:
             return {}
         conn = build_edge_connector(sub, t)
@@ -208,9 +171,7 @@ def recursive_star_edge_coloring(g: Graph,
         col, r = reduce_edge_colors(g, col, bound)
         report.phases.append(("trim", r))
         report.rounds += r
-    report.max_star = max((len([w for w in g.adj[v]]) for v in g.adj), default=0)
-    report.final_palette = col.palette_size
-    assert is_proper_edge(g, col).ok
+    _require_proper(g, col, "recursive_star_edge_coloring output")
     assert col.palette_size <= bound
     return col, report
 

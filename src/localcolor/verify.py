@@ -21,7 +21,6 @@ EDGE_CHROMATIC_ORACLE_M = 16
 class Verdict:
     ok: bool
     violations: list = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
 
 
 def is_proper_vertex(g: Graph, c: Coloring) -> Verdict:
@@ -32,7 +31,7 @@ def is_proper_vertex(g: Graph, c: Coloring) -> Verdict:
         raise GraphError(f"coloring not total; missing {missing[:5]}")
     bad = [(u, v) for u, v in g.edges()
            if c.assignment[u] == c.assignment[v]]
-    return Verdict(not bad, bad, {"colors_used": c.colors_used()})
+    return Verdict(not bad, bad)
 
 
 def is_proper_edge(g: Graph, c: Coloring) -> Verdict:
@@ -51,7 +50,7 @@ def is_proper_edge(g: Graph, c: Coloring) -> Verdict:
             if col in seen and seen[col] != e:
                 bad.append((v, seen[col], e))
             seen[col] = e
-    return Verdict(not bad, bad, {"colors_used": c.colors_used()})
+    return Verdict(not bad, bad)
 
 
 def count_colors(c: Coloring) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localcolor import arbedge
 from localcolor.arbedge import (arb_edge_coloring, arb_palette_bound,
                                 acyclic_orientation, auto_params,
                                 build_orientation_connector, delta_plus_little_o,
@@ -213,3 +214,22 @@ def _min_scan_arboricity(g):
 def test_estimate_arboricity_matches_min_scan(n, pairs):
     g = Graph.from_edges(range(n), [(u, v) for u, v in pairs if u != v and max(u, v) < n])
     assert estimate_arboricity(g) == _min_scan_arboricity(g)
+
+
+def test_improper_leaf_colorings_raise(monkeypatch):
+    g = gen_random(60, 9, seed=2)
+    a = estimate_arboricity(g)
+    star, sweep = arbedge.star_edge_coloring_4delta, arbedge._oriented_sweep
+
+    def clashing_star(sub):
+        col, rep = star(sub)
+        return Coloring("edge", dict.fromkeys(col.assignment, 0), col.palette_size), rep
+
+    monkeypatch.setattr(arbedge, "star_edge_coloring_4delta", clashing_star)
+    with pytest.raises(GraphError, match="improper"):
+        arb_edge_coloring(g, a)
+    monkeypatch.undo()
+    monkeypatch.setattr(arbedge, "_oriented_sweep",
+                        lambda *args: dict.fromkeys(sweep(*args), 0))
+    with pytest.raises(GraphError, match="improper"):
+        powered_edge_coloring(g, a, arbedge.DEFAULT_Q, 2)

@@ -1,9 +1,10 @@
 import pytest
 
+from localcolor import cdcolor
 from localcolor.cdcolor import (cd_coloring, choose_params, refined_coloring,
                                 refined_palette_bound)
 from localcolor.cliques import enumerate_maximal_cliques
-from localcolor.graph import GraphError
+from localcolor.graph import Coloring, GraphError
 from localcolor.io import gen_complete, gen_hyper_line, gen_line_of, gen_random
 from localcolor.verify import brute_force_max_clique, is_proper_vertex
 
@@ -85,3 +86,20 @@ def test_bad_params_rejected():
         cd_coloring(g, cover, t=1, x=1)
     with pytest.raises(GraphError):
         refined_coloring(g, cover, 0)
+
+
+def test_improper_leaf_coloring_raises(monkeypatch):
+    real = cdcolor.delta_plus_one
+    calls = []
+
+    def clashing(g):
+        calls.append(g)
+        col, trace = real(g)
+        if len(calls) == 1:  # the connector coloring stays proper
+            return col, trace
+        return Coloring("vertex", dict.fromkeys(col.assignment, 0), col.palette_size), trace
+
+    monkeypatch.setattr(cdcolor, "delta_plus_one", clashing)
+    g = gen_complete(9)
+    with pytest.raises(GraphError, match="improper"):
+        cd_coloring(g, enumerate_maximal_cliques(g), t=3, x=1)

@@ -135,3 +135,31 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "gen", "--kind", "grid")  # missing rows/cols
     assert code == 2
+
+
+@pytest.mark.parametrize("lines", ["p edge 3 1\ne 1", "p edge 3 1\ne 1 x",
+                                   "p edge 3 1\ne 1 2 3", "c\np edge 3 x"])
+def test_bad_dimacs_line_exits_2(tmp_path, capsys, lines):
+    p = tmp_path / "bad.col"
+    p.write_text(lines + "\n")
+    code = main(["star-edge", "--input", str(p), "--format", "dimacs"])
+    assert code == 2
+    assert f"{p}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    json.dumps({"palette": 2, "assignment": {}}),
+    json.dumps({"kind": "vertex", "assignment": {}}),
+    json.dumps({"kind": "vertex", "palette": 2}),
+    json.dumps({"kind": "edge", "palette": 2, "assignment": {"0": 1}}),
+    json.dumps([1, 2]),
+    "not json",
+], ids=["no-kind", "no-palette", "no-assignment", "bad-edge-key", "list", "non-json"])
+def test_bad_coloring_file_exits_2(tmp_path, capsys, body):
+    graph = tmp_path / "g.el"
+    graph.write_text("0 1\n1 2\n")
+    coloring = tmp_path / "c.json"
+    coloring.write_text(body)
+    code = main(["verify", "--input", str(graph), "--coloring", str(coloring)])
+    assert code == 2
+    assert f"{coloring}:" in capsys.readouterr().err

@@ -3,8 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localcolor.graph import GraphError, line_graph
+from localcolor import staredge
+from localcolor.basecolor import _int_floor_root
+from localcolor.graph import Coloring, GraphError, line_graph
 from localcolor.io import gen_matching, gen_random, gen_star
+from localcolor.staredge import _free_color
 from localcolor.staredge import (build_edge_connector, check_star_partition,
                                  greedy_edge_coloring, recursive_star_edge_coloring,
                                  reduce_edge_colors, star_edge_coloring_4delta)
@@ -50,6 +53,58 @@ def test_recursive_bound():
         assert col.palette_size <= 2 ** (x + 1) * g.max_degree
     with pytest.raises(GraphError):
         recursive_star_edge_coloring(g, 0)
+
+
+def test_int_floor_root_matches_definition():
+    # floor(m^(1/r)): the largest x with x**r <= m
+    for r in range(1, 7):
+        for m in range(0, 3000):
+            x = _int_floor_root(m, r)
+            assert x ** r <= m < (x + 1) ** r, (m, r, x)
+    # large bases, where the float root is off by more than one
+    bases = list(range(2, 2000)) + [10 ** 17 + 3, 2 ** 70 + 1, 3 ** 40 + 7]
+    for r in range(2, 6):
+        for base in bases:
+            assert _int_floor_root(base ** r, r) == base
+            assert _int_floor_root(base ** r - 1, r) == base - 1
+
+
+def test_recursive_t_on_a_perfect_cube():
+    # Delta = 64 = 4^3: t = 4, leaf radix 2*ceil(64/16)-1 = 7, palette 7*7^2
+    g = gen_random(300, 64, seed=0)
+    col, _ = recursive_star_edge_coloring(g, 2)
+    assert col.palette_size == (2 * 4 - 1) * 7 ** 2 == 343
+
+
+def test_recursive_max_star_is_top_level_star():
+    g = gen_random(200, 27, seed=3)
+    t = 3  # floor(27^(1/3))
+    _, report = recursive_star_edge_coloring(g, 2)
+    assert 0 < report.max_star <= -(-g.max_degree // t)
+
+
+def test_free_color_raises_on_exhausted_palette():
+    g = gen_star(4)  # edges (0,3), (1,3), (2,3)
+    assign = {(0, 3): 0, (1, 3): 1, (2, 3): 0}
+    assert _free_color(g, (2, 3), assign, 3) == 2
+    with pytest.raises(GraphError, match="no free color"):
+        _free_color(g, (2, 3), assign, 2)
+
+
+def test_improper_leaf_coloring_raises(monkeypatch):
+    real = staredge.greedy_edge_coloring
+    calls = []
+
+    def clashing(g):
+        calls.append(g)
+        col = real(g)
+        if len(calls) == 1:  # the connector coloring stays proper
+            return col
+        return Coloring("edge", dict.fromkeys(col.assignment, 0), col.palette_size)
+
+    monkeypatch.setattr(staredge, "greedy_edge_coloring", clashing)
+    with pytest.raises(GraphError, match="improper"):
+        recursive_star_edge_coloring(gen_random(60, 9, seed=1), 1)
 
 
 def test_reduce_edge_colors_round_count():
