@@ -10,12 +10,14 @@ forms exposed by arb_palette_bound and little_o_palette_bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .basecolor import _require_proper
-from .graph import Coloring, Graph, GraphError, edge_subgraph, induced_subgraph, norm_edge
+from .graph import Coloring, Graph, GraphError, induced_subgraph, norm_edge
 from .sim import RoundTrace
-from .staredge import _free_color, _pullback_classes, greedy_edge_coloring, star_edge_coloring_4delta
+from .staredge import (_class_graph, _FirstFit, _pullback_classes, greedy_edge_coloring,
+                       star_edge_coloring_4delta)
 from .verify import is_proper_edge
 
 EPSILON_DEFAULT = 0.5
@@ -140,22 +142,29 @@ def h_partition(g: Graph, a: int, q: float = DEFAULT_Q) -> HPartition:
     if a < 1:
         raise GraphError("a must be at least 1")
     d = int(q * a)
-    remaining = {v: set(g.adj[v]) for v in g.adj}
+    # deg[v]: v's neighbors not yet peeled.  Every vertex left after a
+    # phase has deg > d, so the next phase peels exactly the vertices
+    # whose count falls to d during this one.
+    deg = {v: len(ns) for v, ns in g.adj.items()}
+    peel = sorted(v for v, k in deg.items() if k <= d)
     sets = []
     set_of = {}
-    while remaining:
-        peel = sorted(v for v in remaining if len(remaining[v]) <= d)
+    while len(set_of) < len(deg):
         if not peel:
             raise GraphError(
-                f"peeling stalled with {len(remaining)} vertices of degree "
-                f"> {d}; a={a} is below the true arboricity")
+                f"peeling stalled with {len(deg) - len(set_of)} vertices of "
+                f"degree > {d}; a={a} is below the true arboricity")
         for v in peel:
             set_of[v] = len(sets)
-            del remaining[v]
         sets.append(tuple(peel))
-        gone = set(peel)
-        for u in remaining:
-            remaining[u] -= gone
+        frontier = []
+        for v in peel:
+            for w in g.adj[v]:
+                if w not in set_of:
+                    deg[w] -= 1
+                    if deg[w] == d:
+                        frontier.append(w)
+        peel = sorted(frontier)
     hp = HPartition(sets, d, q, a, set_of)
     hp.validate(g)
     return hp
@@ -198,24 +207,21 @@ def merge_cross_coloring(g: Graph, A, B, colA: Coloring, colB: Coloring,
 
     delta = g.max_degree
     low = max(colB.palette_size, delta + d - 1, 1)
-    assign = {}
-    for e, c in colB.assignment.items():
-        assign[e] = c
+    ff = _FirstFit(colB.assignment)
     for e, c in colA.assignment.items():
-        assign[e] = low + c
+        ff.paint(e, low + c)
 
-    labels = {}  # crossing edge -> label in 1..d, unique per A-vertex
+    # round i colors the crossing edges each A-vertex labels i (1..d)
+    by_round: list[list] = [[] for _ in range(d + 1)]
     for v in sorted(A):
         cross = [w for w in g.adj[v] if w in B]
         for i, w in enumerate(cross, start=1):
-            labels[norm_edge(v, w)] = (i, v, w)
+            by_round[i].append((w, v, norm_edge(v, w)))
 
-    for rnd in range(1, d + 1):
-        active = sorted((w, v, e) for e, (i, v, w) in labels.items()
-                        if i == rnd)
-        for w, v, e in active:
-            assign[e] = _free_color(g, e, assign, low)
-    col = Coloring("edge", assign, low + colA.palette_size)
+    for active in by_round[1:]:
+        for w, v, e in sorted(active):
+            ff.fill(e, low)
+    col = Coloring("edge", ff.assign, low + colA.palette_size)
     _require_proper(g, col, "merge_cross_coloring output")
     return col, d
 
@@ -238,7 +244,7 @@ def arb_edge_coloring(g: Graph, a: int,
     d = hp.d
     low = max(delta + d - 1, 1)
 
-    assign = {}
+    ff = _FirstFit()
     internal = []
     for i, s in enumerate(hp.sets):
         sub = induced_subgraph(g, s)
@@ -251,20 +257,19 @@ def arb_edge_coloring(g: Graph, a: int,
         part.add_phase("internal-stars", rep.rounds)
         internal.append(part)
         for e, c in col.assignment.items():
-            assign[e] = low + c
+            ff.paint(e, low + c)
     trace.merge_parallel("hset-internal", internal)
 
     merge_rounds = 0
     for i in range(hp.ell - 2, -1, -1):
         for v in sorted(hp.sets[i]):
-            cross = [w for w in g.adj[v] if hp.set_of[w] > i]
-            for w in cross:
-                e = norm_edge(v, w)
-                assign[e] = _free_color(g, e, assign, low)
+            for w in g.adj[v]:
+                if hp.set_of[w] > i:
+                    ff.fill(norm_edge(v, w), low)
         merge_rounds += d
     trace.add_phase("merge-sweep", merge_rounds)
 
-    col = Coloring("edge", assign, low + 4 * d)
+    col = Coloring("edge", ff.assign, low + 4 * d)
     assert col.palette_size == arb_palette_bound(delta, a, q)
     _require_proper(g, col, "arb_edge_coloring output")
     return col, trace
@@ -296,6 +301,8 @@ def build_orientation_connector(g: Graph, orient: Orientation, in_split: int,
     incoming = {v: [] for v in g.adj}
     for v, w in orient.oriented_edges():
         incoming[w].append(v)
+    for tails in incoming.values():
+        tails.sort()
     virtuals = {}
 
     def vid(v, side, idx):
@@ -306,14 +313,12 @@ def build_orientation_connector(g: Graph, orient: Orientation, in_split: int,
 
     edge_map = {}
     conn_edges = []
-    for v, w in orient.oriented_edges():
-        i = sorted(incoming[w]).index(v) // in_split
-        j = orient.out[v].index(w) // out_split
-        a = vid(v, "out", j)
-        b = vid(w, "in", i)
-        e = norm_edge(a, b)
-        edge_map[norm_edge(v, w)] = e
-        conn_edges.append(e)
+    for v, heads in orient.out.items():
+        for j, w in enumerate(heads):
+            i = bisect_left(incoming[w], v) // in_split
+            e = norm_edge(vid(v, "out", j // out_split), vid(w, "in", i))
+            edge_map[norm_edge(v, w)] = e
+            conn_edges.append(e)
     derived = Graph.from_edges(range(len(virtuals)), conn_edges)
     assert len(set(edge_map.values())) == len(edge_map)
     if bipartite:
@@ -367,7 +372,7 @@ def delta_plus_little_o(g: Graph, a: int,
     for i, cls in enumerate(classes):
         if not cls:
             continue
-        sub = edge_subgraph(g, cls)
+        sub = _class_graph(cls)
         assert sub.max_degree <= k + rt_d
         psi, sub_trace = arb_edge_coloring(sub, rt_d, q)
         class_traces.append(sub_trace)
@@ -386,12 +391,11 @@ def _oriented_sweep(sub: Graph, orient: Orientation, palette: int):
     each vertex colors its out-edges.  An edge sees at most
     (out-1) + (Delta-1) colored neighbors, so Delta + maxout - 1 colors
     always suffice."""
-    assign = {}
+    ff = _FirstFit()
     for v in reversed(orient.topo_order()):
         for w in orient.out[v]:
-            e = norm_edge(v, w)
-            assign[e] = _free_color(sub, e, assign, palette)
-    return assign
+            ff.fill(norm_edge(v, w), palette)
+    return ff.assign
 
 
 def powered_palette_bound(delta: int, a: int, q: float, x: int) -> int:
@@ -445,7 +449,7 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
         for i, cls in enumerate(classes):
             if not cls:
                 continue
-            child_g = edge_subgraph(sub, cls)
+            child_g = _class_graph(cls)
             child = rec(child_g, sor.restrict(child_g), depth + 1)
             for e in cls:
                 out[e] = i * radix + child[e]

@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from . import arbedge, sim
+from . import arbedge
 from .cdcolor import cd_coloring, choose_params, refined_coloring, refined_palette_bound
 from .cliques import CliqueCover, enumerate_maximal_cliques
 from .graph import Coloring, GraphError, hypergraph_line_graph, line_graph, norm_edge
@@ -29,7 +29,6 @@ def _add_common(p):
     p.add_argument("--audit", action="store_true",
                    help="enable per-level decomposition checks")
     p.add_argument("--json", dest="json_path", help="also write the report here")
-    p.add_argument("--round-cap", type=int, default=None)
 
 
 def _build_parser():
@@ -250,8 +249,6 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if getattr(args, "round_cap", None) is not None:
-        sim.ROUND_CAP = args.round_cap
     try:
         if args.command == "gen":
             return _cmd_gen(args)
@@ -261,8 +258,6 @@ def main(argv=None):
     except (ParseError, GraphError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    finally:
-        sim.ROUND_CAP = None
 
 
 if __name__ == "__main__":

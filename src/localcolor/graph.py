@@ -5,6 +5,7 @@ line graphs)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 
@@ -26,7 +27,9 @@ class Graph:
     Adjacency lists are kept sorted so that every iteration order in the
     library is deterministic.  ``labels`` optionally carries alternative
     symmetry-breaking keys (small proper colors standing in for IDs); they
-    must be distinct within every neighborhood but not globally.
+    must be distinct within every neighborhood but not globally.  ``m``
+    and ``max_degree`` are computed on first access and cached, so ``adj``
+    must not be mutated.
     """
 
     adj: dict[int, tuple[int, ...]]
@@ -35,16 +38,16 @@ class Graph:
     @staticmethod
     def from_edges(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
                    labels: dict[int, int] | None = None) -> "Graph":
-        vs = set(vertices)
-        adj: dict[int, set[int]] = {v: set() for v in sorted(vs)}
+        adj: dict[int, set[int]] = {v: set() for v in sorted(set(vertices))}
         for u, v in edges:
-            u, v = norm_edge(u, v)
             if u not in adj or v not in adj:
+                u, v = norm_edge(u, v)
                 raise GraphError(f"edge ({u},{v}) uses unknown vertex")
+            if u == v:
+                raise GraphError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        return Graph({v: tuple(sorted(ns)) for v, ns in sorted(adj.items())},
-                     labels)
+        return Graph({v: tuple(sorted(ns)) for v, ns in adj.items()}, labels)
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -54,7 +57,7 @@ class Graph:
     def n(self) -> int:
         return len(self.adj)
 
-    @property
+    @cached_property
     def m(self) -> int:
         return sum(len(ns) for ns in self.adj.values()) // 2
 
@@ -65,7 +68,7 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return max((len(ns) for ns in self.adj.values()), default=0)
 
@@ -120,9 +123,8 @@ class Coloring:
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     keep = set(keep)
-    unknown = keep - set(g.adj)
-    if unknown:
-        raise GraphError(f"unknown vertices in keep: {sorted(unknown)}")
+    if not keep <= g.adj.keys():
+        raise GraphError(f"unknown vertices in keep: {sorted(keep - g.adj.keys())}")
     labels = ({v: g.labels[v] for v in keep} if g.labels is not None else None)
     return Graph({v: tuple(w for w in g.adj[v] if w in keep)
                   for v in sorted(keep)}, labels)

@@ -84,11 +84,6 @@ def default_round_cap(g: Graph) -> int:
     return 10 * (int(math.log2(max(g.n, 2))) + g.max_degree + 50)
 
 
-# process-wide cap override (set by the CLI --round-cap flag); None means
-# use default_round_cap per graph
-ROUND_CAP = None
-
-
 def run(g: Graph, make_program, round_cap: int | None = None):
     """Run one program instance per vertex until all halt.
 
@@ -98,7 +93,7 @@ def run(g: Graph, make_program, round_cap: int | None = None):
     is its program's ``output`` attribute once every vertex has halted.
     """
     if round_cap is None:
-        round_cap = ROUND_CAP if ROUND_CAP is not None else default_round_cap(g)
+        round_cap = default_round_cap(g)
     programs = {}
     awake: list[int] = []                # stepped next round, ascending
     sleeping: dict[int, int] = {}        # vertex -> round it wakes at

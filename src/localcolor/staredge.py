@@ -10,11 +10,12 @@ recursing and combining gives the 4*Delta and 2^(x+1)*Delta schemes.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .basecolor import _int_floor_root, _require_proper
-from .graph import Coloring, Graph, GraphError, edge_subgraph, norm_edge
+from .graph import Coloring, Graph, GraphError, norm_edge
 
 
 @dataclass
@@ -38,51 +39,82 @@ class StarPartitionReport:
 def build_edge_connector(g: Graph, t: int) -> EdgeConnector:
     if t <= 1:
         raise GraphError(f"edge connector needs t >= 2, got {t}")
-    # label l(v, .) = 1..deg(v) in ascending neighbor-ID order
-    virtuals: dict[tuple[int, int], int] = {}
-    for v in g.adj:
-        for i in range(-(-len(g.adj[v]) // t) or 1):
-            virtuals[(v, i)] = len(virtuals)
+    # label l(v, .) = 1..deg(v) in ascending neighbor-ID order; the
+    # virtual v_i (part i of v) has id first[v] + i
+    first: dict[int, int] = {}
+    virtual_of: dict[int, tuple[int, int]] = {}
+    for v, ns in g.adj.items():
+        first[v] = len(virtual_of)
+        for i in range(-(-len(ns) // t) or 1):
+            virtual_of[len(virtual_of)] = (v, i)
     edge_map = {}
     conn_edges = []
-    for u, v in g.edges():
-        lu = g.adj[u].index(v) + 1
-        lv = g.adj[v].index(u) + 1
-        a = virtuals[(u, (lu - 1) // t)]
-        b = virtuals[(v, (lv - 1) // t)]
-        e = norm_edge(a, b)
-        edge_map[(u, v)] = e
-        conn_edges.append(e)
-    derived = Graph.from_edges(range(len(virtuals)), conn_edges)
+    for u, ns in g.adj.items():
+        for lu, v in enumerate(ns):  # lu = l(u, v) - 1
+            if u < v:
+                lv = bisect_left(g.adj[v], u)
+                e = norm_edge(first[u] + lu // t, first[v] + lv // t)
+                edge_map[(u, v)] = e
+                conn_edges.append(e)
+    derived = Graph.from_edges(range(len(virtual_of)), conn_edges)
     assert derived.max_degree <= t, (derived.max_degree, t)
     assert len(set(edge_map.values())) == len(edge_map)
-    return EdgeConnector(g, t, derived, edge_map,
-                         {i: vk for vk, i in virtuals.items()})
+    return EdgeConnector(g, t, derived, edge_map, virtual_of)
+
+
+class _FirstFit:
+    """A proper partial edge coloring plus, per vertex, an int bitmask of
+    the colors on its colored edges.  The first-fit color of an edge is
+    the lowest bit clear in both endpoint masks, ignoring the edge's own
+    color; an improper state cannot be represented and is rejected."""
+
+    def __init__(self, assign: dict | None = None):
+        self.assign: dict[tuple[int, int], int] = {}
+        self.mask: dict[int, int] = {}
+        for e, c in (assign or {}).items():
+            self.paint(e, c)
+
+    def _used(self, e: tuple[int, int]) -> tuple[int, int]:
+        """Endpoint masks of ``e`` with its own color cleared."""
+        mask = self.mask
+        mu, mv = mask.get(e[0], 0), mask.get(e[1], 0)
+        own = self.assign.get(e)
+        if own is not None:
+            keep = ~(1 << own)
+            mu, mv = mu & keep, mv & keep
+        return mu, mv
+
+    def paint(self, e: tuple[int, int], c: int) -> None:
+        """Color ``e`` with ``c``, which no adjacent edge may have."""
+        mu, mv = self._used(e)
+        bit = 1 << c
+        if (mu | mv) & bit:
+            raise GraphError(f"improper partial coloring: color {c} is already "
+                             f"at an endpoint of {e}")
+        self.mask[e[0]], self.mask[e[1]] = mu | bit, mv | bit
+        self.assign[e] = c
+
+    def fill(self, e: tuple[int, int], palette: int) -> int:
+        """Paint ``e`` with the smallest color in [palette] on no colored
+        edge adjacent to it, and return that color."""
+        mu, mv = self._used(e)
+        used = mu | mv
+        c = (~used & (used + 1)).bit_length() - 1  # lowest clear bit
+        if c >= palette:
+            raise GraphError(f"no free color for edge {e} in a palette of {palette}")
+        bit = 1 << c
+        self.mask[e[0]], self.mask[e[1]] = mu | bit, mv | bit
+        self.assign[e] = c
+        return c
 
 
 def greedy_edge_coloring(g: Graph) -> Coloring:
     """Greedy by normalized edge order; at most 2*Delta-1 colors."""
-    assign: dict[tuple[int, int], int] = {}
-    incident: dict[int, set[int]] = {v: set() for v in g.adj}
+    palette = max(2 * g.max_degree - 1, 1)
+    ff = _FirstFit()
     for e in sorted(g.edges()):
-        used = incident[e[0]] | incident[e[1]]
-        c = next(c for c in itertools.count() if c not in used)
-        assign[e] = c
-        incident[e[0]].add(c)
-        incident[e[1]].add(c)
-    return Coloring("edge", assign, max(2 * g.max_degree - 1, 1))
-
-
-def _free_color(g: Graph, e: tuple[int, int], assign: dict,
-                palette: int) -> int:
-    """Smallest color in [palette] on no colored edge adjacent to ``e``;
-    ``e``'s own entry in ``assign`` is ignored."""
-    used = {assign[f] for u in e for z in g.adj[u]
-            for f in [norm_edge(u, z)] if f != e and f in assign}
-    for c in range(palette):
-        if c not in used:
-            return c
-    raise GraphError(f"no free color for edge {e} in a palette of {palette}")
+        ff.fill(e, palette)
+    return Coloring("edge", ff.assign, palette)
 
 
 def reduce_edge_colors(g: Graph, c: Coloring,
@@ -94,11 +126,15 @@ def reduce_edge_colors(g: Graph, c: Coloring,
         return c, 0
     if target < max(2 * g.max_degree - 1, 1):
         raise GraphError(f"edge reduction target {target} below 2*Delta-1")
-    assign = dict(c.assignment)
+    ff = _FirstFit(c.assignment)
+    top: dict[int, list[tuple[int, int]]] = {}  # edges colored >= target
+    for e, col in c.assignment.items():
+        if col >= target:
+            top.setdefault(col, []).append(e)
     for col in range(c.palette_size - 1, target - 1, -1):
-        for e in sorted(e for e, ec in assign.items() if ec == col):
-            assign[e] = _free_color(g, e, assign, target)
-    return Coloring("edge", assign, target), c.palette_size - target
+        for e in sorted(top.get(col, ())):
+            ff.fill(e, target)
+    return Coloring("edge", ff.assign, target), c.palette_size - target
 
 
 def _pullback_classes(conn, phi: Coloring, palette: int):
@@ -107,6 +143,11 @@ def _pullback_classes(conn, phi: Coloring, palette: int):
     for e, ce in conn.edge_map.items():
         classes[phi.assignment[ce]].append(e)
     return classes
+
+
+def _class_graph(cls) -> Graph:
+    """The graph of the edges in ``cls`` and their endpoints only."""
+    return Graph.from_edges(chain.from_iterable(cls), cls)
 
 
 def star_edge_coloring_4delta(g: Graph) -> tuple[Coloring, StarPartitionReport]:
@@ -158,7 +199,9 @@ def recursive_star_edge_coloring(g: Graph,
             report.class_count = sum(1 for c in classes if c)
         out: dict[tuple[int, int], int] = {}
         for i, cls in enumerate(classes):
-            child = rec(edge_subgraph(sub, cls), depth + 1)
+            if not cls:
+                continue
+            child = rec(_class_graph(cls), depth + 1)
             for e in cls:
                 out[e] = i * radix + child[e]
         return out

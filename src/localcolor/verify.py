@@ -23,12 +23,20 @@ class Verdict:
     violations: list = field(default_factory=list)
 
 
+def _reject_stray(stray: list) -> None:
+    # a total coloring with more entries than the graph has items colors
+    # something else, and its colors would be counted as used
+    raise GraphError(f"coloring has items not in the graph: {stray[:5]}")
+
+
 def is_proper_vertex(g: Graph, c: Coloring) -> Verdict:
     if c.kind != "vertex":
         raise GraphError("expected a vertex coloring")
     missing = [v for v in g.adj if v not in c.assignment]
     if missing:
         raise GraphError(f"coloring not total; missing {missing[:5]}")
+    if len(c.assignment) > g.n:
+        _reject_stray([v for v in c.assignment if v not in g.adj])
     bad = [(u, v) for u, v in g.edges()
            if c.assignment[u] == c.assignment[v]]
     return Verdict(not bad, bad)
@@ -41,6 +49,9 @@ def is_proper_edge(g: Graph, c: Coloring) -> Verdict:
     missing = [e for e in edges if e not in c.assignment]
     if missing:
         raise GraphError(f"coloring not total; missing {missing[:5]}")
+    if len(c.assignment) > len(edges):
+        edge_set = set(edges)
+        _reject_stray([e for e in c.assignment if e not in edge_set])
     bad = []
     for v in g.adj:
         seen: dict[int, tuple[int, int]] = {}

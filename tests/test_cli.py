@@ -163,3 +163,25 @@ def test_bad_coloring_file_exits_2(tmp_path, capsys, body):
     code = main(["verify", "--input", str(graph), "--coloring", str(coloring)])
     assert code == 2
     assert f"{coloring}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,assignment,stray", [
+    ("edge", {"0,1": 0, "1,2": 1, "5,9": 2}, "(5, 9)"),
+    ("vertex", {"0": 0, "1": 1, "2": 0, "7": 4}, "[7]"),
+])
+def test_verify_rejects_stray_items(tmp_path, capsys, kind, assignment, stray):
+    graph = tmp_path / "g.el"
+    graph.write_text("0 1\n1 2\n")
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps({"kind": kind, "palette": 5, "assignment": assignment}))
+    code = main(["verify", "--input", str(graph), "--coloring", str(coloring)])
+    assert code == 2
+    assert stray in capsys.readouterr().err
+
+
+def test_round_cap_flag_rejected(tmp_path, capsys):
+    path = tmp_path / "g.el"
+    path.write_text("0 1\n1 2\n")
+    code = main(["cd-color", "--input", str(path), "--round-cap", "1"])
+    assert code == 2
+    assert "--round-cap" in capsys.readouterr().err

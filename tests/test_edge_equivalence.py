@@ -1,0 +1,153 @@
+"""The edge layer's linear-time pieces against reference copies of the
+simpler code they replaced, on small random graphs."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from localcolor import arbedge
+from localcolor.arbedge import acyclic_orientation, build_orientation_connector, h_partition
+from localcolor.graph import Coloring, Graph, GraphError, norm_edge
+from localcolor.staredge import build_edge_connector, greedy_edge_coloring, reduce_edge_colors
+
+
+@st.composite
+def graphs(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=4 * n))
+    return Graph.from_edges(range(n), {norm_edge(u, v) for u, v in pairs if u != v})
+
+
+# -- reference copies ---------------------------------------------------------
+
+def ref_greedy(g):
+    assign = {}
+    for u, v in sorted(g.edges()):
+        used = {assign[e] for w in (u, v) for x in g.adj[w]
+                for e in [norm_edge(w, x)] if e in assign}
+        assign[(u, v)] = next(c for c in range(2 * g.max_degree) if c not in used)
+    return assign
+
+
+def ref_edge_connector(g, t):
+    virtuals = {}
+    for v in g.adj:
+        for i in range(-(-len(g.adj[v]) // t) or 1):
+            virtuals[(v, i)] = len(virtuals)
+    edge_map = {}
+    for u, v in g.edges():
+        lu = g.adj[u].index(v) + 1
+        lv = g.adj[v].index(u) + 1
+        edge_map[(u, v)] = norm_edge(virtuals[(u, (lu - 1) // t)],
+                                     virtuals[(v, (lv - 1) // t)])
+    return edge_map, {i: vk for vk, i in virtuals.items()}
+
+
+def ref_orientation_connector(g, orient, in_split, out_split, bipartite):
+    incoming = {v: [] for v in g.adj}
+    for v, w in orient.oriented_edges():
+        incoming[w].append(v)
+    virtuals = {}
+
+    def vid(v, side, idx):
+        key = (v, side, idx) if bipartite else (v, "shared", idx)
+        if key not in virtuals:
+            virtuals[key] = len(virtuals)
+        return virtuals[key]
+
+    edge_map = {}
+    for v, w in orient.oriented_edges():
+        i = sorted(incoming[w]).index(v) // in_split
+        j = orient.out[v].index(w) // out_split
+        a = vid(v, "out", j)
+        b = vid(w, "in", i)
+        edge_map[norm_edge(v, w)] = norm_edge(a, b)
+    return edge_map, {i: k for k, i in virtuals.items()}
+
+
+def ref_h_sets(g, d):
+    remaining = {v: set(g.adj[v]) for v in g.adj}
+    sets = []
+    while remaining:
+        peel = sorted(v for v in remaining if len(remaining[v]) <= d)
+        if not peel:
+            return None  # stalled
+        for v in peel:
+            del remaining[v]
+        sets.append(tuple(peel))
+        gone = set(peel)
+        for u in remaining:
+            remaining[u] -= gone
+    return sets
+
+
+def ref_reduce(g, assign, palette, target):
+    assign = dict(assign)
+    for col in range(palette - 1, target - 1, -1):
+        for e in sorted(e for e, ec in assign.items() if ec == col):
+            used = {assign[f] for u in e for z in g.adj[u]
+                    for f in [norm_edge(u, z)] if f != e and f in assign}
+            assign[e] = next(c for c in range(target) if c not in used)
+    return assign
+
+
+# -- properties ---------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_greedy_matches_set_first_fit(g):
+    col = greedy_edge_coloring(g)
+    assert col.assignment == ref_greedy(g)
+    assert list(col.assignment) == sorted(g.edges())
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(2, 5))
+def test_edge_connector_matches_index_ranks(g, t):
+    conn = build_edge_connector(g, t)
+    edge_map, virtual_of = ref_edge_connector(g, t)
+    assert conn.edge_map == edge_map and list(conn.edge_map) == list(edge_map)
+    assert conn.virtual_of == virtual_of
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(1, 4), st.integers(1, 4), st.booleans())
+def test_orientation_connector_matches_index_ranks(g, in_split, out_split, bipartite):
+    hp = h_partition(g, arbedge.estimate_arboricity(g))
+    orient = acyclic_orientation(g, hp)
+    conn = build_orientation_connector(g, orient, in_split, out_split, bipartite)
+    edge_map, virtual_of = ref_orientation_connector(g, orient, in_split, out_split,
+                                                     bipartite)
+    assert conn.edge_map == edge_map and list(conn.edge_map) == list(edge_map)
+    assert conn.virtual_of == virtual_of
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.integers(1, 4))
+def test_h_partition_matches_set_peeling(g, a):
+    d = int(arbedge.DEFAULT_Q * a)
+    expected = ref_h_sets(g, d)
+    try:
+        hp = h_partition(g, a)
+    except GraphError as e:
+        assert expected is None and "stalled" in str(e)
+        return
+    assert hp.sets == expected
+    assert hp.set_of == {v: i for i, s in enumerate(expected) for v in s}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(0, 10 ** 6), st.integers(0, 6))
+def test_reduce_edge_colors_matches_free_color_loop(g, seed, extra):
+    # spread a proper coloring over a wider palette, then reduce it
+    base = greedy_edge_coloring(g)
+    target = base.palette_size
+    palette = target + extra
+    spread = random.Random(seed).sample(range(palette), target)
+    assign = {e: spread[c] for e, c in base.assignment.items()}
+    out, rounds = reduce_edge_colors(g, Coloring("edge", assign, palette), target)
+    if palette > target:
+        assert rounds == palette - target
+        assert out.assignment == ref_reduce(g, assign, palette, target)
+        assert list(out.assignment) == list(assign)

@@ -7,7 +7,7 @@ from localcolor import staredge
 from localcolor.basecolor import _int_floor_root
 from localcolor.graph import Coloring, GraphError, line_graph
 from localcolor.io import gen_matching, gen_random, gen_star
-from localcolor.staredge import _free_color
+from localcolor.staredge import _FirstFit
 from localcolor.staredge import (build_edge_connector, check_star_partition,
                                  greedy_edge_coloring, recursive_star_edge_coloring,
                                  reduce_edge_colors, star_edge_coloring_4delta)
@@ -84,11 +84,25 @@ def test_recursive_max_star_is_top_level_star():
 
 
 def test_free_color_raises_on_exhausted_palette():
-    g = gen_star(4)  # edges (0,3), (1,3), (2,3)
-    assign = {(0, 3): 0, (1, 3): 1, (2, 3): 0}
-    assert _free_color(g, (2, 3), assign, 3) == 2
+    # the star (0,3), (1,3), (2,3); (2,3)'s own color 2 is ignored
+    ff = _FirstFit({(0, 3): 0, (1, 3): 1, (2, 3): 2})
+    assert ff.fill((2, 3), 3) == 2
     with pytest.raises(GraphError, match="no free color"):
-        _free_color(g, (2, 3), assign, 2)
+        ff.fill((2, 3), 2)
+
+
+def test_first_fit_rejects_an_improper_partial_coloring():
+    with pytest.raises(GraphError, match="improper"):
+        _FirstFit({(0, 3): 0, (1, 3): 1, (2, 3): 0})
+    ff = _FirstFit({(0, 1): 0, (2, 3): 1})
+    with pytest.raises(GraphError, match="improper"):
+        ff.paint((1, 2), 0)
+    ff.paint((0, 1), 2)  # recoloring an edge frees its old color
+    ff.paint((1, 2), 0)
+    ff.paint((1, 2), 0)  # an edge's own color is not a clash
+    assert ff.assign == {(0, 1): 2, (2, 3): 1, (1, 2): 0}
+    with pytest.raises(GraphError, match="improper"):
+        ff.paint((1, 2), 1)
 
 
 def test_improper_leaf_coloring_raises(monkeypatch):

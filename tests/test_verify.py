@@ -79,3 +79,18 @@ def test_greedy_baselines():
     ec = greedy_edge_baseline(g)
     assert ec.palette_size <= 2 * g.max_degree - 1
     assert is_proper_edge(g, ec).ok
+
+
+def test_stray_items_rejected():
+    g = Graph.from_edges(range(3), [(0, 1), (1, 2)])
+    with pytest.raises(GraphError, match=r"not in the graph: \[7\]"):
+        is_proper_vertex(g, Coloring("vertex", {0: 0, 1: 1, 2: 0, 7: 4}, 5))
+    with pytest.raises(GraphError, match=r"not in the graph: \[\(5, 9\)\]"):
+        is_proper_edge(g, Coloring("edge", {(0, 1): 0, (1, 2): 1, (5, 9): 2}, 3))
+    # an unnormalized key is not an edge of the graph either
+    with pytest.raises(GraphError, match=r"not in the graph: \[\(1, 0\)\]"):
+        is_proper_edge(g, Coloring("edge", {(0, 1): 0, (1, 2): 1, (1, 0): 2}, 3))
+    # at most five stray items are named
+    many = {v: 0 for v in range(3, 20)} | {0: 0, 1: 1, 2: 0}
+    with pytest.raises(GraphError, match=r"\[3, 4, 5, 6, 7\]$"):
+        is_proper_vertex(g, Coloring("vertex", many, 2))
