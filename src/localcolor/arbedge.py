@@ -38,8 +38,6 @@ LITTLE_O_C2 = 1215
 class HPartition:
     sets: list  # tuple of vertex tuples, H_1 first
     d: int
-    q: float
-    a: int
     set_of: dict = field(default_factory=dict)
 
     @property
@@ -47,11 +45,14 @@ class HPartition:
         return len(self.sets)
 
     def validate(self, g: Graph):
-        assert sorted(v for s in self.sets for v in s) == sorted(g.adj)
+        if sorted(v for s in self.sets for v in s) != sorted(g.adj):
+            raise GraphError("H-partition sets do not partition the vertex set")
         for i, s in enumerate(self.sets):
             for v in s:
                 later = sum(1 for w in g.adj[v] if self.set_of[w] >= i)
-                assert later <= self.d, (v, later, self.d)
+                if later > self.d:
+                    raise GraphError(f"vertex {v} has {later} neighbors in its own "
+                                     f"or later H-sets, more than d={self.d}")
 
 
 @dataclass
@@ -165,7 +166,7 @@ def h_partition(g: Graph, a: int, q: float = DEFAULT_Q) -> HPartition:
                     if deg[w] == d:
                         frontier.append(w)
         peel = sorted(frontier)
-    hp = HPartition(sets, d, q, a, set_of)
+    hp = HPartition(sets, d, set_of)
     hp.validate(g)
     return hp
 
@@ -277,11 +278,9 @@ def arb_edge_coloring(g: Graph, a: int,
 
 @dataclass
 class OrientationConnector:
-    base: Graph
     derived: Graph
     edge_map: dict  # base edge -> derived edge, both normalized
     virtual_of: dict  # derived id -> (vertex, side, index); side in {"in","out"}
-    bipartite: bool
 
 
 def build_orientation_connector(g: Graph, orient: Orientation, in_split: int,
@@ -320,15 +319,16 @@ def build_orientation_connector(g: Graph, orient: Orientation, in_split: int,
             edge_map[norm_edge(v, w)] = e
             conn_edges.append(e)
     derived = Graph.from_edges(range(len(virtuals)), conn_edges)
-    assert len(set(edge_map.values())) == len(edge_map)
-    if bipartite:
-        for (v, side, idx), i in virtuals.items():
+    if len(set(edge_map.values())) != len(edge_map):
+        raise GraphError("two base edges share a connector edge")
+    for (v, side, idx), i in virtuals.items():
+        cap = in_split + out_split
+        if bipartite:
             cap = in_split if side == "in" else out_split
-            assert derived.degree(i) <= cap
-    else:
-        assert derived.max_degree <= in_split + out_split
-    return OrientationConnector(g, derived, edge_map,
-                                {i: k for k, i in virtuals.items()}, bipartite)
+        if derived.degree(i) > cap:
+            raise GraphError(f"connector vertex {(v, side, idx)} has degree "
+                             f"{derived.degree(i)} > {cap}")
+    return OrientationConnector(derived, edge_map, {i: k for k, i in virtuals.items()})
 
 
 def little_o_palette_bound(delta: int, a: int, q: float = DEFAULT_Q) -> int:

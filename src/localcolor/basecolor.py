@@ -6,14 +6,12 @@ a prime field F_q with q > k*Delta.  A vertex's candidate set
 {(x, p(x)) : x in F_q} meets each neighbor's set in at most k points, so
 some candidate avoids all Delta neighbors and becomes the new color in
 [q^2].  Iterating shrinks the palette to its fixpoint, which is at most
-(nextprime(2*Delta))^2 < 16*Delta^2.
+(the first prime above 2*Delta)^2 < 16*Delta^2.
 """
 
 from __future__ import annotations
 
 import math
-
-from sympy import nextprime
 
 from .graph import Coloring, Graph, GraphError
 from .sim import LocalView, RoundTrace, Sleep, VertexProgram, run
@@ -45,6 +43,15 @@ def _int_floor_root(m: int, r: int) -> int:
     return x
 
 
+def _next_prime(n: int) -> int:
+    """Smallest prime above ``n``, by trial division: the numbers asked
+    for stay near k*Delta or sqrt(m0)."""
+    p = n + 1
+    while p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        p += 1
+    return p
+
+
 def linial_schedule(m0: int, delta: int) -> list[tuple[int, int]]:
     """The globally agreed (k, q) recoloring steps from palette m0 down to
     the fixpoint.  Every vertex derives the same schedule from (m0, delta)."""
@@ -54,9 +61,9 @@ def linial_schedule(m0: int, delta: int) -> list[tuple[int, int]]:
         best = None
         kmax = max(1, int(math.log2(max(m, 2))) + 1)
         for k in range(1, kmax + 1):
-            q = nextprime(max(k * delta, _int_ceil_root(m, k + 1) - 1))
+            q = _next_prime(max(k * delta, _int_ceil_root(m, k + 1) - 1))
             if q ** (k + 1) < m:
-                q = nextprime(q)
+                q = _next_prime(q)
             if best is None or q * q < best[1] ** 2:
                 best = (k, q)
         k, q = best

@@ -87,8 +87,10 @@ def _load_with_cover(args):
     raise ParseError(f"unknown cover mode {cover_mode!r}")
 
 
-def _report(args, algorithm, g, col, trace_rounds, phases, declared, theory_bound,
-            extra=None):
+def _report(args, algorithm, g, col, trace, theory_bound, extra):
+    """The JSON report of one run; ``trace`` is its RoundTrace and the
+    declared bound is the coloring's palette."""
+    declared = col.palette_size
     used, declared_palette = count_colors(col)
     if col.kind == "vertex":
         verdict = is_proper_vertex(g, col)
@@ -109,7 +111,7 @@ def _report(args, algorithm, g, col, trace_rounds, phases, declared, theory_boun
         "declared_palette": declared_palette,
         "declared_bound": declared,
         "theory_bound": theory_bound,
-        "rounds": {"total": trace_rounds, "phases": phases},
+        "rounds": {"total": trace.rounds, "phases": trace.phase_breakdown},
         "verdicts": {
             "proper": verdict.ok,
             "violations": len(verdict.violations),
@@ -117,8 +119,7 @@ def _report(args, algorithm, g, col, trace_rounds, phases, declared, theory_boun
         },
         "ok": ok,
     }
-    if extra:
-        report.update(extra)
+    report.update(extra)
     return report, (0 if ok else 1)
 
 
@@ -200,26 +201,18 @@ def _run_algorithm(args):
         D, S = cover.D, cover.S
         if args.command == "cd-color":
             t = args.t if args.t is not None else choose_params(S, args.x)
-            col, rep = cd_coloring(g, cover, t, args.x, audit=args.audit)
+            col, trace = cd_coloring(g, cover, t, args.x, audit=args.audit)
             theory = (t * D) ** args.x * (D * (S / t ** args.x + 2)) + (t * D) ** args.x
-            name = "cd-color"
         else:
-            col, rep = refined_coloring(g, cover, args.x, audit=args.audit)
+            col, trace = refined_coloring(g, cover, args.x, audit=args.audit)
             theory = refined_palette_bound(D, S, args.x)
-            name = "refined"
-        report, code = _report(
-            args, name, g, col, rep.rounds,
-            [], col.palette_size, theory,
-            extra={"cover": {"D": D, "S": S, "cliques": len(cover.cliques)},
-                   "leaf_count": rep.leaf_count()})
+        extra = {"cover": {"D": D, "S": S, "cliques": len(cover.cliques)},
+                 "leaf_count": trace.leaf_count()}
     elif args.command == "star-edge":
         g = load_graph(args.input, args.format)
-        col, rep = recursive_star_edge_coloring(g, args.x)
+        col, trace = recursive_star_edge_coloring(g, args.x)
         theory = max(2 ** (args.x + 1) * g.max_degree, 1)
-        report, code = _report(args, "star-edge", g, col, rep.rounds,
-                               rep.phases, col.palette_size, theory,
-                               extra={"class_count": rep.class_count,
-                                      "max_star": rep.max_star})
+        extra = {"class_count": trace.class_count, "max_star": trace.max_star}
     else:
         g = load_graph(args.input, args.format)
         a = args.a if args.a is not None else arbedge.estimate_arboricity(g)
@@ -227,18 +220,14 @@ def _run_algorithm(args):
         if args.command == "arb-edge":
             col, trace = arbedge.arb_edge_coloring(g, a, args.q)
             theory = arbedge.arb_palette_bound(delta, a, args.q)
-            name = "arb-edge"
         elif args.command == "delta-little-o":
             col, trace = arbedge.delta_plus_little_o(g, a, args.q)
             theory = arbedge.little_o_palette_bound(delta, a, args.q)
-            name = "delta-little-o"
         else:
             col, trace = arbedge.powered_edge_coloring(g, a, args.q, args.x)
             theory = arbedge.powered_palette_bound(delta, a, args.q, args.x)
-            name = "powered"
-        report, code = _report(args, name, g, col, trace.rounds,
-                               trace.phase_breakdown, col.palette_size, theory,
-                               extra={"a": a})
+        extra = {"a": a}
+    report, code = _report(args, args.command, g, col, trace, theory, extra)
     _emit(report, args, time.monotonic() - start)
     return code
 

@@ -25,7 +25,6 @@ class CliqueCover:
     """
 
     cliques: list[frozenset[int]]
-    membership: dict[int, tuple[int, ...]]
     D: int
     S: int
     mode: str
@@ -34,12 +33,12 @@ class CliqueCover:
     def from_cliques(g: Graph, cliques, mode: str) -> "CliqueCover":
         uniq = sorted({frozenset(q) for q in cliques},
                       key=lambda q: tuple(sorted(q)))
-        membership: dict[int, list[int]] = {v: [] for v in g.adj}
-        for cid, q in enumerate(uniq):
+        count = dict.fromkeys(g.adj, 0)  # cliques per vertex
+        for q in uniq:
             for v in sorted(q):
-                if v not in membership:
+                if v not in count:
                     raise GraphError(f"clique vertex {v} not in graph")
-                membership[v].append(cid)
+                count[v] += 1
             for u in q:
                 for w in q:
                     if u < w and not g.has_edge(u, w):
@@ -54,10 +53,9 @@ class CliqueCover:
         for e in g.edges():
             if e not in covered:
                 raise GraphError(f"edge {e} not covered by any clique")
-        D = max((len(ms) for ms in membership.values()), default=0)
+        D = max(count.values(), default=0)
         S = max((len(q) for q in uniq), default=0)
-        return CliqueCover(uniq, {v: tuple(ms) for v, ms in membership.items()},
-                           D, S, mode)
+        return CliqueCover(uniq, D, S, mode)
 
     def restrict(self, g_sub: Graph) -> "CliqueCover":
         """Cover of an induced subgraph: intersect every clique with the
@@ -109,10 +107,8 @@ class Connector:
     a vertex gets one part index per clique it belongs to.
     """
 
-    base: Graph
     derived: Graph
     part_of: dict[int, tuple[tuple[int, int], ...]]
-    t: int
 
 
 def build_vertex_connector(g: Graph, cover: CliqueCover, t: int) -> Connector:
@@ -131,11 +127,11 @@ def build_vertex_connector(g: Graph, cover: CliqueCover, t: int) -> Connector:
                 for j in range(i + 1, len(part)):
                     edges.add((part[i], part[j]))
     derived = Graph.from_edges(g.adj, edges, g.labels)
-    conn = Connector(g, derived, {v: tuple(ps) for v, ps in part_of.items()}, t)
-    # Invariant: connector degree never exceeds D*(t-1)
-    assert derived.max_degree <= cover.D * (t - 1), \
-        (derived.max_degree, cover.D, t)
-    return conn
+    # invariant: connector degree never exceeds D*(t-1)
+    if derived.max_degree > cover.D * (t - 1):
+        raise GraphError(f"vertex connector degree {derived.max_degree} exceeds "
+                         f"D(t-1) = {cover.D}*{t - 1}")
+    return Connector(derived, {v: tuple(ps) for v, ps in part_of.items()})
 
 
 def max_clique_size(g: Graph, cap: int = CLIQUE_CAP) -> int:

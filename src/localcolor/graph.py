@@ -1,5 +1,5 @@
 """Immutable simple undirected graphs and the derived constructions shared
-by every coloring algorithm (induced/edge subgraphs, line graphs, hypergraph
+by every coloring algorithm (induced subgraphs, line graphs, hypergraph
 line graphs)."""
 
 from __future__ import annotations
@@ -128,21 +128,6 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     labels = ({v: g.labels[v] for v in keep} if g.labels is not None else None)
     return Graph({v: tuple(w for w in g.adj[v] if w in keep)
                   for v in sorted(keep)}, labels)
-
-
-def edge_subgraph(g: Graph, keep: Iterable[tuple[int, int]]) -> Graph:
-    """Same vertex set, edge set restricted to ``keep``."""
-    kept = set()
-    for u, v in keep:
-        e = norm_edge(u, v)
-        if not g.has_edge(*e):
-            raise GraphError(f"({u},{v}) is not an edge of the graph")
-        kept.add(e)
-    adj: dict[int, list[int]] = {v: [] for v in g.adj}
-    for u, v in sorted(kept):
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph({v: tuple(sorted(ns)) for v, ns in adj.items()}, g.labels)
 
 
 def line_graph(g: Graph):

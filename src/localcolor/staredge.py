@@ -11,17 +11,16 @@ recursing and combining gives the 4*Delta and 2^(x+1)*Delta schemes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from .basecolor import _int_floor_root, _require_proper
 from .graph import Coloring, Graph, GraphError, norm_edge
+from .sim import RoundTrace
 
 
 @dataclass
 class EdgeConnector:
-    base: Graph
-    t: int
     derived: Graph
     # base edge (u,v) -> connector edge (id of u_i, id of v_j), normalized
     edge_map: dict[tuple[int, int], tuple[int, int]]
@@ -29,11 +28,12 @@ class EdgeConnector:
 
 
 @dataclass
-class StarPartitionReport:
+class StarPartitionReport(RoundTrace):
+    """The run's round trace plus its top-level partition: the number of
+    nonempty classes and the largest star."""
+
     class_count: int = 0
     max_star: int = 0
-    rounds: int = 0
-    phases: list[tuple[str, int]] = field(default_factory=list)
 
 
 def build_edge_connector(g: Graph, t: int) -> EdgeConnector:
@@ -57,9 +57,11 @@ def build_edge_connector(g: Graph, t: int) -> EdgeConnector:
                 edge_map[(u, v)] = e
                 conn_edges.append(e)
     derived = Graph.from_edges(range(len(virtual_of)), conn_edges)
-    assert derived.max_degree <= t, (derived.max_degree, t)
-    assert len(set(edge_map.values())) == len(edge_map)
-    return EdgeConnector(g, t, derived, edge_map, virtual_of)
+    if derived.max_degree > t:
+        raise GraphError(f"edge connector degree {derived.max_degree} exceeds t={t}")
+    if len(set(edge_map.values())) != len(edge_map):
+        raise GraphError("two base edges share a connector edge")
+    return EdgeConnector(derived, edge_map, virtual_of)
 
 
 class _FirstFit:
@@ -212,8 +214,7 @@ def recursive_star_edge_coloring(g: Graph,
     bound = 2 ** (x + 1) * delta
     if combined > bound:
         col, r = reduce_edge_colors(g, col, bound)
-        report.phases.append(("trim", r))
-        report.rounds += r
+        report.add_phase("trim", r)
     _require_proper(g, col, "recursive_star_edge_coloring output")
     assert col.palette_size <= bound
     return col, report

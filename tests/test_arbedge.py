@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcolor import arbedge
-from localcolor.arbedge import (arb_edge_coloring, arb_palette_bound,
+from localcolor.arbedge import (Orientation, arb_edge_coloring, arb_palette_bound,
                                 acyclic_orientation, auto_params,
                                 build_orientation_connector, delta_plus_little_o,
                                 estimate_arboricity, h_partition,
@@ -233,3 +234,22 @@ def test_improper_leaf_colorings_raise(monkeypatch):
                         lambda *args: dict.fromkeys(sweep(*args), 0))
     with pytest.raises(GraphError, match="improper"):
         powered_edge_coloring(g, a, arbedge.DEFAULT_Q, 2)
+
+
+def test_hpartition_validate_raises():
+    g = gen_complete(4)
+    hp = h_partition(g, 2)  # d = 5: one set
+    with pytest.raises(GraphError, match="more than d=2"):
+        dataclasses.replace(hp, d=2).validate(g)
+    with pytest.raises(GraphError, match="do not partition"):
+        dataclasses.replace(hp, sets=[(0, 1, 2)]).validate(g)
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_orientation_connector_rejects_an_overfull_virtual(bipartite):
+    # a hand-built orientation listing the edge 0->1 three times puts three
+    # connector edges on the one in-chunk of vertex 1
+    g = Graph.from_edges(range(2), [(0, 1)])
+    orient = Orientation(g, {0: (1, 1, 1), 1: ()}, 3)
+    with pytest.raises(GraphError, match="has degree 3"):
+        build_orientation_connector(g, orient, 1, 1, bipartite=bipartite)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,3 +124,21 @@ def test_delta_plus_one_property(seed, delta):
     col, _ = delta_plus_one(g)
     assert col.palette_size == delta + 1
     assert is_proper_vertex(g, col).ok
+
+
+def test_next_prime_matches_a_sieve():
+    n_max = 10 ** 5
+    size = n_max + 100  # holds the first prime above n_max - 1
+    sieve = bytearray([1]) * size
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(size - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(range(p * p, size, p)))
+    expected = [0] * n_max
+    above = next(p for p in range(n_max, size) if sieve[p])
+    for n in range(n_max - 1, -1, -1):
+        expected[n] = above
+        if sieve[n]:
+            above = n
+    assert [basecolor._next_prime(n) for n in range(n_max)] == expected
+    assert basecolor._next_prime(-5) == 2

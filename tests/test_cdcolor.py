@@ -1,8 +1,8 @@
 import pytest
 
 from localcolor import cdcolor
-from localcolor.cdcolor import (cd_coloring, choose_params, refined_coloring,
-                                refined_palette_bound)
+from localcolor.cdcolor import (REFINED_SMALL_S, cd_coloring, choose_params,
+                                refined_coloring, refined_palette_bound)
 from localcolor.cliques import enumerate_maximal_cliques
 from localcolor.graph import Coloring, GraphError
 from localcolor.io import gen_complete, gen_hyper_line, gen_line_of, gen_random
@@ -103,3 +103,24 @@ def test_improper_leaf_coloring_raises(monkeypatch):
     g = gen_complete(9)
     with pytest.raises(GraphError, match="improper"):
         cd_coloring(g, enumerate_maximal_cliques(g), t=3, x=1)
+
+
+def test_refined_level_palette_within_target():
+    # a level's palette (D(t-1)+1) * radix never exceeds what the refined
+    # family declares, so no level needs a color reduction
+    for D in range(2, 25):
+        for S in range(REFINED_SMALL_S, 2000):
+            for x in range(1, 7):
+                t = choose_params(S, x)
+                k = -(-S // t)
+                radix = D * (k - 1) + 1 if x == 1 else refined_palette_bound(D, k, x - 1)
+                assert (D * (t - 1) + 1) * radix <= refined_palette_bound(D, S, x), (D, S, x)
+
+
+def test_level_palette_over_declared_raises(monkeypatch):
+    real = cdcolor.refined_palette_bound
+    monkeypatch.setattr(cdcolor, "refined_palette_bound",
+                        lambda D, S, x: real(D, S, x) // 2)
+    g, cover = gen_line_of(40, 34, seed=3)
+    with pytest.raises(GraphError, match="exceeds the declared"):
+        refined_coloring(g, cover, 1)

@@ -185,3 +185,18 @@ def test_round_cap_flag_rejected(tmp_path, capsys):
     code = main(["cd-color", "--input", str(path), "--round-cap", "1"])
     assert code == 2
     assert "--round-cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cd-color"], ["refined", "--cover", "line", "--x", "2"], ["star-edge", "--x", "2"],
+    ["arb-edge"], ["delta-little-o", "--a", "1"], ["powered", "--x", "2"],
+], ids=lambda argv: argv[0])
+def test_round_total_is_the_sum_of_phases(tmp_path, capsys, argv):
+    path = tmp_path / "f.el"
+    code, _ = run_cli(capsys, "gen", "--kind", "forest", "--n", "200", "--delta", "20",
+                      "--seed", "2", "--out", str(path))
+    assert code == 0
+    code, out = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 0
+    rounds = json.loads(out)["rounds"]
+    assert rounds["total"] == sum(r for _, r in rounds["phases"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,3 +100,11 @@ def test_connector_edges_stay_inside_parts():
         assert g.has_edge(u, v)
         shared = set(conn.part_of[u]) & set(conn.part_of[v])
         assert shared, (u, v)
+
+
+def test_vertex_connector_rejects_an_understated_diversity():
+    g = Graph.from_edges(range(5), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    cover = CliqueCover.from_cliques(g, [{0, 1, 2}, {0, 3, 4}], mode="provided")
+    assert cover.D == 2
+    with pytest.raises(GraphError, match="exceeds D"):
+        build_vertex_connector(g, dataclasses.replace(cover, D=1), 3)

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from localcolor.graph import (Coloring, Graph, GraphError, Hypergraph,
-                              edge_subgraph, hypergraph_line_graph,
-                              induced_subgraph, line_graph, norm_edge)
+                              hypergraph_line_graph, induced_subgraph,
+                              line_graph, norm_edge)
 
 
 def test_from_edges_basics():
@@ -31,12 +31,6 @@ def test_induced_subgraph():
     sub = induced_subgraph(g, [0, 1, 2])
     assert sub.n == 3 and sub.m == 2
     assert not sub.has_edge(0, 3)
-
-
-def test_edge_subgraph_keeps_all_vertices():
-    g = Graph.from_edges(range(4), [(0, 1), (1, 2), (2, 3)])
-    sub = edge_subgraph(g, [(0, 1)])
-    assert sub.n == 4 and sub.m == 1
 
 
 def test_coloring_validates_palette():

@@ -3,10 +3,14 @@ module because no linter is a dependency:
 
 - every imported name is used in its module;
 - no ``assert`` guards properness (``is_proper_vertex``/``is_proper_edge``),
-  since ``python -O`` strips asserts; such checks must raise.
+  since ``python -O`` strips asserts; such checks must raise;
+- every module-level import is from the standard library or relative, so
+  importing the package needs no third-party module (imports inside
+  functions, such as the ``networkx`` oracles, are fine).
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +43,16 @@ def properness_asserts(tree: ast.AST) -> list[int]:
     return lines
 
 
+def third_party_imports(tree: ast.Module) -> list[str]:
+    modules = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
+
+
 def test_checkers_catch_what_they_look_for():
     assert (SRC / "__init__.py").is_file()
     tree = ast.parse("import os\nimport os.path as osp\nfrom a import b, c\n"
@@ -47,6 +61,10 @@ def test_checkers_catch_what_they_look_for():
                      "assert not is_proper_vertex(g, col).violations\nassert ok\n")
     assert unused_imports(tree) == ["c", "os"]
     assert properness_asserts(tree) == [6, 7]
+    tree = ast.parse("from __future__ import annotations\nimport os.path, sympy\n"
+                     "from . import graph\nfrom .sim import run\nfrom numpy.linalg import norm\n"
+                     "def oracle():\n    import networkx\n")
+    assert third_party_imports(tree) == ["sympy", "numpy.linalg"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -54,3 +72,4 @@ def test_module_hygiene(path):
     tree = ast.parse(path.read_text(), str(path))
     assert unused_imports(tree) == []
     assert properness_asserts(tree) == []
+    assert third_party_imports(tree) == []

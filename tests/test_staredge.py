@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from localcolor import staredge
 from localcolor.basecolor import _int_floor_root
-from localcolor.graph import Coloring, GraphError, line_graph
+from localcolor.graph import Coloring, Graph, GraphError, line_graph
 from localcolor.io import gen_matching, gen_random, gen_star
 from localcolor.staredge import _FirstFit
 from localcolor.staredge import (build_edge_connector, check_star_partition,
@@ -169,3 +169,11 @@ def test_greedy_edge_palette_property(seed, delta):
     col = greedy_edge_coloring(g)
     assert col.palette_size <= 2 * delta - 1
     assert is_proper_edge(g, col).ok
+
+
+def test_edge_connector_rejects_inconsistent_adjacency():
+    # 1..4 list 9 as a neighbor but 9 lists only 1, so all four edges land
+    # on 9's first virtual
+    g = Graph({1: (9,), 2: (9,), 3: (9,), 4: (9,), 9: (1,)})
+    with pytest.raises(GraphError, match="degree 4 exceeds t=2"):
+        build_edge_connector(g, 2)
