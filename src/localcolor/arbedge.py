@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .basecolor import _require_proper
+from .basecolor import _int_ceil_root, _require_proper
 from .graph import Coloring, Graph, GraphError, induced_subgraph, norm_edge
 from .sim import RoundTrace
 from .staredge import (_class_graph, _FirstFit, _pullback_classes, greedy_edge_coloring,
@@ -399,8 +399,9 @@ def _oriented_sweep(sub: Graph, orient: Orientation, palette: int):
 
 
 def powered_palette_bound(delta: int, a: int, q: float, x: int) -> int:
-    a_hat = q * a
-    return (math.ceil(delta ** (1.0 / x)) + math.ceil(a_hat ** (1.0 / x)) + 3) ** x
+    """(ceil(Delta^(1/x)) + ceil(a_hat^(1/x)) + 3)^x with exact integer
+    roots: an integer r has r^x >= a_hat exactly when r^x >= ceil(a_hat)."""
+    return (_int_ceil_root(delta, x) + _int_ceil_root(math.ceil(q * a), x) + 3) ** x
 
 
 def powered_edge_coloring(g: Graph, a: int, q: float,
@@ -419,8 +420,8 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
     hp = h_partition(g, a, q)
     orient = acyclic_orientation(g, hp)
 
-    gin = math.ceil(delta ** (1.0 / x) + 1)
-    gout = math.ceil(a_hat ** (1.0 / x) + 1)
+    gin = _int_ceil_root(delta, x) + 1
+    gout = _int_ceil_root(math.ceil(a_hat), x) + 1
     level_palette = gin + gout - 1
 
     # degree / out-degree bounds per level

@@ -22,9 +22,9 @@ LINIAL_CL = 16
 
 
 def _int_ceil_root(m: int, r: int) -> int:
-    """Smallest x with x**r >= m."""
+    """Smallest x >= 0 with x**r >= m."""
     if m <= 1:
-        return 1
+        return max(m, 0)
     x = int(round(m ** (1.0 / r)))
     while x ** r >= m:
         x -= 1
@@ -73,19 +73,37 @@ def linial_schedule(m0: int, delta: int) -> list[tuple[int, int]]:
         m = q * q
 
 
-def _digits(c: int, q: int, k: int) -> tuple[int, ...]:
-    ds = []
-    for _ in range(k + 1):
-        ds.append(c % q)
-        c //= q
-    return tuple(ds)
-
-
-def _poly_eval(digits: tuple[int, ...], x: int, q: int) -> int:
-    acc = 0
-    for d in reversed(digits):
-        acc = (acc * x + d) % q
-    return acc
+def _first_free(mine: int, theirs, q: int, k: int) -> int:
+    """The new color x*q + p(x) of a vertex colored ``mine`` whose
+    neighbors hold the colors ``theirs``, for the least x in F_q at which
+    no neighbor's polynomial takes the value p(x).  A color's polynomial
+    has its k+1 lowest base-q digits as coefficients, lowest first, and is
+    evaluated straight from the integer."""
+    y = mine % q  # p(0) is the lowest digit
+    for c in theirs:
+        if c % q == y:
+            break
+    else:
+        return y
+    for x in range(1, q):
+        y, c, power = 0, mine, 1
+        for _ in range(k + 1):
+            y += c % q * power
+            c //= q
+            power = power * x % q
+        y %= q
+        for c in theirs:
+            z, power = 0, 1
+            for _ in range(k + 1):
+                z += c % q * power
+                c //= q
+                power = power * x % q
+            if z % q == y:
+                break
+        else:
+            return x * q + y
+    # q > k*Delta guarantees a free candidate
+    raise GraphError("cover-free family exhausted")
 
 
 class _LinialProgram(VertexProgram):
@@ -99,28 +117,26 @@ class _LinialProgram(VertexProgram):
         self.output = self.color
         if not self.schedule:
             return {}, True
-        return {w: self.color for w in view.neighbors}, False
+        return dict.fromkeys(view.neighbors, self.color), False
 
     def step(self, round_no: int, inbox: dict):
         k, q = self.schedule[round_no - 1]
-        mine = _digits(self.color, q, k)
-        theirs = [_digits(c, q, k) for c in inbox.values()]
-        for x in range(q):
-            y = _poly_eval(mine, x, q)
-            if all(_poly_eval(d, x, q) != y for d in theirs):
-                self.color = x * q + y
-                break
-        else:  # q > k*Delta guarantees a free candidate
-            raise AssertionError("cover-free family exhausted")
-        self.output = self.color
+        self.color = self.output = _first_free(self.color, inbox.values(), q, k)
         if round_no == len(self.schedule):
             return {}, True
-        return {w: self.color for w in inbox}, False
+        return dict.fromkeys(inbox, self.color), False
 
 
 def linial_coloring(g: Graph) -> tuple[Coloring, RoundTrace]:
     """Proper coloring with palette below LINIAL_CL * Delta^2 (Delta >= 1)
     in one recoloring round per schedule step."""
+    col, trace = _linial(g)
+    _require_proper(g, col, "linial_coloring output")
+    return col, trace
+
+
+def _linial(g: Graph) -> tuple[Coloring, RoundTrace]:
+    """linial_coloring without its output check."""
     if g.n == 0:
         return Coloring("vertex", {}, 1), RoundTrace()
     m0 = max(g.label(v) for v in g.adj) + 1
@@ -129,9 +145,7 @@ def linial_coloring(g: Graph) -> tuple[Coloring, RoundTrace]:
     outputs, trace = run(g, lambda v: _LinialProgram(schedule),
                          round_cap=len(schedule) + 1)
     final = m0 if not schedule else schedule[-1][1] ** 2
-    col = Coloring("vertex", dict(outputs), final)
-    _require_proper(g, col, "linial_coloring output")
-    return col, trace
+    return Coloring("vertex", dict(outputs), final), trace
 
 
 def _require_proper(g: Graph, col: Coloring, what: str) -> None:
@@ -210,8 +224,9 @@ def reduce_colors(g: Graph, c: Coloring,
 
 def delta_plus_one(g: Graph) -> tuple[Coloring, RoundTrace]:
     """Proper vertex coloring with palette exactly Delta+1 (Linial followed
-    by basic reduction)."""
-    base, trace = linial_coloring(g)
+    by basic reduction).  The reduction's input check is the one check of
+    Linial's output."""
+    base, trace = _linial(g)
     reduced, t2 = reduce_colors(g, base)
     trace.extend(t2, "reduce:")
     return reduced, trace

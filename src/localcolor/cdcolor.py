@@ -56,16 +56,19 @@ def choose_params(S: int, x: int) -> int:
     return max(2, _int_floor_root(S, x + 1))
 
 
-def _audit_level(classes: list[Graph], k: int, D: int,
+def _audit_level(classes: list[Graph], subcover: CliqueCover, k: int, D: int,
                  stats: LevelStats) -> None:
-    from .cliques import enumerate_maximal_cliques
-
+    """Check that every class's share of the level's cover, which its
+    recursion inherits, has cliques of at most k vertices and diversity at
+    most D."""
     for sub in classes:
-        cover = enumerate_maximal_cliques(sub)
+        cover = subcover.restrict(sub)
         stats.max_clique = max(stats.max_clique, cover.S)
         stats.max_diversity = max(stats.max_diversity, cover.D)
-        assert cover.S <= k, f"class clique {cover.S} exceeds k={k}"
-        assert cover.D <= D, f"class diversity {cover.D} exceeds D={D}"
+        if cover.S > k:
+            raise GraphError(f"class clique {cover.S} exceeds k={k}")
+        if cover.D > D:
+            raise GraphError(f"class diversity {cover.D} exceeds D={D}")
 
 
 def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, palette,
@@ -112,7 +115,7 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, palette,
             raise GraphError(f"class degree {stats.max_degree} exceeds "
                              f"(k-1)D = {(k - 1) * D}")
         if audit:
-            _audit_level([cls for _, cls in classes], k, D, stats)
+            _audit_level([cls for _, cls in classes], subcover, k, D, stats)
         while len(report.levels) <= depth:
             report.levels.append(LevelStats())
         report.levels[depth].absorb(stats)

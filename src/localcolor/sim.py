@@ -89,17 +89,20 @@ def run(g: Graph, make_program, round_cap: int | None = None):
 
     ``make_program`` is a factory ``vertex_id -> VertexProgram`` (programs
     carry per-vertex state).  Due vertices are stepped in ascending id
-    order.  Returns ({vertex: output}, RoundTrace), where a vertex's output
-    is its program's ``output`` attribute once every vertex has halted.
+    order.  Each outbox goes straight into next round's inboxes as it is
+    returned; a message to a non-neighbor raises :class:`GraphError`.
+    Returns ({vertex: output}, RoundTrace), where a vertex's output is its
+    program's ``output`` attribute once every vertex has halted.
     """
     if round_cap is None:
         round_cap = default_round_cap(g)
+    adj = g.adj
     programs = {}
     awake: list[int] = []                # stepped next round, ascending
     sleeping: dict[int, int] = {}        # vertex -> round it wakes at
     calendar: dict[int, list[int]] = {}  # round -> vertices that asked for it
     wake_rounds: list[int] = []          # heap of the calendar's rounds
-    sent: dict[int, dict] = {}           # last round's nonempty outboxes
+    mail: defaultdict[int, dict] = defaultdict(dict)  # next round's inboxes
 
     def sleep(v: int, until: int, round_no: int) -> None:
         if until <= round_no:
@@ -113,13 +116,19 @@ def run(g: Graph, make_program, round_cap: int | None = None):
         else:
             due.append(v)
 
-    for v in g.adj:
+    def deliver(v: int, out: dict) -> None:
+        nbrs = adj[v]
+        for w, msg in out.items():
+            if w not in nbrs:
+                raise GraphError(f"vertex {v} addressed non-neighbor {w}")
+            mail[w][v] = msg
+
+    for v, nbrs in adj.items():
         prog = make_program(v)
-        out, h = prog.init(LocalView(v, g.label(v), g.adj[v]))
-        _check_outbox(g, v, out)
+        out, h = prog.init(LocalView(v, g.label(v), nbrs))
         programs[v] = prog
         if out:
-            sent[v] = out
+            deliver(v, out)
         if not h:
             awake.append(v)
         elif isinstance(h, Sleep):
@@ -128,10 +137,7 @@ def run(g: Graph, make_program, round_cap: int | None = None):
     trace = RoundTrace()
     rounds = 0
     while awake or sleeping:
-        inboxes: defaultdict[int, dict] = defaultdict(dict)
-        for v, out in sent.items():
-            for w, msg in out.items():
-                inboxes[w][v] = msg
+        inboxes, mail = mail, defaultdict(dict)
         due = awake
         round_no = rounds + 1
         if sleeping:
@@ -154,22 +160,15 @@ def run(g: Graph, make_program, round_cap: int | None = None):
                 f"round budget {round_cap} exceeded; "
                 f"{len(due) + len(sleeping)} vertices active")
         rounds = round_no
-        awake, sent = [], {}
+        awake = []
         for v in due:
             out, h = programs[v].step(round_no, inboxes[v])
-            _check_outbox(g, v, out)
             # a halting vertex may still flush its final messages
             if out:
-                sent[v] = out
+                deliver(v, out)
             if not h:
                 awake.append(v)
             elif isinstance(h, Sleep):
                 sleep(v, h.until, round_no)
     trace.add_phase("run", rounds)
     return {v: getattr(programs[v], "output", None) for v in g.adj}, trace
-
-
-def _check_outbox(g: Graph, v: int, out: dict) -> None:
-    for w in out:
-        if not g.has_edge(v, w):
-            raise GraphError(f"vertex {v} addressed non-neighbor {w}")

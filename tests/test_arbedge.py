@@ -176,6 +176,17 @@ def test_powered_bounds():
         assert col.palette_size <= powered_palette_bound(8, 4, 2.5, x)
 
 
+
+def test_powered_palette_bound_uses_exact_roots():
+    # the float root ceil(r**5 ** 0.2) is r+1 on every one of these
+    for r in range(5, 2000):
+        assert powered_palette_bound(r ** 5, 1, 2.5, 5) == (r + 2 + 3) ** 5, r
+        assert powered_palette_bound(r ** 5 + 1, 1, 2.5, 5) == (r + 1 + 2 + 3) ** 5, r
+    # a_hat is a float: an integer root reaches it exactly when it reaches ceil(a_hat)
+    assert powered_palette_bound(1, 3, 2.7, 3) == (1 + 3 + 3) ** 3  # a_hat = 8.1
+    assert powered_palette_bound(1, 4, 2.0, 3) == (1 + 2 + 3) ** 3  # a_hat = 8
+    assert powered_palette_bound(0, 1, 2.5, 2) == (0 + 2 + 3) ** 2
+
 def test_powered_x1_matches_direct_palette():
     f = gen_forest(60, 6, seed=2)
     col, _ = powered_edge_coloring(f, 1, 2.5, 1)

@@ -142,3 +142,51 @@ def test_next_prime_matches_a_sieve():
             above = n
     assert [basecolor._next_prime(n) for n in range(n_max)] == expected
     assert basecolor._next_prime(-5) == 2
+
+
+def reference_first_free(mine, theirs, q, k):
+    """The cover-free step as written in the construction: each color's
+    k+1 lowest base-q digits are its polynomial's coefficients, and the
+    new color is x*q + p(x) for the least x where no neighbor agrees."""
+    def digits(c):
+        ds = []
+        for _ in range(k + 1):
+            ds.append(c % q)
+            c //= q
+        return ds
+
+    def evaluate(ds, x):
+        acc = 0
+        for d in reversed(ds):
+            acc = (acc * x + d) % q
+        return acc
+
+    theirs = [digits(c) for c in theirs]
+    for x in range(q):
+        y = evaluate(digits(mine), x)
+        if all(evaluate(ds, x) != y for ds in theirs):
+            return x * q + y
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 4))
+def test_first_free_matches_the_digit_reference(data, q, k):
+    palette = st.integers(0, q ** (k + 1) - 1)
+    mine = data.draw(palette)
+    theirs = data.draw(st.lists(palette.filter(lambda c: c != mine), max_size=2 * q))
+    expected = reference_first_free(mine, theirs, q, k)
+    if expected is None:
+        with pytest.raises(GraphError, match="exhausted"):
+            basecolor._first_free(mine, theirs, q, k)
+    else:
+        assert basecolor._first_free(mine, theirs, q, k) == expected
+
+
+def test_exhausted_cover_free_family_raises():
+    # with q = k*Delta the guarantee fails: over F_3, color 0 is the zero
+    # polynomial and 3 = t, 4 = t+1, 5 = t+2 vanish at x = 0, 2, 1
+    assert reference_first_free(0, [3, 4, 5], 3, 1) is None
+    with pytest.raises(GraphError, match="cover-free family exhausted"):
+        basecolor._first_free(0, [3, 4, 5], 3, 1)
+    assert basecolor._first_free(0, [3, 4], 3, 1) == 1 * 3 + 0  # free at x = 1

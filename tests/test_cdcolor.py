@@ -124,3 +124,15 @@ def test_level_palette_over_declared_raises(monkeypatch):
     g, cover = gen_line_of(40, 34, seed=3)
     with pytest.raises(GraphError, match="exceeds the declared"):
         refined_coloring(g, cover, 1)
+
+
+def test_audit_raises_on_a_class_beyond_its_bounds():
+    g = gen_complete(4)
+    cover = enumerate_maximal_cliques(g)  # one clique of 4, D=1
+    with pytest.raises(GraphError, match="class clique 4 exceeds k=3"):
+        cdcolor._audit_level([g], cover, 3, 1, cdcolor.LevelStats())
+    with pytest.raises(GraphError, match="class diversity 1 exceeds D=0"):
+        cdcolor._audit_level([g], cover, 4, 0, cdcolor.LevelStats())
+    stats = cdcolor.LevelStats()
+    cdcolor._audit_level([g], cover, 4, 1, stats)
+    assert (stats.max_clique, stats.max_diversity) == (4, 1)

@@ -200,3 +200,21 @@ def test_round_total_is_the_sum_of_phases(tmp_path, capsys, argv):
     assert code == 0
     rounds = json.loads(out)["rounds"]
     assert rounds["total"] == sum(r for _, r in rounds["phases"])
+
+
+@pytest.mark.parametrize("delta,argv", [
+    (12, ["cd-color", "--cover", "line"]),
+    (16, ["refined", "--format", "hyper"]),
+], ids=["cd-color-line", "refined-hyper"])
+def test_audit_passes_on_a_provided_cover(tmp_path, capsys, delta, argv):
+    # a line graph has triangles outside its star cover, so a class's own
+    # maximal cliques can be more diverse than the cover it inherits
+    path = tmp_path / "g.el"
+    code, _ = run_cli(capsys, "gen", "--kind", "random", "--n", "200",
+                      "--delta", str(delta), "--seed", "3", "--out", str(path))
+    assert code == 0
+    code, out = run_cli(capsys, *argv, "--input", str(path), "--audit")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] and report["cover"]["D"] == 2
+    assert report["leaf_count"] > 1  # the audit ran on at least one level

@@ -6,7 +6,9 @@ module because no linter is a dependency:
   since ``python -O`` strips asserts; such checks must raise;
 - every module-level import is from the standard library or relative, so
   importing the package needs no third-party module (imports inside
-  functions, such as the ``networkx`` oracles, are fine).
+  functions, such as the ``networkx`` oracles, are fine);
+- every private module-level function or class is referenced somewhere in
+  the package, so dead helpers do not linger.
 """
 
 import ast
@@ -53,6 +55,22 @@ def third_party_imports(tree: ast.Module) -> list[str]:
     return [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
 
 
+def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` of each private module-level function or class that
+    no module of ``trees`` names, by a bare name or an attribute."""
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and node.name not in used)
+
+
 def test_checkers_catch_what_they_look_for():
     assert (SRC / "__init__.py").is_file()
     tree = ast.parse("import os\nimport os.path as osp\nfrom a import b, c\n"
@@ -65,6 +83,12 @@ def test_checkers_catch_what_they_look_for():
                      "from . import graph\nfrom .sim import run\nfrom numpy.linalg import norm\n"
                      "def oracle():\n    import networkx\n")
     assert third_party_imports(tree) == ["sympy", "numpy.linalg"]
+    trees = {"a": ast.parse("def _dead():\n    pass\ndef _used():\n    pass\n"
+                            "class _Gone:\n    def _method(self):\n        pass\n"
+                            "def __getattr__(name):\n    pass\n"),
+             "b": ast.parse("from .a import _used\nimport a\n"
+                            "def public():\n    return _used(), a._Kept\nclass _Kept:\n    pass\n")}
+    assert unreferenced_privates(trees) == ["a._Gone", "a._dead"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -73,3 +97,9 @@ def test_module_hygiene(path):
     assert unused_imports(tree) == []
     assert properness_asserts(tree) == []
     assert third_party_imports(tree) == []
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_privates(trees) == []

@@ -180,3 +180,20 @@ def test_sleep_must_end_in_a_later_round():
     plans = {0: {0: ({}, False), 1: ({}, Sleep(1))}, 1: {0: ({}, True)}}
     with pytest.raises(GraphError, match="sleep"):
         run_scripted(g, plans)
+
+
+def test_message_to_non_neighbor_from_step_rejected():
+    g = Graph.from_edges(range(4), [(0, 1), (1, 2), (2, 3)])
+    plans = {0: {0: ({}, False), 1: ({}, False), 2: ({3: "x"}, True)},
+             1: {0: ({}, True)}, 2: {0: ({}, True)}, 3: {0: ({}, True)}}
+    with pytest.raises(GraphError, match="vertex 0 addressed non-neighbor 3"):
+        run_scripted(g, plans)
+
+
+def test_halting_step_still_delivers_outbox():
+    g = Graph.from_edges([0, 1], [(0, 1)])
+    plans = {0: {0: ({}, False), 1: ({1: "bye"}, True)},
+             1: {0: ({}, Sleep(9))}}
+    log, trace = run_scripted(g, plans)
+    assert log == [(1, 0, {}), (2, 1, {0: "bye"})]
+    assert trace.rounds == 2
