@@ -14,10 +14,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .basecolor import _int_ceil_root, _require_proper
-from .graph import Coloring, Graph, GraphError, induced_subgraph, norm_edge
+from .graph import Coloring, Graph, GraphError, VerificationError, induced_subgraph, norm_edge
 from .sim import RoundTrace
-from .staredge import (_class_graph, _FirstFit, _pullback_classes, greedy_edge_coloring,
-                       star_edge_coloring_4delta)
+from .staredge import (_class_graph, _FirstFit, _pullback_classes, _star_edge_coloring,
+                       greedy_edge_coloring)
 from .verify import is_proper_edge
 
 EPSILON_DEFAULT = 0.5
@@ -46,13 +46,13 @@ class HPartition:
 
     def validate(self, g: Graph):
         if sorted(v for s in self.sets for v in s) != sorted(g.adj):
-            raise GraphError("H-partition sets do not partition the vertex set")
+            raise VerificationError("H-partition sets do not partition the vertex set")
         for i, s in enumerate(self.sets):
             for v in s:
                 later = sum(1 for w in g.adj[v] if self.set_of[w] >= i)
                 if later > self.d:
-                    raise GraphError(f"vertex {v} has {later} neighbors in its own "
-                                     f"or later H-sets, more than d={self.d}")
+                    raise VerificationError(f"vertex {v} has {later} neighbors in its "
+                                            f"own or later H-sets, more than d={self.d}")
 
 
 @dataclass
@@ -92,8 +92,10 @@ class Orientation:
         return order
 
     def restrict(self, sub: Graph) -> "Orientation":
-        out = {v: tuple(w for w in self.out.get(v, ()) if sub.has_edge(v, w))
-               for v in sub.adj}
+        out = {}
+        for v, ns in sub.adj.items():
+            keep = set(ns)
+            out[v] = tuple(w for w in self.out.get(v, ()) if w in keep)
         return Orientation(sub, out, self.bound)
 
 
@@ -109,8 +111,11 @@ class ArbParams:
 
 
 def estimate_arboricity(g: Graph) -> int:
-    """Upper-bound estimate from degeneracy (degeneracy <= 2a-1); good
-    enough to drive the peeling, not the exact arboricity."""
+    """ceil(degeneracy/2), an estimate that is not an upper bound.  Since
+    a <= degeneracy <= 2a-1, the arboricity is at least
+    ceil((degeneracy+1)/2), which this value never exceeds and undercuts
+    when the degeneracy is even: the 200x200 grid has degeneracy 2 and
+    arboricity 2, but gets 1."""
     # bucket-queue degeneracy in O(n+m) (Matula & Beck 1983): buckets[d]
     # holds vertices last seen at remaining degree d; stale entries are
     # skipped.  Peeling a vertex lowers the minimum degree by at most one.
@@ -180,7 +185,8 @@ def acyclic_orientation(g: Graph, h: HPartition) -> Orientation:
         tail, head = (u, v) if (su, u) < (sv, v) else (v, u)
         out[tail].append(head)
     orient = Orientation(g, {v: tuple(sorted(o)) for v, o in out.items()}, h.d)
-    assert orient.max_out_degree <= h.d
+    if orient.max_out_degree > h.d:
+        raise VerificationError(f"out-degree {orient.max_out_degree} exceeds d={h.d}")
     orient.topo_order()
     return orient
 
@@ -237,6 +243,14 @@ def arb_edge_coloring(g: Graph, a: int,
     """H-partition, internal stars per set in a shared high range, then a
     sequential merge sweep coloring crossing edges from a low range of
     size Delta+d-1.  Total palette is arb_palette_bound(Delta, a, q)."""
+    col, trace = _arb_edge_coloring(g, a, q)
+    _require_proper(g, col, "arb_edge_coloring output")
+    return col, trace
+
+
+def _arb_edge_coloring(g: Graph, a: int, q: float) -> tuple[Coloring, RoundTrace]:
+    """arb_edge_coloring without its properness check, for callers that
+    check their own whole output."""
     trace = RoundTrace()
     delta = g.max_degree
     if delta < 1:
@@ -251,9 +265,9 @@ def arb_edge_coloring(g: Graph, a: int,
         sub = induced_subgraph(g, s)
         if sub.m == 0:
             continue
-        assert sub.max_degree <= d
-        col, rep = star_edge_coloring_4delta(sub)
-        assert col.palette_size <= 4 * d
+        # h_partition checked that sub has degree <= d, and the star scheme
+        # checks its palette against 4*Delta(sub) <= 4d
+        col, rep = _star_edge_coloring(sub, 1)
         part = RoundTrace()
         part.add_phase("internal-stars", rep.rounds)
         internal.append(part)
@@ -271,8 +285,9 @@ def arb_edge_coloring(g: Graph, a: int,
     trace.add_phase("merge-sweep", merge_rounds)
 
     col = Coloring("edge", ff.assign, low + 4 * d)
-    assert col.palette_size == arb_palette_bound(delta, a, q)
-    _require_proper(g, col, "arb_edge_coloring output")
+    if col.palette_size != arb_palette_bound(delta, a, q):
+        raise VerificationError(f"palette {col.palette_size} is not "
+                                f"arb_palette_bound = {arb_palette_bound(delta, a, q)}")
     return col, trace
 
 
@@ -318,9 +333,9 @@ def build_orientation_connector(g: Graph, orient: Orientation, in_split: int,
             e = norm_edge(vid(v, "out", j // out_split), vid(w, "in", i))
             edge_map[norm_edge(v, w)] = e
             conn_edges.append(e)
-    derived = Graph.from_edges(range(len(virtuals)), conn_edges)
-    if len(set(edge_map.values())) != len(edge_map):
+    if len(set(conn_edges)) != len(conn_edges):
         raise GraphError("two base edges share a connector edge")
+    derived = _class_graph(conn_edges)  # every virtual has an edge
     for (v, side, idx), i in virtuals.items():
         cap = in_split + out_split
         if bipartite:
@@ -362,7 +377,7 @@ def delta_plus_little_o(g: Graph, a: int,
     in_split = -(-delta // k)
     conn = build_orientation_connector(g, orient, in_split, rt_d)
 
-    phi, phi_trace = arb_edge_coloring(conn.derived, rt_d, q)
+    phi, phi_trace = _arb_edge_coloring(conn.derived, rt_d, q)
     trace.extend(phi_trace, "phi:")
 
     psi_palette = arb_palette_bound(k + rt_d, rt_d, q)
@@ -373,15 +388,20 @@ def delta_plus_little_o(g: Graph, a: int,
         if not cls:
             continue
         sub = _class_graph(cls)
-        assert sub.max_degree <= k + rt_d
-        psi, sub_trace = arb_edge_coloring(sub, rt_d, q)
+        if sub.max_degree > k + rt_d:
+            raise VerificationError(f"class {i} has degree {sub.max_degree} > "
+                                    f"{k + rt_d}")
+        psi, sub_trace = _arb_edge_coloring(sub, rt_d, q)
         class_traces.append(sub_trace)
         for e in cls:
             assign[e] = i * psi_palette + psi.assignment[e]
     trace.merge_parallel("psi-classes", class_traces)
 
     col = Coloring("edge", assign, phi.palette_size * psi_palette)
-    assert col.palette_size <= little_o_palette_bound(delta, a, q)
+    bound = little_o_palette_bound(delta, a, q)
+    if col.palette_size > bound:
+        raise VerificationError(f"palette {col.palette_size} exceeds "
+                                f"little_o_palette_bound = {bound}")
     _require_proper(g, col, "delta_plus_little_o output")
     return col, trace
 
@@ -433,8 +453,10 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
     leaf_radix = max(dbound[x - 1] + obound[x - 1] - 1, 1)
 
     def rec(sub: Graph, sor: Orientation, depth: int):
-        assert sub.max_degree <= dbound[depth]
-        assert sor.max_out_degree <= obound[depth]
+        if sub.max_degree > dbound[depth] or sor.max_out_degree > obound[depth]:
+            raise VerificationError(
+                f"level {depth} class has degree {sub.max_degree} and out-degree "
+                f"{sor.max_out_degree}, above {dbound[depth]} and {obound[depth]}")
         if sub.m == 0:
             return {}
         if depth == x - 1:
@@ -443,7 +465,9 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
         phi = greedy_edge_coloring(conn.derived)
         # greedy needs deg(a)+deg(b)-1 <= gin+gout-1 colors on a bipartite
         # connector, even though it declares the generic 2*Delta-1 palette
-        assert max(phi.assignment.values(), default=0) < level_palette
+        if max(phi.assignment.values(), default=0) >= level_palette:
+            raise VerificationError(f"level {depth} connector needs more than "
+                                    f"{level_palette} colors")
         classes = _pullback_classes(conn, phi, level_palette)
         radix = leaf_radix * level_palette ** (x - depth - 2)
         out = {}
@@ -458,7 +482,10 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
 
     assign = rec(g, orient, 0)
     col = Coloring("edge", assign, leaf_radix * level_palette ** (x - 1))
-    assert col.palette_size <= powered_palette_bound(delta, a, q, x)
+    bound = powered_palette_bound(delta, a, q, x)
+    if col.palette_size > bound:
+        raise VerificationError(f"palette {col.palette_size} exceeds "
+                                f"powered_palette_bound = {bound}")
     _require_proper(g, col, "powered_edge_coloring output")
     return col, trace
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .graph import Coloring, Graph, GraphError
+from .graph import Coloring, Graph, GraphError, VerificationError
 from .sim import LocalView, RoundTrace, Sleep, VertexProgram, run
 from .verify import is_proper_edge, is_proper_vertex
 
@@ -139,7 +139,13 @@ def _linial(g: Graph) -> tuple[Coloring, RoundTrace]:
     """linial_coloring without its output check."""
     if g.n == 0:
         return Coloring("vertex", {}, 1), RoundTrace()
-    m0 = max(g.label(v) for v in g.adj) + 1
+    labels = g.adj.keys() if g.labels is None else [g.labels[v] for v in g.adj]
+    lowest = min(labels)
+    if lowest < 0:
+        v = next(v for v in g.adj if g.label(v) == lowest)
+        raise GraphError(f"vertex {v} has negative label {lowest}; Linial's "
+                         f"initial colors must be at least 0")
+    m0 = max(labels) + 1
     delta = g.max_degree
     schedule = linial_schedule(m0, delta)
     outputs, trace = run(g, lambda v: _LinialProgram(schedule),
@@ -149,12 +155,13 @@ def _linial(g: Graph) -> tuple[Coloring, RoundTrace]:
 
 
 def _require_proper(g: Graph, col: Coloring, what: str) -> None:
-    """Raise GraphError unless ``col`` is a proper vertex or edge coloring
-    of ``g``; a real check, unlike an assert, survives ``python -O``."""
+    """Raise VerificationError unless ``col`` is a proper vertex or edge
+    coloring of ``g``; a real check, unlike an assert, survives
+    ``python -O``."""
     check = is_proper_vertex if col.kind == "vertex" else is_proper_edge
     verdict = check(g, col)
     if not verdict.ok:
-        raise GraphError(f"{what} improper: {verdict.violations[:3]}")
+        raise VerificationError(f"{what} improper: {verdict.violations[:3]}")
 
 
 class _ReduceProgram(VertexProgram):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .basecolor import _int_floor_root, _require_proper, delta_plus_one
 from .cliques import CliqueCover, build_vertex_connector
-from .graph import Coloring, Graph, GraphError, induced_subgraph
+from .graph import Coloring, Graph, GraphError, VerificationError, induced_subgraph
 from .sim import RoundTrace
 
 # below this clique size the refined family's arithmetic loses to the
@@ -66,9 +66,9 @@ def _audit_level(classes: list[Graph], subcover: CliqueCover, k: int, D: int,
         stats.max_clique = max(stats.max_clique, cover.S)
         stats.max_diversity = max(stats.max_diversity, cover.D)
         if cover.S > k:
-            raise GraphError(f"class clique {cover.S} exceeds k={k}")
+            raise VerificationError(f"class clique {cover.S} exceeds k={k}")
         if cover.D > D:
-            raise GraphError(f"class diversity {cover.D} exceeds D={D}")
+            raise VerificationError(f"class diversity {cover.D} exceeds D={D}")
 
 
 def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, palette,
@@ -92,8 +92,8 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, palette,
         if t is None:
             psi, trace = delta_plus_one(sub)
             if psi.palette_size > target:
-                raise GraphError(f"part needs {psi.palette_size} colors, "
-                                 f"declared {target}")
+                raise VerificationError(f"part needs {psi.palette_size} colors, "
+                                        f"declared {target}")
             return psi.assignment, trace
         if depth:  # a class gets its parent's cover cut down to it
             subcover = subcover.restrict(sub)
@@ -102,8 +102,8 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, palette,
         k = -(-S_cur // t)  # ceil(S/t)
         radix = declared(k, x_cur - 1)
         if gamma * radix > target:
-            raise GraphError(f"level palette {gamma}*{radix} exceeds the "
-                             f"declared {target}")
+            raise VerificationError(f"level palette {gamma}*{radix} exceeds the "
+                                    f"declared {target}")
 
         members: list[list[int]] = [[] for _ in range(gamma)]
         for v, c in phi.assignment.items():
@@ -112,8 +112,8 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, palette,
                    for i, vs in enumerate(members) if vs]
         stats = LevelStats(len(classes), max(cls.max_degree for _, cls in classes))
         if stats.max_degree > (k - 1) * D:
-            raise GraphError(f"class degree {stats.max_degree} exceeds "
-                             f"(k-1)D = {(k - 1) * D}")
+            raise VerificationError(f"class degree {stats.max_degree} exceeds "
+                                    f"(k-1)D = {(k - 1) * D}")
         if audit:
             _audit_level([cls for _, cls in classes], subcover, k, D, stats)
         while len(report.levels) <= depth:
@@ -156,8 +156,10 @@ def cd_coloring(g: Graph, cover: CliqueCover, t: int, x: int,
     col, report = _decompose(g, cover, x, lambda S_cur, x_cur: t,
                              total_palette, audit)
     # palette stays inside the coarse decomposition envelope
-    assert g.m == 0 or col.palette_size <= \
-        (t * D) ** x * ((S / t ** x + 2) * D) + (t * D) ** x
+    envelope = (t * D) ** x * ((S / t ** x + 2) * D) + (t * D) ** x
+    if g.m and col.palette_size > envelope:
+        raise VerificationError(f"palette {col.palette_size} exceeds the "
+                                f"envelope {envelope:g}")
     return col, report
 
 

@@ -15,7 +15,8 @@ import time
 from . import arbedge
 from .cdcolor import cd_coloring, choose_params, refined_coloring, refined_palette_bound
 from .cliques import CliqueCover, enumerate_maximal_cliques
-from .graph import Coloring, GraphError, hypergraph_line_graph, line_graph, norm_edge
+from .graph import (Coloring, GraphError, VerificationError, hypergraph_line_graph, line_graph,
+                    norm_edge)
 from .io import GENERATORS, ParseError, load_graph
 from .staredge import recursive_star_edge_coloring
 from .verify import count_colors, is_proper_edge, is_proper_vertex
@@ -244,6 +245,9 @@ def main(argv=None):
         if args.command == "verify":
             return _cmd_verify(args)
         return _run_algorithm(args)
+    except VerificationError as e:  # a result failed its own check
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except (ParseError, GraphError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

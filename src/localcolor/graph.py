@@ -13,6 +13,11 @@ class GraphError(ValueError):
     pass
 
 
+class VerificationError(GraphError):
+    """A result failed its own post-condition: an improper coloring or a
+    palette, degree or size bound that the construction guarantees."""
+
+
 def norm_edge(u: int, v: int) -> tuple[int, int]:
     """Normalize an edge to (min, max) form."""
     if u == v:

@@ -34,6 +34,8 @@ def load_edgelist(path) -> Graph:
             u, v = int(toks[0]), int(toks[1])
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-integer vertex id") from None
+        if u < 0 or v < 0:
+            raise ParseError(f"{path}:{lineno}: negative vertex id")
         if u == v:
             raise ParseError(f"{path}:{lineno}: self-loop {u}")
         e = norm_edge(u, v)
@@ -89,6 +91,8 @@ def load_hypergraph(path) -> Hypergraph:
             he = [int(t) for t in toks]
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-integer vertex id") from None
+        if min(he) < 0:
+            raise ParseError(f"{path}:{lineno}: negative vertex id")
         if len(set(he)) != len(he):
             raise ParseError(f"{path}:{lineno}: repeated vertex in hyperedge")
         hyperedges.append(he)
@@ -177,7 +181,8 @@ def gen_random(n, delta, seed=0) -> Graph:
         deg[u] += 1
         deg[v] += 1
     g = Graph.from_edges(range(n), edges)
-    assert g.max_degree == delta
+    if g.max_degree != delta:  # vertex 0 is saturated first, so never
+        raise GraphError(f"generated max degree {g.max_degree}, wanted {delta}")
     return g
 
 

@@ -6,25 +6,18 @@ hands each group to a virtual vertex, so the connector has degree at most
 t.  A proper edge coloring of the connector pulls back to an edge partition
 of the base graph whose per-vertex stars have size at most ceil(Delta/t);
 recursing and combining gives the 4*Delta and 2^(x+1)*Delta schemes.
+A level colors its connector in one pass over the base edges and never
+builds it as a graph.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 
 from .basecolor import _int_floor_root, _require_proper
-from .graph import Coloring, Graph, GraphError, norm_edge
+from .graph import Coloring, Graph, GraphError, VerificationError, norm_edge
 from .sim import RoundTrace
-
-
-@dataclass
-class EdgeConnector:
-    derived: Graph
-    # base edge (u,v) -> connector edge (id of u_i, id of v_j), normalized
-    edge_map: dict[tuple[int, int], tuple[int, int]]
-    virtual_of: dict[int, tuple[int, int]]  # connector id -> (vertex, part)
 
 
 @dataclass
@@ -34,34 +27,6 @@ class StarPartitionReport(RoundTrace):
 
     class_count: int = 0
     max_star: int = 0
-
-
-def build_edge_connector(g: Graph, t: int) -> EdgeConnector:
-    if t <= 1:
-        raise GraphError(f"edge connector needs t >= 2, got {t}")
-    # label l(v, .) = 1..deg(v) in ascending neighbor-ID order; the
-    # virtual v_i (part i of v) has id first[v] + i
-    first: dict[int, int] = {}
-    virtual_of: dict[int, tuple[int, int]] = {}
-    for v, ns in g.adj.items():
-        first[v] = len(virtual_of)
-        for i in range(-(-len(ns) // t) or 1):
-            virtual_of[len(virtual_of)] = (v, i)
-    edge_map = {}
-    conn_edges = []
-    for u, ns in g.adj.items():
-        for lu, v in enumerate(ns):  # lu = l(u, v) - 1
-            if u < v:
-                lv = bisect_left(g.adj[v], u)
-                e = norm_edge(first[u] + lu // t, first[v] + lv // t)
-                edge_map[(u, v)] = e
-                conn_edges.append(e)
-    derived = Graph.from_edges(range(len(virtual_of)), conn_edges)
-    if derived.max_degree > t:
-        raise GraphError(f"edge connector degree {derived.max_degree} exceeds t={t}")
-    if len(set(edge_map.values())) != len(edge_map):
-        raise GraphError("two base edges share a connector edge")
-    return EdgeConnector(derived, edge_map, virtual_of)
 
 
 class _FirstFit:
@@ -111,12 +76,25 @@ class _FirstFit:
 
 
 def greedy_edge_coloring(g: Graph) -> Coloring:
-    """Greedy by normalized edge order; at most 2*Delta-1 colors."""
-    palette = max(2 * g.max_degree - 1, 1)
-    ff = _FirstFit()
-    for e in sorted(g.edges()):
-        ff.fill(e, palette)
-    return Coloring("edge", ff.assign, palette)
+    """Greedy by normalized edge order; at most 2*Delta-1 colors.  Each
+    edge takes the lowest bit clear in both endpoint masks; no edge is
+    colored twice, so unlike _FirstFit no own color is cleared first."""
+    adj = g.adj
+    mask = dict.fromkeys(adj, 0)
+    assign: dict[tuple[int, int], int] = {}
+    for u in sorted(adj):
+        mu = mask[u]
+        for v in adj[u]:  # ascending, so (u, v) comes in sorted order
+            if v > u:
+                used = mu | mask[v]
+                bit = ~used & (used + 1)
+                mu |= bit
+                mask[v] |= bit
+                assign[(u, v)] = bit.bit_length() - 1
+        mask[u] = mu
+    # the palette check is Coloring's: only an inconsistent adjacency
+    # (v lists u but u does not list v) can exceed it
+    return Coloring("edge", assign, max(2 * g.max_degree - 1, 1))
 
 
 def reduce_edge_colors(g: Graph, c: Coloring,
@@ -148,8 +126,61 @@ def _pullback_classes(conn, phi: Coloring, palette: int):
 
 
 def _class_graph(cls) -> Graph:
-    """The graph of the edges in ``cls`` and their endpoints only."""
-    return Graph.from_edges(chain.from_iterable(cls), cls)
+    """The graph of the distinct normalized edges in ``cls`` and their
+    endpoints only.  Appended in sorted edge order, every vertex gets its
+    lower neighbors and then its higher ones, each ascending, so no list
+    needs a sort of its own."""
+    adj: dict[int, list[int]] = {}
+    for u, v in sorted(cls):
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return Graph({v: tuple(adj[v]) for v in sorted(adj)})
+
+
+def _star_classes(g: Graph, t: int) -> list[list[tuple[int, int]]]:
+    """One star-partition level: the base edges grouped by their color in
+    the greedy coloring of the degree-t edge-connector, computed in one
+    pass over the edges without building the connector.
+
+    The virtual v_i (part i of v) holds v's edges of rank i*t..i*t+t-1 in
+    v's ascending neighbor list and has id first[v] + i.  Walking u and
+    then its neighbors v > u in ascending order visits the connector edges
+    (u_i, v_j) in sorted order, the order greedy colors them in, and lists
+    each class's edges in sorted order.  A connector of degree at most t
+    needs at most 2t-1 colors, so the result has 2t-1 classes."""
+    if t <= 1:
+        raise GraphError(f"edge connector needs t >= 2, got {t}")
+    adj = g.adj
+    order = sorted(adj)
+    first: dict[int, int] = {}
+    count = 0
+    for v in order:
+        first[v] = count
+        count += -(-len(adj[v]) // t)
+    mask = [0] * count  # per virtual: the colors on its connector edges
+    palette = 2 * t - 1
+    classes: list[list[tuple[int, int]]] = [[] for _ in range(palette)]
+    for u in order:
+        fu = first[u]
+        for lu, v in enumerate(adj[u]):
+            if v > u:
+                a = fu + lu // t
+                b = first[v] + bisect_left(adj[v], u) // t
+                used = mask[a] | mask[b]
+                bit = ~used & (used + 1)
+                c = bit.bit_length() - 1
+                if c >= palette:  # a or b already had t edges
+                    raise GraphError(
+                        f"edge connector degree "
+                        f"{max(mask[a].bit_count(), mask[b].bit_count()) + 1} exceeds t={t}")
+                mask[a] |= bit
+                mask[b] |= bit
+                classes[c].append((u, v))
+    # greedy colors at one virtual are distinct: its degree is its popcount
+    worst = max(map(int.bit_count, mask), default=0)
+    if worst > t:
+        raise GraphError(f"edge connector degree {worst} exceeds t={t}")
+    return classes
 
 
 def star_edge_coloring_4delta(g: Graph) -> tuple[Coloring, StarPartitionReport]:
@@ -164,6 +195,14 @@ def recursive_star_edge_coloring(g: Graph,
     """x connector levels with a single t = floor(Delta^(1/(x+1))), leaves
     colored greedily, palette trimmed to at most 2^(x+1)*Delta.  The
     report's max_star is the largest star of the top-level partition."""
+    col, report = _star_edge_coloring(g, x)
+    _require_proper(g, col, "recursive_star_edge_coloring output")
+    return col, report
+
+
+def _star_edge_coloring(g: Graph, x: int) -> tuple[Coloring, StarPartitionReport]:
+    """recursive_star_edge_coloring without its properness check, for
+    callers that check their own whole output."""
     if x < 1:
         raise GraphError("x must be at least 1")
     delta = g.max_degree
@@ -183,19 +222,16 @@ def recursive_star_edge_coloring(g: Graph,
 
     def rec(sub: Graph, depth: int) -> dict[tuple[int, int], int]:
         star = sub.max_degree
-        assert star <= bounds[depth], (star, bounds[depth])
+        if star > bounds[depth]:
+            raise VerificationError(f"class star {star} at level {depth} exceeds "
+                                    f"{bounds[depth]}")
         if depth == 1:
             report.max_star = max(report.max_star, star)
-        if depth == x:
-            psi = greedy_edge_coloring(sub)
-            assert psi.palette_size <= leaf_radix or sub.m == 0
-            return psi.assignment
+        if depth == x:  # star <= bounds[x] keeps greedy within leaf_radix
+            return greedy_edge_coloring(sub).assignment
         if sub.m == 0:
             return {}
-        conn = build_edge_connector(sub, t)
-        phi = greedy_edge_coloring(conn.derived)
-        assert phi.palette_size <= 2 * t - 1
-        classes = _pullback_classes(conn, phi, 2 * t - 1)
+        classes = _star_classes(sub, t)
         radix = leaf_radix * (2 * t - 1) ** (x - depth - 1)
         if depth == 0:
             report.class_count = sum(1 for c in classes if c)
@@ -215,8 +251,6 @@ def recursive_star_edge_coloring(g: Graph,
     if combined > bound:
         col, r = reduce_edge_colors(g, col, bound)
         report.add_phase("trim", r)
-    _require_proper(g, col, "recursive_star_edge_coloring output")
-    assert col.palette_size <= bound
     return col, report
 
 

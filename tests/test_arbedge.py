@@ -231,13 +231,15 @@ def test_estimate_arboricity_matches_min_scan(n, pairs):
 def test_improper_leaf_colorings_raise(monkeypatch):
     g = gen_random(60, 9, seed=2)
     a = estimate_arboricity(g)
-    star, sweep = arbedge.star_edge_coloring_4delta, arbedge._oriented_sweep
+    star, sweep = arbedge._star_edge_coloring, arbedge._oriented_sweep
 
-    def clashing_star(sub):
-        col, rep = star(sub)
+    def clashing_star(sub, x):
+        col, rep = star(sub, x)
         return Coloring("edge", dict.fromkeys(col.assignment, 0), col.palette_size), rep
 
-    monkeypatch.setattr(arbedge, "star_edge_coloring_4delta", clashing_star)
+    # the H-set colorings are not checked on their own, so
+    # arb_edge_coloring must catch the clash itself
+    monkeypatch.setattr(arbedge, "_star_edge_coloring", clashing_star)
     with pytest.raises(GraphError, match="improper"):
         arb_edge_coloring(g, a)
     monkeypatch.undo()

@@ -19,6 +19,16 @@ def test_linial_on_path():
     assert col.palette_size <= LINIAL_CL * g.max_degree ** 2
 
 
+def test_linial_rejects_negative_labels():
+    # labels are the initial colors, so a label below 0 has no place in
+    # any palette; the vertex is named instead of coloring out of range
+    g = Graph.from_edges(range(-5, 6), [(i, i + 1) for i in range(-5, 5)])
+    with pytest.raises(GraphError, match="vertex -5 has negative label -5"):
+        linial_coloring(g)
+    with pytest.raises(GraphError, match="negative label"):
+        delta_plus_one(g)
+
+
 def test_linial_schedule_shrinks():
     steps = linial_schedule(10 ** 6, 2)
     sizes = [10 ** 6] + [q * q for _, q in steps]

@@ -69,6 +69,31 @@ def test_hypergraph_format(tmp_path):
     assert len(h.hyperedges) == 2 and h.rank == 3
 
 
+@pytest.mark.parametrize("fmt,body", [
+    ("edgelist", "-2 -1\n-1 0\n0 1\n1 2\n-2 2\n"),
+    ("hyper", "-2 -1 0\n0 1 2\n"),
+])
+def test_negative_vertex_id_exits_2(tmp_path, capsys, fmt, body):
+    p = tmp_path / "neg.txt"
+    p.write_text(body)
+    code = main(["cd-color", "--input", str(p), "--format", fmt])
+    assert code == 2
+    assert f"{p}:1: negative vertex id" in capsys.readouterr().err
+
+
+def test_failed_post_condition_exits_1(tmp_path, capsys, monkeypatch):
+    # exit 1 is "verification or bound failed", exit 2 is "bad input"
+    from localcolor import basecolor
+    path = tmp_path / "g.el"
+    code, _ = run_cli(capsys, "gen", "--kind", "random", "--n", "200", "--delta", "6",
+                      "--seed", "1", "--out", str(path))
+    assert code == 0
+    monkeypatch.setattr(basecolor, "_first_free", lambda *args: 0)
+    code = main(["cd-color", "--input", str(path)])
+    assert code == 1
+    assert "improper" in capsys.readouterr().err
+
+
 def test_subcommands_run_clean(tmp_path, capsys):
     path = tmp_path / "g.el"
     run_cli(capsys, "gen", "--kind", "random", "--n", "40", "--delta", "9",

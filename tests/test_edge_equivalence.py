@@ -2,13 +2,15 @@
 simpler code they replaced, on small random graphs."""
 
 import random
+from itertools import chain
 
 from hypothesis import given, settings, strategies as st
 
 from localcolor import arbedge
 from localcolor.arbedge import acyclic_orientation, build_orientation_connector, h_partition
 from localcolor.graph import Coloring, Graph, GraphError, norm_edge
-from localcolor.staredge import build_edge_connector, greedy_edge_coloring, reduce_edge_colors
+from localcolor.staredge import (_class_graph, _star_classes, greedy_edge_coloring,
+                                 reduce_edge_colors)
 
 
 @st.composite
@@ -104,11 +106,26 @@ def test_greedy_matches_set_first_fit(g):
 
 @settings(max_examples=150, deadline=None)
 @given(graphs(), st.integers(2, 5))
-def test_edge_connector_matches_index_ranks(g, t):
-    conn = build_edge_connector(g, t)
+def test_star_classes_match_greedy_on_connector(g, t):
+    # build the connector, color it greedily, pull the colors back
     edge_map, virtual_of = ref_edge_connector(g, t)
-    assert conn.edge_map == edge_map and list(conn.edge_map) == list(edge_map)
-    assert conn.virtual_of == virtual_of
+    conn = Graph.from_edges(virtual_of, edge_map.values())
+    assert conn.max_degree <= t
+    phi = ref_greedy(conn)
+    expected = [[] for _ in range(2 * t - 1)]
+    for e, ce in edge_map.items():
+        expected[phi[ce]].append(e)
+    assert _star_classes(g, t) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_class_graph_matches_from_edges(g, rnd):
+    cls = [e for e in g.edges() if rnd.random() < 0.5]
+    rnd.shuffle(cls)
+    sub = _class_graph(cls)
+    ref = Graph.from_edges(chain.from_iterable(cls), cls)
+    assert sub.adj == ref.adj and list(sub.adj) == list(ref.adj)
 
 
 @settings(max_examples=150, deadline=None)

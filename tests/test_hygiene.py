@@ -2,8 +2,8 @@
 module because no linter is a dependency:
 
 - every imported name is used in its module;
-- no ``assert`` guards properness (``is_proper_vertex``/``is_proper_edge``),
-  since ``python -O`` strips asserts; such checks must raise;
+- no ``assert`` at all, since ``python -O`` strips asserts; a check that
+  guards a result must raise;
 - every module-level import is from the standard library or relative, so
   importing the package needs no third-party module (imports inside
   functions, such as the ``networkx`` oracles, are fine);
@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "localcolor"
-PROPERNESS = {"is_proper_vertex", "is_proper_edge"}
 
 
 def unused_imports(tree: ast.AST) -> list[str]:
@@ -32,17 +31,8 @@ def unused_imports(tree: ast.AST) -> list[str]:
     return sorted(imported - used)
 
 
-def properness_asserts(tree: ast.AST) -> list[int]:
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assert):
-            for call in ast.walk(node.test):
-                if isinstance(call, ast.Call):
-                    f = call.func
-                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                    if name in PROPERNESS:
-                        lines.append(node.lineno)
-    return lines
+def asserts(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
 def third_party_imports(tree: ast.Module) -> list[str]:
@@ -78,7 +68,7 @@ def test_checkers_catch_what_they_look_for():
                      "assert verify.is_proper_edge(g, col).ok\n"
                      "assert not is_proper_vertex(g, col).violations\nassert ok\n")
     assert unused_imports(tree) == ["c", "os"]
-    assert properness_asserts(tree) == [6, 7]
+    assert asserts(tree) == [6, 7, 8]
     tree = ast.parse("from __future__ import annotations\nimport os.path, sympy\n"
                      "from . import graph\nfrom .sim import run\nfrom numpy.linalg import norm\n"
                      "def oracle():\n    import networkx\n")
@@ -95,7 +85,7 @@ def test_checkers_catch_what_they_look_for():
 def test_module_hygiene(path):
     tree = ast.parse(path.read_text(), str(path))
     assert unused_imports(tree) == []
-    assert properness_asserts(tree) == []
+    assert asserts(tree) == []
     assert third_party_imports(tree) == []
 
 

@@ -7,21 +7,23 @@ from localcolor import staredge
 from localcolor.basecolor import _int_floor_root
 from localcolor.graph import Coloring, Graph, GraphError, line_graph
 from localcolor.io import gen_matching, gen_random, gen_star
-from localcolor.staredge import _FirstFit
-from localcolor.staredge import (build_edge_connector, check_star_partition,
+from localcolor.staredge import (_FirstFit, _star_classes, check_star_partition,
                                  greedy_edge_coloring, recursive_star_edge_coloring,
                                  reduce_edge_colors, star_edge_coloring_4delta)
 from localcolor.verify import is_proper_edge, is_proper_vertex
 
 
 def test_connector_degree_and_bijection():
+    # one level's classes: a (2t-1, ceil(Delta/t))-star-partition that
+    # holds every edge exactly once
     g = gen_random(60, 10, seed=1)
-    conn = build_edge_connector(g, 3)
-    assert conn.derived.max_degree <= 3
-    assert conn.derived.m == g.m
-    assert len(conn.edge_map) == g.m
-    with pytest.raises(GraphError):
-        build_edge_connector(g, 1)
+    t = 3
+    classes = _star_classes(g, t)
+    assert len(classes) == 2 * t - 1
+    assert sum(len(c) for c in classes) == g.m
+    assert check_star_partition(g, classes, 2 * t - 1, -(-g.max_degree // t))
+    with pytest.raises(GraphError, match="t >= 2"):
+        _star_classes(g, 1)
 
 
 def test_4delta_bound_over_target_deltas():
@@ -112,7 +114,7 @@ def test_improper_leaf_coloring_raises(monkeypatch):
     def clashing(g):
         calls.append(g)
         col = real(g)
-        if len(calls) == 1:  # the connector coloring stays proper
+        if len(calls) == 1:  # the first leaf's coloring stays proper
             return col
         return Coloring("edge", dict.fromkeys(col.assignment, 0), col.palette_size)
 
@@ -176,4 +178,8 @@ def test_edge_connector_rejects_inconsistent_adjacency():
     # on 9's first virtual
     g = Graph({1: (9,), 2: (9,), 3: (9,), 4: (9,), 9: (1,)})
     with pytest.raises(GraphError, match="degree 4 exceeds t=2"):
-        build_edge_connector(g, 2)
+        _star_classes(g, 2)
+    # three edges on one virtual still fit in 2t-1 = 3 colors
+    g = Graph({1: (9,), 2: (9,), 3: (9,), 9: (1,)})
+    with pytest.raises(GraphError, match="degree 3 exceeds t=2"):
+        _star_classes(g, 2)
