@@ -10,13 +10,15 @@ forms exposed by arb_palette_bound and little_o_palette_bound.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .basecolor import _int_ceil_root, _require_proper
 from .graph import Coloring, Graph, GraphError, VerificationError, induced_subgraph, norm_edge
 from .sim import RoundTrace
-from .staredge import (_class_graph, _FirstFit, _pullback_classes, _star_edge_coloring,
+from .staredge import (_class_graph, _FirstFit, _greedy_edges, _star_edge_coloring,
                        greedy_edge_coloring)
 from .verify import is_proper_edge
 
@@ -45,14 +47,20 @@ class HPartition:
         return len(self.sets)
 
     def validate(self, g: Graph):
-        if sorted(v for s in self.sets for v in s) != sorted(g.adj):
+        adj, set_of, d = g.adj, self.set_of, self.d
+        # the sets list n vertices, and exactly those of V: each one once
+        listed = list(chain.from_iterable(self.sets))
+        if len(listed) != len(adj) or adj.keys() != set(listed):
             raise VerificationError("H-partition sets do not partition the vertex set")
         for i, s in enumerate(self.sets):
             for v in s:
-                later = sum(1 for w in g.adj[v] if self.set_of[w] >= i)
-                if later > self.d:
+                later = 0
+                for w in adj[v]:
+                    if set_of[w] >= i:
+                        later += 1
+                if later > d:
                     raise VerificationError(f"vertex {v} has {later} neighbors in its "
-                                            f"own or later H-sets, more than d={self.d}")
+                                            f"own or later H-sets, more than d={d}")
 
 
 @dataclass
@@ -60,9 +68,6 @@ class Orientation:
     graph: Graph
     out: dict  # v -> tuple of out-neighbors, ascending
     bound: int
-
-    def out_degree(self, v):
-        return len(self.out[v])
 
     @property
     def max_out_degree(self):
@@ -75,21 +80,7 @@ class Orientation:
 
     def topo_order(self):
         """Kahn's algorithm; raises if the orientation has a cycle."""
-        indeg = {v: 0 for v in self.graph.adj}
-        for _, w in self.oriented_edges():
-            indeg[w] += 1
-        queue = sorted(v for v in indeg if indeg[v] == 0)
-        order = []
-        while queue:
-            v = queue.pop()
-            order.append(v)
-            for w in self.out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(order) != self.graph.n:
-            raise GraphError("orientation contains a cycle")
-        return order
+        return _topo_order(self.graph.adj, self.out)
 
     def restrict(self, sub: Graph) -> "Orientation":
         out = {}
@@ -97,6 +88,29 @@ class Orientation:
             keep = set(ns)
             out[v] = tuple(w for w in self.out.get(v, ()) if w in keep)
         return Orientation(sub, out, self.bound)
+
+
+def _topo_order(vertices, out: dict) -> list:
+    """Kahn's algorithm over ``vertices`` with out-neighbor lists ``out``
+    (a vertex may be missing from ``out``): the zero in-degree vertices
+    start sorted, and the last one found is taken first.  Raises if the
+    orientation has a cycle."""
+    indeg = dict.fromkeys(vertices, 0)
+    for heads in out.values():
+        for w in heads:
+            indeg[w] += 1
+    queue = sorted(v for v, k in indeg.items() if k == 0)
+    order = []
+    while queue:
+        v = queue.pop()
+        order.append(v)
+        for w in out.get(v, ()):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    if len(order) != len(indeg):
+        raise GraphError("orientation contains a cycle")
+    return order
 
 
 @dataclass
@@ -215,8 +229,7 @@ def merge_cross_coloring(g: Graph, A, B, colA: Coloring, colB: Coloring,
     delta = g.max_degree
     low = max(colB.palette_size, delta + d - 1, 1)
     ff = _FirstFit(colB.assignment)
-    for e, c in colA.assignment.items():
-        ff.paint(e, low + c)
+    ff.paint(colA.assignment.items(), low)
 
     # round i colors the crossing edges each A-vertex labels i (1..d)
     by_round: list[list] = [[] for _ in range(d + 1)]
@@ -225,9 +238,7 @@ def merge_cross_coloring(g: Graph, A, B, colA: Coloring, colB: Coloring,
         for i, w in enumerate(cross, start=1):
             by_round[i].append((w, v, norm_edge(v, w)))
 
-    for active in by_round[1:]:
-        for w, v, e in sorted(active):
-            ff.fill(e, low)
+    ff.fill([e for active in by_round[1:] for _, _, e in sorted(active)], low)
     col = Coloring("edge", ff.assign, low + colA.palette_size)
     _require_proper(g, col, "merge_cross_coloring output")
     return col, d
@@ -259,36 +270,86 @@ def _arb_edge_coloring(g: Graph, a: int, q: float) -> tuple[Coloring, RoundTrace
     d = hp.d
     low = max(delta + d - 1, 1)
 
+    # each H-set's internal edges, in sorted order, from one pass
+    set_of = hp.set_of
+    internal_edges: list[list[tuple[int, int]]] = [[] for _ in hp.sets]
+    for e in sorted(g.edges()):
+        s = set_of[e[0]]
+        if s == set_of[e[1]]:
+            internal_edges[s].append(e)
+
     ff = _FirstFit()
     internal = []
-    for i, s in enumerate(hp.sets):
-        sub = induced_subgraph(g, s)
-        if sub.m == 0:
+    for edges in internal_edges:
+        if not edges:
             continue
-        # h_partition checked that sub has degree <= d, and the star scheme
-        # checks its palette against 4*Delta(sub) <= 4d
-        col, rep = _star_edge_coloring(sub, 1)
+        # h_partition checked that an H-set has degree <= d, and the star
+        # scheme checks its palette against 4*Delta(H-set) <= 4d
+        col, rep = _star_edge_coloring(edges, 1)
         part = RoundTrace()
         part.add_phase("internal-stars", rep.rounds)
         internal.append(part)
-        for e, c in col.assignment.items():
-            ff.paint(e, low + c)
+        ff.paint(col.assignment.items(), low)
     trace.merge_parallel("hset-internal", internal)
 
-    merge_rounds = 0
-    for i in range(hp.ell - 2, -1, -1):
-        for v in sorted(hp.sets[i]):
-            for w in g.adj[v]:
-                if hp.set_of[w] > i:
-                    ff.fill(norm_edge(v, w), low)
-        merge_rounds += d
-    trace.add_phase("merge-sweep", merge_rounds)
+    # the merge sweep, d rounds per H-set from the second-to-last down:
+    # each vertex colors its edges to later sets, in ascending order
+    ff.fill([norm_edge(v, w) for i in range(hp.ell - 2, -1, -1)
+             for v in sorted(hp.sets[i]) for w in g.adj[v] if set_of[w] > i], low)
+    trace.add_phase("merge-sweep", d * max(hp.ell - 1, 0))
 
     col = Coloring("edge", ff.assign, low + 4 * d)
     if col.palette_size != arb_palette_bound(delta, a, q):
         raise VerificationError(f"palette {col.palette_size} is not "
                                 f"arb_palette_bound = {arb_palette_bound(delta, a, q)}")
     return col, trace
+
+
+def _connector_walk(arcs, in_split: int, out_split: int, bipartite: bool):
+    """The orientation connector of ``arcs``, (tail, head) pairs in sorted
+    order, in one pass: each arc's connector edge, normalized, between int
+    virtual ids numbered by first appearance, and each virtual's
+    (vertex, side, index), listed by id.
+
+    In sorted order a tail's out-arcs are consecutive and come in
+    ascending head order, and a head's in-arcs come in ascending tail
+    order, so an arc's out-chunk and in-chunk are running counts divided
+    by the split.  A repeated arc keeps its first copy's in-chunk, as a
+    rank among the sorted tails would give it."""
+    stride = len(arcs) + 1  # above every chunk index
+    out_side = 1 if bipartite else 0
+    ids: dict[int, int] = {}  # (vertex * stride + index) << 1 | side -> id
+    in_rank: dict[int, int] = {}
+    conn = []
+    append = conn.append
+    tail = prev = i = a = None
+    j = 0  # the arc's rank among its tail's out-arcs
+    for arc in arcs:
+        v, w = arc
+        if v != tail:
+            tail, j = v, 0
+        if not j % out_split:  # the tail's next out-chunk
+            key = (v * stride + j // out_split) << 1 | out_side
+            a = ids.get(key)
+            if a is None:
+                a = ids[key] = len(ids)
+        j += 1
+        r = in_rank.get(w, 0)
+        in_rank[w] = r + 1
+        if arc != prev:
+            i = r
+        prev = arc
+        key = (w * stride + i // in_split) << 1
+        b = ids.get(key)
+        if b is None:
+            b = ids[key] = len(ids)
+        append((a, b) if a < b else (b, a))
+    sides = ("in", "out") if bipartite else ("shared", "shared")
+    virtuals = []
+    for key in ids:
+        v, idx = divmod(key >> 1, stride)
+        virtuals.append((v, sides[key & 1], idx))
+    return conn, virtuals
 
 
 @dataclass
@@ -312,38 +373,28 @@ def build_orientation_connector(g: Graph, orient: Orientation, in_split: int,
     orient.topo_order()
     if orient.max_out_degree > orient.bound:
         raise GraphError("orientation violates its out-degree bound")
-    incoming = {v: [] for v in g.adj}
-    for v, w in orient.oriented_edges():
-        incoming[w].append(v)
-    for tails in incoming.values():
-        tails.sort()
-    virtuals = {}
-
-    def vid(v, side, idx):
-        key = (v, side, idx) if bipartite else (v, "shared", idx)
-        if key not in virtuals:
-            virtuals[key] = len(virtuals)
-        return virtuals[key]
-
-    edge_map = {}
-    conn_edges = []
-    for v, heads in orient.out.items():
-        for j, w in enumerate(heads):
-            i = bisect_left(incoming[w], v) // in_split
-            e = norm_edge(vid(v, "out", j // out_split), vid(w, "in", i))
-            edge_map[norm_edge(v, w)] = e
-            conn_edges.append(e)
-    if len(set(conn_edges)) != len(conn_edges):
+    arcs = sorted(orient.oriented_edges())
+    conn, virtuals = _connector_walk(arcs, in_split, out_split, bipartite)
+    if len(set(conn)) != len(conn):
         raise GraphError("two base edges share a connector edge")
-    derived = _class_graph(conn_edges)  # every virtual has an edge
-    for (v, side, idx), i in virtuals.items():
+    derived = _class_graph(conn)  # every virtual has an edge
+    for i, key in enumerate(virtuals):
         cap = in_split + out_split
         if bipartite:
-            cap = in_split if side == "in" else out_split
+            cap = in_split if key[1] == "in" else out_split
         if derived.degree(i) > cap:
-            raise GraphError(f"connector vertex {(v, side, idx)} has degree "
+            raise GraphError(f"connector vertex {key} has degree "
                              f"{derived.degree(i)} > {cap}")
-    return OrientationConnector(derived, edge_map, {i: k for k, i in virtuals.items()})
+    edge_map = {(v, w) if v < w else (w, v): e for (v, w), e in zip(arcs, conn)}
+    return OrientationConnector(derived, edge_map, dict(enumerate(virtuals)))
+
+
+def _pullback_classes(conn: OrientationConnector, phi: Coloring, palette: int):
+    """Base edges grouped by the color of their connector edge."""
+    classes: list[list[tuple[int, int]]] = [[] for _ in range(palette)]
+    for e, ce in conn.edge_map.items():
+        classes[phi.assignment[ce]].append(e)
+    return classes
 
 
 def little_o_palette_bound(delta: int, a: int, q: float = DEFAULT_Q) -> int:
@@ -406,16 +457,48 @@ def delta_plus_little_o(g: Graph, a: int,
     return col, trace
 
 
-def _oriented_sweep(sub: Graph, orient: Orientation, palette: int):
-    """Color edges by processing vertices in reverse topological order;
-    each vertex colors its out-edges.  An edge sees at most
-    (out-1) + (Delta-1) colored neighbors, so Delta + maxout - 1 colors
-    always suffice."""
+def _oriented_sweep(arcs, palette: int) -> dict:
+    """Color the sorted (tail, head) ``arcs`` by processing vertices in
+    reverse topological order; each vertex colors its out-edges.  An edge
+    sees at most (out-1) + (Delta-1) colored neighbors, so Delta + maxout
+    - 1 colors always suffice."""
+    out: dict[int, list[int]] = {}
+    for v, w in arcs:
+        out.setdefault(v, []).append(w)
+    order = _topo_order(chain.from_iterable(arcs), out)
     ff = _FirstFit()
-    for v in reversed(orient.topo_order()):
-        for w in orient.out[v]:
-            ff.fill(norm_edge(v, w), palette)
+    ff.fill([(v, w) if v < w else (w, v)
+             for v in reversed(order) for w in out.get(v, ())], palette)
     return ff.assign
+
+
+def _bipartite_level(arcs, gin: int, gout: int) -> list[list[tuple[int, int]]]:
+    """One level of the powered scheme: the sorted (tail, head) ``arcs``
+    grouped by their color in the greedy coloring of the bipartite
+    orientation connector (in-chunks of gin, out-chunks of gout), one
+    class per color up to the largest used, each a sorted sublist.  The
+    connector is colored from its sorted edge list, never built as a
+    graph; its degree caps are checked from the mask popcounts."""
+    conn, virtuals = _connector_walk(arcs, gin, gout, bipartite=True)
+    n = len(virtuals)
+    keys = [lo * n + hi for lo, hi in conn]
+    if len(set(keys)) != len(keys):
+        raise GraphError("two base edges share a connector edge")
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    mask = [0] * n
+    colors = _greedy_edges([conn[k] for k in order], mask)
+    for i, key in enumerate(virtuals):  # first-fit: a popcount is a degree
+        cap = gin if key[1] == "in" else gout
+        if mask[i].bit_count() > cap:
+            raise GraphError(f"connector vertex {key} has degree "
+                             f"{mask[i].bit_count()} > {cap}")
+    color_of = [0] * len(arcs)
+    for k, c in zip(order, colors):
+        color_of[k] = c
+    classes: list[list[tuple[int, int]]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for arc, c in zip(arcs, color_of):
+        classes[c].append(arc)
+    return classes
 
 
 def powered_palette_bound(delta: int, a: int, q: float, x: int) -> int:
@@ -452,35 +535,33 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
         obound.append(-(-obound[-1] // gout))
     leaf_radix = max(dbound[x - 1] + obound[x - 1] - 1, 1)
 
-    def rec(sub: Graph, sor: Orientation, depth: int):
-        if sub.max_degree > dbound[depth] or sor.max_out_degree > obound[depth]:
+    assign: dict[tuple[int, int], int] = {}
+
+    def rec(arcs, depth: int, base: int) -> None:
+        """Color a depth-``depth`` class, given as its sorted (tail, head)
+        arcs, into ``assign``, offset by ``base``."""
+        top = max(Counter(chain.from_iterable(arcs)).values())
+        top_out = max(Counter(map(itemgetter(0), arcs)).values())
+        if top > dbound[depth] or top_out > obound[depth]:
             raise VerificationError(
-                f"level {depth} class has degree {sub.max_degree} and out-degree "
-                f"{sor.max_out_degree}, above {dbound[depth]} and {obound[depth]}")
-        if sub.m == 0:
-            return {}
+                f"level {depth} class has degree {top} and out-degree "
+                f"{top_out}, above {dbound[depth]} and {obound[depth]}")
         if depth == x - 1:
-            return _oriented_sweep(sub, sor, leaf_radix)
-        conn = build_orientation_connector(sub, sor, gin, gout, bipartite=True)
-        phi = greedy_edge_coloring(conn.derived)
+            for e, c in _oriented_sweep(arcs, leaf_radix).items():
+                assign[e] = base + c
+            return
+        classes = _bipartite_level(arcs, gin, gout)
         # greedy needs deg(a)+deg(b)-1 <= gin+gout-1 colors on a bipartite
-        # connector, even though it declares the generic 2*Delta-1 palette
-        if max(phi.assignment.values(), default=0) >= level_palette:
+        # connector, not the generic 2*Delta-1
+        if len(classes) > level_palette:
             raise VerificationError(f"level {depth} connector needs more than "
                                     f"{level_palette} colors")
-        classes = _pullback_classes(conn, phi, level_palette)
         radix = leaf_radix * level_palette ** (x - depth - 2)
-        out = {}
         for i, cls in enumerate(classes):
-            if not cls:
-                continue
-            child_g = _class_graph(cls)
-            child = rec(child_g, sor.restrict(child_g), depth + 1)
-            for e in cls:
-                out[e] = i * radix + child[e]
-        return out
+            if cls:
+                rec(cls, depth + 1, base + i * radix)
 
-    assign = rec(g, orient, 0)
+    rec(sorted(orient.oriented_edges()), 0, 0)
     col = Coloring("edge", assign, leaf_radix * level_palette ** (x - 1))
     bound = powered_palette_bound(delta, a, q, x)
     if col.palette_size > bound:

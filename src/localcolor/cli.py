@@ -77,13 +77,9 @@ def _load_with_cover(args):
     if cover_mode == "intrinsic":
         return loaded, enumerate_maximal_cliques(loaded)
     if cover_mode.startswith("provided:"):
-        path = cover_mode.split(":", 1)[1]
-        cliques = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    cliques.append([int(t) for t in line.split()])
+        # one clique per line, the hypergraph format: a bad token is a
+        # ParseError naming the cover file and line
+        cliques = load_graph(cover_mode.split(":", 1)[1], "hyper").hyperedges
         return loaded, CliqueCover.from_cliques(loaded, cliques, mode="provided")
     raise ParseError(f"unknown cover mode {cover_mode!r}")
 

@@ -6,14 +6,16 @@ hands each group to a virtual vertex, so the connector has degree at most
 t.  A proper edge coloring of the connector pulls back to an edge partition
 of the base graph whose per-vertex stars have size at most ceil(Delta/t);
 recursing and combining gives the 4*Delta and 2^(x+1)*Delta schemes.
-A level colors its connector in one pass over the base edges and never
-builds it as a graph.
+Every level works on a sorted list of normalized edges: it colors its
+connector in one pass over the list, never building the connector or a
+per-class graph, and hands each class on as a sorted sublist.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .basecolor import _int_floor_root, _require_proper
 from .graph import Coloring, Graph, GraphError, VerificationError, norm_edge
@@ -38,63 +40,73 @@ class _FirstFit:
     def __init__(self, assign: dict | None = None):
         self.assign: dict[tuple[int, int], int] = {}
         self.mask: dict[int, int] = {}
-        for e, c in (assign or {}).items():
-            self.paint(e, c)
+        if assign:
+            self.paint(assign.items())
 
-    def _used(self, e: tuple[int, int]) -> tuple[int, int]:
-        """Endpoint masks of ``e`` with its own color cleared."""
-        mask = self.mask
-        mu, mv = mask.get(e[0], 0), mask.get(e[1], 0)
-        own = self.assign.get(e)
-        if own is not None:
-            keep = ~(1 << own)
-            mu, mv = mu & keep, mv & keep
-        return mu, mv
+    def paint(self, items, shift: int = 0) -> None:
+        """Color each e of the pairs (e, c) in ``items`` with shift + c,
+        which no adjacent edge may have; a colored e is recolored."""
+        mask, assign = self.mask, self.assign
+        for e, c in items:
+            c += shift
+            u, v = e
+            mu, mv = mask.get(u, 0), mask.get(v, 0)
+            own = assign.get(e)
+            if own is not None:
+                keep = ~(1 << own)
+                mu, mv = mu & keep, mv & keep
+            bit = 1 << c
+            if (mu | mv) & bit:
+                raise GraphError(f"improper partial coloring: color {c} is already "
+                                 f"at an endpoint of {e}")
+            mask[u], mask[v] = mu | bit, mv | bit
+            assign[e] = c
 
-    def paint(self, e: tuple[int, int], c: int) -> None:
-        """Color ``e`` with ``c``, which no adjacent edge may have."""
-        mu, mv = self._used(e)
-        bit = 1 << c
-        if (mu | mv) & bit:
-            raise GraphError(f"improper partial coloring: color {c} is already "
-                             f"at an endpoint of {e}")
-        self.mask[e[0]], self.mask[e[1]] = mu | bit, mv | bit
-        self.assign[e] = c
+    def fill(self, edges, palette: int) -> None:
+        """Color each of ``edges``, in the given order, with the smallest
+        color in [palette] on no colored edge adjacent to it; a colored
+        edge is recolored."""
+        mask, assign = self.mask, self.assign
+        for e in edges:
+            u, v = e
+            mu, mv = mask.get(u, 0), mask.get(v, 0)
+            own = assign.get(e)
+            if own is not None:
+                keep = ~(1 << own)
+                mu, mv = mu & keep, mv & keep
+            used = mu | mv
+            bit = ~used & (used + 1)  # lowest clear bit
+            c = bit.bit_length() - 1
+            if c >= palette:
+                raise GraphError(f"no free color for edge {e} in a palette of {palette}")
+            mask[u], mask[v] = mu | bit, mv | bit
+            assign[e] = c
 
-    def fill(self, e: tuple[int, int], palette: int) -> int:
-        """Paint ``e`` with the smallest color in [palette] on no colored
-        edge adjacent to it, and return that color."""
-        mu, mv = self._used(e)
+
+def _greedy_edges(edges, mask) -> list[int]:
+    """The first-fit colors of ``edges``, colored in the given order: each
+    edge takes the lowest bit clear in both endpoint masks.  ``mask`` maps
+    every endpoint to its colors so far (a dict, or a list for ids
+    0..n-1) and is updated in place.  First-fit colors at a vertex are
+    distinct, so afterwards a vertex's popcount is its degree."""
+    colors = []
+    append = colors.append
+    for u, v in edges:
+        mu, mv = mask[u], mask[v]
         used = mu | mv
-        c = (~used & (used + 1)).bit_length() - 1  # lowest clear bit
-        if c >= palette:
-            raise GraphError(f"no free color for edge {e} in a palette of {palette}")
-        bit = 1 << c
-        self.mask[e[0]], self.mask[e[1]] = mu | bit, mv | bit
-        self.assign[e] = c
-        return c
+        bit = ~used & (used + 1)  # lowest clear bit
+        mask[u], mask[v] = mu | bit, mv | bit
+        append(bit.bit_length() - 1)
+    return colors
 
 
 def greedy_edge_coloring(g: Graph) -> Coloring:
-    """Greedy by normalized edge order; at most 2*Delta-1 colors.  Each
-    edge takes the lowest bit clear in both endpoint masks; no edge is
-    colored twice, so unlike _FirstFit no own color is cleared first."""
-    adj = g.adj
-    mask = dict.fromkeys(adj, 0)
-    assign: dict[tuple[int, int], int] = {}
-    for u in sorted(adj):
-        mu = mask[u]
-        for v in adj[u]:  # ascending, so (u, v) comes in sorted order
-            if v > u:
-                used = mu | mask[v]
-                bit = ~used & (used + 1)
-                mu |= bit
-                mask[v] |= bit
-                assign[(u, v)] = bit.bit_length() - 1
-        mask[u] = mu
+    """Greedy by normalized edge order; at most 2*Delta-1 colors."""
+    edges = sorted(g.edges())
+    colors = _greedy_edges(edges, dict.fromkeys(g.adj, 0))
     # the palette check is Coloring's: only an inconsistent adjacency
     # (v lists u but u does not list v) can exceed it
-    return Coloring("edge", assign, max(2 * g.max_degree - 1, 1))
+    return Coloring("edge", dict(zip(edges, colors)), max(2 * g.max_degree - 1, 1))
 
 
 def reduce_edge_colors(g: Graph, c: Coloring,
@@ -112,17 +124,8 @@ def reduce_edge_colors(g: Graph, c: Coloring,
         if col >= target:
             top.setdefault(col, []).append(e)
     for col in range(c.palette_size - 1, target - 1, -1):
-        for e in sorted(top.get(col, ())):
-            ff.fill(e, target)
+        ff.fill(sorted(top.get(col, ())), target)
     return Coloring("edge", ff.assign, target), c.palette_size - target
-
-
-def _pullback_classes(conn, phi: Coloring, palette: int):
-    """Base edges grouped by the color of their connector edge."""
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(palette)]
-    for e, ce in conn.edge_map.items():
-        classes[phi.assignment[ce]].append(e)
-    return classes
 
 
 def _class_graph(cls) -> Graph:
@@ -137,50 +140,46 @@ def _class_graph(cls) -> Graph:
     return Graph({v: tuple(adj[v]) for v in sorted(adj)})
 
 
-def _star_classes(g: Graph, t: int) -> list[list[tuple[int, int]]]:
-    """One star-partition level: the base edges grouped by their color in
-    the greedy coloring of the degree-t edge-connector, computed in one
-    pass over the edges without building the connector.
+def _star_level(edges, t: int) -> tuple[list[list[tuple[int, int]]], int]:
+    """One star-partition level: the sorted normalized ``edges`` grouped by
+    their color in the greedy coloring of the degree-t edge-connector,
+    plus the largest degree among them, in one pass without building the
+    connector.
 
-    The virtual v_i (part i of v) holds v's edges of rank i*t..i*t+t-1 in
-    v's ascending neighbor list and has id first[v] + i.  Walking u and
-    then its neighbors v > u in ascending order visits the connector edges
-    (u_i, v_j) in sorted order, the order greedy colors them in, and lists
-    each class's edges in sorted order.  A connector of degree at most t
-    needs at most 2t-1 colors, so the result has 2t-1 classes."""
+    The virtual (v, r // t) holds v's edges of rank r, where an edge's
+    rank at v is the number of v's edges before it in the list.  In
+    sorted order that is v's index in its ascending neighbor tuple, and
+    the connector edges come in the order greedy colors them.  A vertex's
+    virtuals fill one after another, so only the mask of its current one
+    (the colors on that virtual's connector edges) is kept.  A connector
+    of degree at most t needs at most 2t-1 colors, so the result has 2t-1
+    classes, each a sorted sublist."""
     if t <= 1:
         raise GraphError(f"edge connector needs t >= 2, got {t}")
-    adj = g.adj
-    order = sorted(adj)
-    first: dict[int, int] = {}
-    count = 0
-    for v in order:
-        first[v] = count
-        count += -(-len(adj[v]) // t)
-    mask = [0] * count  # per virtual: the colors on its connector edges
     palette = 2 * t - 1
     classes: list[list[tuple[int, int]]] = [[] for _ in range(palette)]
-    for u in order:
-        fu = first[u]
-        for lu, v in enumerate(adj[u]):
-            if v > u:
-                a = fu + lu // t
-                b = first[v] + bisect_left(adj[v], u) // t
-                used = mask[a] | mask[b]
-                bit = ~used & (used + 1)
-                c = bit.bit_length() - 1
-                if c >= palette:  # a or b already had t edges
-                    raise GraphError(
-                        f"edge connector degree "
-                        f"{max(mask[a].bit_count(), mask[b].bit_count()) + 1} exceeds t={t}")
-                mask[a] |= bit
-                mask[b] |= bit
-                classes[c].append((u, v))
-    # greedy colors at one virtual are distinct: its degree is its popcount
-    worst = max(map(int.bit_count, mask), default=0)
+    rank: dict[int, int] = {}
+    mask: dict[int, int] = {}
+    for e in edges:
+        u, v = e
+        ru, rv = rank.get(u, 0), rank.get(v, 0)
+        rank[u], rank[v] = ru + 1, rv + 1
+        mu = mask[u] if ru % t else 0  # rank 0 mod t opens a new virtual
+        mv = mask[v] if rv % t else 0
+        used = mu | mv
+        bit = ~used & (used + 1)
+        c = bit.bit_length() - 1
+        if c >= palette:  # a virtual already had t edges
+            raise GraphError(f"edge connector degree "
+                             f"{max(mu.bit_count(), mv.bit_count()) + 1} exceeds t={t}")
+        mask[u], mask[v] = mu | bit, mv | bit
+        classes[c].append(e)
+    # a virtual's popcount is its degree; every virtual but a vertex's last
+    # was closed at exactly t edges
+    worst = max(map(int.bit_count, mask.values()), default=0)
     if worst > t:
         raise GraphError(f"edge connector degree {worst} exceeds t={t}")
-    return classes
+    return classes, max(rank.values(), default=0)
 
 
 def star_edge_coloring_4delta(g: Graph) -> tuple[Coloring, StarPartitionReport]:
@@ -195,23 +194,23 @@ def recursive_star_edge_coloring(g: Graph,
     """x connector levels with a single t = floor(Delta^(1/(x+1))), leaves
     colored greedily, palette trimmed to at most 2^(x+1)*Delta.  The
     report's max_star is the largest star of the top-level partition."""
-    col, report = _star_edge_coloring(g, x)
+    col, report = _star_edge_coloring(sorted(g.edges()), x)
     _require_proper(g, col, "recursive_star_edge_coloring output")
     return col, report
 
 
-def _star_edge_coloring(g: Graph, x: int) -> tuple[Coloring, StarPartitionReport]:
-    """recursive_star_edge_coloring without its properness check, for
-    callers that check their own whole output."""
+def _star_edge_coloring(edges, x: int) -> tuple[Coloring, StarPartitionReport]:
+    """recursive_star_edge_coloring of the graph of the sorted normalized
+    ``edges``, without its properness check, for callers that check their
+    own whole output."""
     if x < 1:
         raise GraphError("x must be at least 1")
-    delta = g.max_degree
+    delta = max(Counter(chain.from_iterable(edges)).values(), default=0)
     report = StarPartitionReport()
-    if delta < 2:
-        col = greedy_edge_coloring(g)
-        report.class_count = 1 if g.m else 0
+    if delta < 2:  # a matching: one class, one color
+        report.class_count = 1 if edges else 0
         report.max_star = delta
-        return col, report
+        return Coloring("edge", dict.fromkeys(edges, 0), 1), report
     t = max(2, _int_floor_root(delta, x + 1))
 
     # per-level star-size bounds: b[0]=Delta, b[j+1]=ceil(b[j]/t)
@@ -219,37 +218,39 @@ def _star_edge_coloring(g: Graph, x: int) -> tuple[Coloring, StarPartitionReport
     for _ in range(x):
         bounds.append(-(-bounds[-1] // t))
     leaf_radix = max(2 * bounds[x] - 1, 1)
+    assign: dict[tuple[int, int], int] = {}
 
-    def rec(sub: Graph, depth: int) -> dict[tuple[int, int], int]:
-        star = sub.max_degree
+    def check_star(star: int, depth: int) -> None:
         if star > bounds[depth]:
             raise VerificationError(f"class star {star} at level {depth} exceeds "
                                     f"{bounds[depth]}")
         if depth == 1:
             report.max_star = max(report.max_star, star)
+
+    def rec(cls, depth: int, base: int) -> None:
+        """Color the sorted edges ``cls`` of a depth-``depth`` class into
+        ``assign``, offset by ``base``."""
         if depth == x:  # star <= bounds[x] keeps greedy within leaf_radix
-            return greedy_edge_coloring(sub).assignment
-        if sub.m == 0:
-            return {}
-        classes = _star_classes(sub, t)
+            mask = dict.fromkeys(chain.from_iterable(cls), 0)
+            colors = _greedy_edges(cls, mask)
+            check_star(max(map(int.bit_count, mask.values())), depth)
+            assign.update(zip(cls, [base + c for c in colors]))
+            return
+        classes, star = _star_level(cls, t)
+        check_star(star, depth)
         radix = leaf_radix * (2 * t - 1) ** (x - depth - 1)
         if depth == 0:
             report.class_count = sum(1 for c in classes if c)
-        out: dict[tuple[int, int], int] = {}
-        for i, cls in enumerate(classes):
-            if not cls:
-                continue
-            child = rec(_class_graph(cls), depth + 1)
-            for e in cls:
-                out[e] = i * radix + child[e]
-        return out
+        for i, sub in enumerate(classes):
+            if sub:
+                rec(sub, depth + 1, base + i * radix)
 
-    assign = rec(g, 0)
+    rec(edges, 0, 0)
     combined = leaf_radix * (2 * t - 1) ** x
     col = Coloring("edge", assign, combined)
     bound = 2 ** (x + 1) * delta
-    if combined > bound:
-        col, r = reduce_edge_colors(g, col, bound)
+    if combined > bound:  # the trim is the one step that needs adjacency
+        col, r = reduce_edge_colors(_class_graph(edges), col, bound)
         report.add_phase("trim", r)
     return col, report
 

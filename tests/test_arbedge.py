@@ -233,8 +233,8 @@ def test_improper_leaf_colorings_raise(monkeypatch):
     a = estimate_arboricity(g)
     star, sweep = arbedge._star_edge_coloring, arbedge._oriented_sweep
 
-    def clashing_star(sub, x):
-        col, rep = star(sub, x)
+    def clashing_star(edges, x):
+        col, rep = star(edges, x)
         return Coloring("edge", dict.fromkeys(col.assignment, 0), col.palette_size), rep
 
     # the H-set colorings are not checked on their own, so

@@ -243,3 +243,17 @@ def test_audit_passes_on_a_provided_cover(tmp_path, capsys, delta, argv):
     report = json.loads(out)
     assert report["ok"] and report["cover"]["D"] == 2
     assert report["leaf_count"] > 1  # the audit ran on at least one level
+
+
+def test_provided_cover(tmp_path, capsys):
+    g = tmp_path / "g.el"
+    g.write_text("0 1\n1 2\n0 2\n2 3\n")
+    cover = tmp_path / "cov.txt"
+    cover.write_text("0 1 2  # a triangle\n2 3\n")
+    code, out = run_cli(capsys, "cd-color", "--input", str(g), "--cover", f"provided:{cover}")
+    assert code == 0
+    assert json.loads(out)["cover"] == {"D": 2, "S": 3, "cliques": 2}
+    # a bad token names the cover file and line
+    cover.write_text("0 1 2\n2 x\n")
+    assert main(["cd-color", "--input", str(g), "--cover", f"provided:{cover}"]) == 2
+    assert f"{cover}:2: non-integer vertex id" in capsys.readouterr().err

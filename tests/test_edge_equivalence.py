@@ -7,9 +7,10 @@ from itertools import chain
 from hypothesis import given, settings, strategies as st
 
 from localcolor import arbedge
-from localcolor.arbedge import acyclic_orientation, build_orientation_connector, h_partition
+from localcolor.arbedge import (_bipartite_level, _pullback_classes, acyclic_orientation,
+                                build_orientation_connector, h_partition)
 from localcolor.graph import Coloring, Graph, GraphError, norm_edge
-from localcolor.staredge import (_class_graph, _star_classes, greedy_edge_coloring,
+from localcolor.staredge import (_class_graph, _greedy_edges, _star_level, greedy_edge_coloring,
                                  reduce_edge_colors)
 
 
@@ -115,7 +116,33 @@ def test_star_classes_match_greedy_on_connector(g, t):
     expected = [[] for _ in range(2 * t - 1)]
     for e, ce in edge_map.items():
         expected[phi[ce]].append(e)
-    assert _star_classes(g, t) == expected
+    assert _star_level(sorted(g.edges()), t) == (expected, g.max_degree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_list_greedy_matches_greedy_edge_coloring(g, rnd):
+    # a leaf: a sorted sublist of the edges, with a mask for its endpoints
+    cls = [e for e in sorted(g.edges()) if rnd.random() < 0.7]
+    mask = dict.fromkeys(chain.from_iterable(cls), 0)
+    colors = _greedy_edges(cls, mask)
+    sub = Graph.from_edges(chain.from_iterable(cls), cls)
+    assert dict(zip(cls, colors)) == greedy_edge_coloring(sub).assignment
+    assert {v: m.bit_count() for v, m in mask.items()} == {v: sub.degree(v) for v in sub.adj}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(1, 4), st.integers(1, 4))
+def test_bipartite_level_matches_greedy_on_derived_connector(g, gin, gout):
+    hp = h_partition(g, arbedge.estimate_arboricity(g))
+    orient = acyclic_orientation(g, hp)
+    arcs = sorted(orient.oriented_edges())
+    classes = _bipartite_level(arcs, gin, gout)
+    conn = build_orientation_connector(g, orient, gin, gout, bipartite=True)
+    phi = greedy_edge_coloring(conn.derived)
+    expected = _pullback_classes(conn, phi, max(phi.assignment.values(), default=-1) + 1)
+    assert [[norm_edge(*arc) for arc in cls] for cls in classes] == expected
+    assert all(cls == sorted(cls) for cls in classes)
 
 
 @settings(max_examples=150, deadline=None)

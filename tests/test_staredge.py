@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from localcolor import staredge
 from localcolor.basecolor import _int_floor_root
-from localcolor.graph import Coloring, Graph, GraphError, line_graph
+from localcolor.graph import Graph, GraphError, line_graph
 from localcolor.io import gen_matching, gen_random, gen_star
-from localcolor.staredge import (_FirstFit, _star_classes, check_star_partition,
+from localcolor.staredge import (_FirstFit, _star_level, check_star_partition,
                                  greedy_edge_coloring, recursive_star_edge_coloring,
                                  reduce_edge_colors, star_edge_coloring_4delta)
 from localcolor.verify import is_proper_edge, is_proper_vertex
@@ -18,12 +18,14 @@ def test_connector_degree_and_bijection():
     # holds every edge exactly once
     g = gen_random(60, 10, seed=1)
     t = 3
-    classes = _star_classes(g, t)
+    classes, star = _star_level(sorted(g.edges()), t)
+    assert star == g.max_degree
     assert len(classes) == 2 * t - 1
     assert sum(len(c) for c in classes) == g.m
+    assert all(c == sorted(c) for c in classes)
     assert check_star_partition(g, classes, 2 * t - 1, -(-g.max_degree // t))
     with pytest.raises(GraphError, match="t >= 2"):
-        _star_classes(g, 1)
+        _star_level(sorted(g.edges()), 1)
 
 
 def test_4delta_bound_over_target_deltas():
@@ -88,9 +90,10 @@ def test_recursive_max_star_is_top_level_star():
 def test_free_color_raises_on_exhausted_palette():
     # the star (0,3), (1,3), (2,3); (2,3)'s own color 2 is ignored
     ff = _FirstFit({(0, 3): 0, (1, 3): 1, (2, 3): 2})
-    assert ff.fill((2, 3), 3) == 2
+    ff.fill([(2, 3)], 3)
+    assert ff.assign[(2, 3)] == 2
     with pytest.raises(GraphError, match="no free color"):
-        ff.fill((2, 3), 2)
+        ff.fill([(2, 3)], 2)
 
 
 def test_first_fit_rejects_an_improper_partial_coloring():
@@ -98,27 +101,29 @@ def test_first_fit_rejects_an_improper_partial_coloring():
         _FirstFit({(0, 3): 0, (1, 3): 1, (2, 3): 0})
     ff = _FirstFit({(0, 1): 0, (2, 3): 1})
     with pytest.raises(GraphError, match="improper"):
-        ff.paint((1, 2), 0)
-    ff.paint((0, 1), 2)  # recoloring an edge frees its old color
-    ff.paint((1, 2), 0)
-    ff.paint((1, 2), 0)  # an edge's own color is not a clash
+        ff.paint([((1, 2), 0)])
+    ff.paint([((0, 1), 2)])  # recoloring an edge frees its old color
+    ff.paint([((1, 2), 0)])
+    ff.paint([((1, 2), 0)])  # an edge's own color is not a clash
     assert ff.assign == {(0, 1): 2, (2, 3): 1, (1, 2): 0}
     with pytest.raises(GraphError, match="improper"):
-        ff.paint((1, 2), 1)
+        ff.paint([((1, 2), 1)])
+    ff.paint([((0, 1), 0)], shift=3)  # colors are shifted
+    assert ff.assign[(0, 1)] == 3
 
 
 def test_improper_leaf_coloring_raises(monkeypatch):
-    real = staredge.greedy_edge_coloring
+    real = staredge._greedy_edges
     calls = []
 
-    def clashing(g):
-        calls.append(g)
-        col = real(g)
+    def clashing(edges, mask):
+        calls.append(edges)
+        colors = real(edges, mask)
         if len(calls) == 1:  # the first leaf's coloring stays proper
-            return col
-        return Coloring("edge", dict.fromkeys(col.assignment, 0), col.palette_size)
+            return colors
+        return [0] * len(colors)
 
-    monkeypatch.setattr(staredge, "greedy_edge_coloring", clashing)
+    monkeypatch.setattr(staredge, "_greedy_edges", clashing)
     with pytest.raises(GraphError, match="improper"):
         recursive_star_edge_coloring(gen_random(60, 9, seed=1), 1)
 
@@ -173,13 +178,14 @@ def test_greedy_edge_palette_property(seed, delta):
     assert is_proper_edge(g, col).ok
 
 
-def test_edge_connector_rejects_inconsistent_adjacency():
-    # 1..4 list 9 as a neighbor but 9 lists only 1, so all four edges land
-    # on 9's first virtual
+def test_star_level_ranks_come_from_the_edge_list():
+    # 1..4 list 9 as a neighbor but 9 lists only 1.  A rank looked up in
+    # 9's neighbor tuple would put all four edges on 9's first virtual;
+    # the level counts ranks along its edge list instead, so 9 gets two
+    # virtuals of two edges each and the classes are a (3, 2)-star-partition
     g = Graph({1: (9,), 2: (9,), 3: (9,), 4: (9,), 9: (1,)})
-    with pytest.raises(GraphError, match="degree 4 exceeds t=2"):
-        _star_classes(g, 2)
-    # three edges on one virtual still fit in 2t-1 = 3 colors
-    g = Graph({1: (9,), 2: (9,), 3: (9,), 9: (1,)})
-    with pytest.raises(GraphError, match="degree 3 exceeds t=2"):
-        _star_classes(g, 2)
+    edges = sorted(g.edges())
+    assert edges == [(1, 9), (2, 9), (3, 9), (4, 9)]
+    classes, star = _star_level(edges, 2)
+    assert star == 4
+    assert classes == [[(1, 9), (3, 9)], [(2, 9), (4, 9)], []]
