@@ -18,8 +18,7 @@ from operator import itemgetter
 from .basecolor import _int_ceil_root, _require_proper
 from .graph import Coloring, Graph, GraphError, VerificationError, induced_subgraph, norm_edge
 from .sim import RoundTrace
-from .staredge import (_class_graph, _FirstFit, _greedy_edges, _star_edge_coloring,
-                       greedy_edge_coloring)
+from .staredge import _class_graph, _FirstFit, _greedy_edges, _star_edge_coloring
 from .verify import is_proper_edge
 
 EPSILON_DEFAULT = 0.5
@@ -67,7 +66,6 @@ class HPartition:
 class Orientation:
     graph: Graph
     out: dict  # v -> tuple of out-neighbors, ascending
-    bound: int
 
     @property
     def max_out_degree(self):
@@ -87,7 +85,7 @@ class Orientation:
         for v, ns in sub.adj.items():
             keep = set(ns)
             out[v] = tuple(w for w in self.out.get(v, ()) if w in keep)
-        return Orientation(sub, out, self.bound)
+        return Orientation(sub, out)
 
 
 def _topo_order(vertices, out: dict) -> list:
@@ -198,7 +196,7 @@ def acyclic_orientation(g: Graph, h: HPartition) -> Orientation:
         su, sv = h.set_of[u], h.set_of[v]
         tail, head = (u, v) if (su, u) < (sv, v) else (v, u)
         out[tail].append(head)
-    orient = Orientation(g, {v: tuple(sorted(o)) for v, o in out.items()}, h.d)
+    orient = Orientation(g, {v: tuple(sorted(o)) for v, o in out.items()})
     if orient.max_out_degree > h.d:
         raise VerificationError(f"out-degree {orient.max_out_degree} exceeds d={h.d}")
     orient.topo_order()
@@ -211,7 +209,7 @@ def merge_cross_coloring(g: Graph, A, B, colA: Coloring, colB: Coloring,
 
     Crossing and B-internal edges share a low range of size
     max(|colB|, Delta+d-1); A-internal colors move to a disjoint high
-    range.  Exactly d rounds are simulated: each A-vertex labels its
+    range.  Exactly d rounds are simulated: each A-vertex numbers its
     crossing edges 1..d and the label-i edges are colored in round i by
     their B-endpoints."""
     A, B = set(A), set(B)
@@ -231,7 +229,7 @@ def merge_cross_coloring(g: Graph, A, B, colA: Coloring, colB: Coloring,
     ff = _FirstFit(colB.assignment)
     ff.paint(colA.assignment.items(), low)
 
-    # round i colors the crossing edges each A-vertex labels i (1..d)
+    # round i colors the crossing edges each A-vertex numbers i (1..d)
     by_round: list[list] = [[] for _ in range(d + 1)]
     for v in sorted(A):
         cross = [w for w in g.adj[v] if w in B]
@@ -352,49 +350,18 @@ def _connector_walk(arcs, in_split: int, out_split: int, bipartite: bool):
     return conn, virtuals
 
 
-@dataclass
-class OrientationConnector:
-    derived: Graph
-    edge_map: dict  # base edge -> derived edge, both normalized
-    virtual_of: dict  # derived id -> (vertex, side, index); side in {"in","out"}
-
-
-def build_orientation_connector(g: Graph, orient: Orientation, in_split: int,
-                                out_split: int,
-                                bipartite: bool = False) -> OrientationConnector:
-    """Group each vertex's incoming edges into chunks of size <= in_split
-    and its outgoing edges into chunks of size <= out_split.  With shared
-    virtuals (default) in-chunk i and out-chunk i attach to the same
-    virtual vertex v_i; in bipartite mode out-chunks get their own
-    virtuals, so the connector is bipartite with side degrees bounded by
-    the two split sizes."""
-    if in_split < 1 or out_split < 1:
-        raise GraphError("split sizes must be positive")
-    orient.topo_order()
-    if orient.max_out_degree > orient.bound:
-        raise GraphError("orientation violates its out-degree bound")
-    arcs = sorted(orient.oriented_edges())
-    conn, virtuals = _connector_walk(arcs, in_split, out_split, bipartite)
+def _connector_graph(conn, virtuals, cap: int) -> Graph:
+    """The graph of the shared-virtual connector edges ``conn`` from
+    _connector_walk, checked: no two base edges share a connector edge and
+    no virtual has more than ``cap`` of them."""
     if len(set(conn)) != len(conn):
         raise GraphError("two base edges share a connector edge")
     derived = _class_graph(conn)  # every virtual has an edge
     for i, key in enumerate(virtuals):
-        cap = in_split + out_split
-        if bipartite:
-            cap = in_split if key[1] == "in" else out_split
         if derived.degree(i) > cap:
             raise GraphError(f"connector vertex {key} has degree "
                              f"{derived.degree(i)} > {cap}")
-    edge_map = {(v, w) if v < w else (w, v): e for (v, w), e in zip(arcs, conn)}
-    return OrientationConnector(derived, edge_map, dict(enumerate(virtuals)))
-
-
-def _pullback_classes(conn: OrientationConnector, phi: Coloring, palette: int):
-    """Base edges grouped by the color of their connector edge."""
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(palette)]
-    for e, ce in conn.edge_map.items():
-        classes[phi.assignment[ce]].append(e)
-    return classes
+    return derived
 
 
 def little_o_palette_bound(delta: int, a: int, q: float = DEFAULT_Q) -> int:
@@ -418,21 +385,25 @@ def delta_plus_little_o(g: Graph, a: int,
     + O(a)."""
     trace = RoundTrace()
     delta = g.max_degree
-    if delta < 2:
-        return greedy_edge_coloring(g), trace
+    if delta < 2:  # a matching: one color
+        return Coloring("edge", dict.fromkeys(g.edges(), 0), 1), trace
     hp = h_partition(g, a, q)
-    orient = acyclic_orientation(g, hp)
+    arcs = sorted(acyclic_orientation(g, hp).oriented_edges())
     d = hp.d
     k = math.isqrt(delta - 1) + 1
     rt_d = math.isqrt(d - 1) + 1 if d > 1 else 1
     in_split = -(-delta // k)
-    conn = build_orientation_connector(g, orient, in_split, rt_d)
+    conn, virtuals = _connector_walk(arcs, in_split, rt_d, bipartite=False)
 
-    phi, phi_trace = _arb_edge_coloring(conn.derived, rt_d, q)
+    phi, phi_trace = _arb_edge_coloring(_connector_graph(conn, virtuals, in_split + rt_d),
+                                        rt_d, q)
     trace.extend(phi_trace, "phi:")
 
     psi_palette = arb_palette_bound(k + rt_d, rt_d, q)
-    classes = _pullback_classes(conn, phi, phi.palette_size)
+    # base edges grouped by the color of their connector edge
+    classes: list[list[tuple[int, int]]] = [[] for _ in range(phi.palette_size)]
+    for (v, w), ce in zip(arcs, conn):
+        classes[phi.assignment[ce]].append((v, w) if v < w else (w, v))
     assign = {}
     class_traces = []
     for i, cls in enumerate(classes):

@@ -113,7 +113,7 @@ class _LinialProgram(VertexProgram):
         self.output = 0
 
     def init(self, view: LocalView):
-        self.color = view.label
+        self.color = view.vertex
         self.output = self.color
         if not self.schedule:
             return {}, True
@@ -139,13 +139,11 @@ def _linial(g: Graph) -> tuple[Coloring, RoundTrace]:
     """linial_coloring without its output check."""
     if g.n == 0:
         return Coloring("vertex", {}, 1), RoundTrace()
-    labels = g.adj.keys() if g.labels is None else [g.labels[v] for v in g.adj]
-    lowest = min(labels)
-    if lowest < 0:
-        v = next(v for v in g.adj if g.label(v) == lowest)
-        raise GraphError(f"vertex {v} has negative label {lowest}; Linial's "
+    lowest = min(g.adj)
+    if lowest < 0:  # IDs are the initial colors
+        raise GraphError(f"vertex {lowest} has negative label {lowest}; Linial's "
                          f"initial colors must be at least 0")
-    m0 = max(labels) + 1
+    m0 = max(g.adj) + 1
     delta = g.max_degree
     schedule = linial_schedule(m0, delta)
     outputs, trace = run(g, lambda v: _LinialProgram(schedule),
@@ -237,12 +235,3 @@ def delta_plus_one(g: Graph) -> tuple[Coloring, RoundTrace]:
     reduced, t2 = reduce_colors(g, base)
     trace.extend(t2, "reduce:")
     return reduced, trace
-
-
-def refresh_ids(g: Graph, base: Coloring) -> Graph:
-    """Replace symmetry-breaking labels by the colors of a proper base
-    coloring, shrinking the label space for later log*-style phases.  The
-    new labels are only neighborhood-distinct, which is all downstream
-    subroutines require."""
-    _require_proper(g, base, "base coloring")
-    return Graph(g.adj, {v: base.assignment[v] for v in g.adj})

@@ -97,7 +97,7 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, palette,
             return psi.assignment, trace
         if depth:  # a class gets its parent's cover cut down to it
             subcover = subcover.restrict(sub)
-        phi, trace = delta_plus_one(build_vertex_connector(sub, subcover, t).derived)
+        phi, trace = delta_plus_one(build_vertex_connector(sub, subcover, t))
         gamma = D * (t - 1) + 1
         k = -(-S_cur // t)  # ceil(S/t)
         radix = declared(k, x_cur - 1)

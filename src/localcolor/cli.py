@@ -84,7 +84,7 @@ def _load_with_cover(args):
     raise ParseError(f"unknown cover mode {cover_mode!r}")
 
 
-def _report(args, algorithm, g, col, trace, theory_bound, extra):
+def _report(args, algorithm, g, a_estimate, col, trace, theory_bound, extra):
     """The JSON report of one run; ``trace`` is its RoundTrace and the
     declared bound is the coloring's palette."""
     declared = col.palette_size
@@ -102,7 +102,7 @@ def _report(args, algorithm, g, col, trace, theory_bound, extra):
             "n": g.n,
             "m": g.m,
             "delta": g.max_degree,
-            "a_estimate": arbedge.estimate_arboricity(g) if g.m else 0,
+            "a_estimate": a_estimate,
         },
         "colors_used": used,
         "declared_palette": declared_palette,
@@ -193,8 +193,13 @@ def _cmd_verify(args):
 
 def _run_algorithm(args):
     start = time.monotonic()
-    if args.command in ("cd-color", "refined"):
+    vertex_family = args.command in ("cd-color", "refined")
+    if vertex_family:
         g, cover = _load_with_cover(args)
+    else:
+        g = load_graph(args.input, args.format)
+    a_estimate = arbedge.estimate_arboricity(g) if g.m else 0
+    if vertex_family:
         D, S = cover.D, cover.S
         if args.command == "cd-color":
             t = args.t if args.t is not None else choose_params(S, args.x)
@@ -206,13 +211,12 @@ def _run_algorithm(args):
         extra = {"cover": {"D": D, "S": S, "cliques": len(cover.cliques)},
                  "leaf_count": trace.leaf_count()}
     elif args.command == "star-edge":
-        g = load_graph(args.input, args.format)
         col, trace = recursive_star_edge_coloring(g, args.x)
         theory = max(2 ** (args.x + 1) * g.max_degree, 1)
         extra = {"class_count": trace.class_count, "max_star": trace.max_star}
     else:
-        g = load_graph(args.input, args.format)
-        a = args.a if args.a is not None else arbedge.estimate_arboricity(g)
+        # estimate_arboricity is at least 1, also on an edgeless graph
+        a = args.a if args.a is not None else max(a_estimate, 1)
         delta = g.max_degree
         if args.command == "arb-edge":
             col, trace = arbedge.arb_edge_coloring(g, a, args.q)
@@ -224,7 +228,7 @@ def _run_algorithm(args):
             col, trace = arbedge.powered_edge_coloring(g, a, args.q, args.x)
             theory = arbedge.powered_palette_bound(delta, a, args.q, args.x)
         extra = {"a": a}
-    report, code = _report(args, args.command, g, col, trace, theory, extra)
+    report, code = _report(args, args.command, g, a_estimate, col, trace, theory, extra)
     _emit(report, args, time.monotonic() - start)
     return code
 

@@ -1,5 +1,4 @@
-"""Maximal-clique machinery: covers, diversity, masters, vertex connectors
-and clique-decomposition checking."""
+"""Maximal-clique machinery: covers, diversity and vertex connectors."""
 
 from __future__ import annotations
 
@@ -94,67 +93,22 @@ def enumerate_maximal_cliques(g: Graph, cap: int = CLIQUE_CAP) -> CliqueCover:
     return CliqueCover.from_cliques(g, cliques, mode="intrinsic")
 
 
-def elect_masters(cover: CliqueCover) -> dict[int, int]:
-    """Master of each clique = its highest-ID vertex."""
-    return {cid: max(q) for cid, q in enumerate(cover.cliques)}
-
-
-@dataclass
-class Connector:
-    """Derived graph keeping only edges inside size-t parts of cover cliques.
-
-    ``part_of`` maps each vertex to its (clique id, part index) memberships;
-    a vertex gets one part index per clique it belongs to.
-    """
-
-    derived: Graph
-    part_of: dict[int, tuple[tuple[int, int], ...]]
-
-
-def build_vertex_connector(g: Graph, cover: CliqueCover, t: int) -> Connector:
+def build_vertex_connector(g: Graph, cover: CliqueCover, t: int) -> Graph:
+    """The derived graph keeping only the edges inside size-t parts of the
+    cover's cliques; each clique is split by ascending ID."""
     if t <= 1:
         raise GraphError(f"connector part size t must exceed 1, got {t}")
-    part_of: dict[int, list[tuple[int, int]]] = {v: [] for v in g.adj}
     edges: set[tuple[int, int]] = set()
-    for cid, q in enumerate(cover.cliques):
-        members = sorted(q)  # master splits its clique by ascending ID
+    for q in cover.cliques:
+        members = sorted(q)
         for start in range(0, len(members), t):
             part = members[start:start + t]
-            idx = start // t
-            for v in part:
-                part_of[v].append((cid, idx))
             for i in range(len(part)):
                 for j in range(i + 1, len(part)):
                     edges.add((part[i], part[j]))
-    derived = Graph.from_edges(g.adj, edges, g.labels)
+    derived = Graph.from_edges(g.adj, edges)
     # invariant: connector degree never exceeds D*(t-1)
     if derived.max_degree > cover.D * (t - 1):
         raise GraphError(f"vertex connector degree {derived.max_degree} exceeds "
                          f"D(t-1) = {cover.D}*{t - 1}")
-    return Connector(derived, {v: tuple(ps) for v, ps in part_of.items()})
-
-
-def max_clique_size(g: Graph, cap: int = CLIQUE_CAP) -> int:
-    if g.n == 0:
-        return 0
-    adj = {v: set(ns) for v, ns in g.adj.items()}
-    return max(len(q) for q in _bron_kerbosch(adj, cap))
-
-
-def check_clique_decomposition(g: Graph, parts, p: int, q: int) -> bool:
-    """True iff ``parts`` is a (p,q)-clique-decomposition: at most p parts,
-    each inducing maximum clique size at most q."""
-    from .graph import induced_subgraph
-
-    seen: set[int] = set()
-    for part in parts:
-        ps = set(part)
-        if ps & seen:
-            raise GraphError("parts overlap; not a partition")
-        seen |= ps
-    if seen != set(g.adj):
-        raise GraphError("parts do not cover the vertex set")
-    if len(parts) > p:
-        return False
-    return all(max_clique_size(induced_subgraph(g, part)) <= q
-               for part in parts)
+    return derived

@@ -4,7 +4,7 @@ line graphs)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -30,19 +30,14 @@ class Graph:
     """Simple undirected graph with distinct integer vertex IDs.
 
     Adjacency lists are kept sorted so that every iteration order in the
-    library is deterministic.  ``labels`` optionally carries alternative
-    symmetry-breaking keys (small proper colors standing in for IDs); they
-    must be distinct within every neighborhood but not globally.  ``m``
-    and ``max_degree`` are computed on first access and cached, so ``adj``
-    must not be mutated.
+    library is deterministic.  ``m`` and ``max_degree`` are computed on
+    first access and cached, so ``adj`` must not be mutated.
     """
 
     adj: dict[int, tuple[int, ...]]
-    labels: dict[int, int] | None = field(default=None, compare=False)
 
     @staticmethod
-    def from_edges(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
-                   labels: dict[int, int] | None = None) -> "Graph":
+    def from_edges(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> "Graph":
         adj: dict[int, set[int]] = {v: set() for v in sorted(set(vertices))}
         for u, v in edges:
             if u not in adj or v not in adj:
@@ -52,7 +47,7 @@ class Graph:
                 raise GraphError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        return Graph({v: tuple(sorted(ns)) for v, ns in adj.items()}, labels)
+        return Graph({v: tuple(sorted(ns)) for v, ns in adj.items()})
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -79,9 +74,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj.get(u, ())
-
-    def label(self, v: int) -> int:
-        return self.labels[v] if self.labels is not None else v
 
 
 @dataclass(frozen=True)
@@ -130,9 +122,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     keep = set(keep)
     if not keep <= g.adj.keys():
         raise GraphError(f"unknown vertices in keep: {sorted(keep - g.adj.keys())}")
-    labels = ({v: g.labels[v] for v in keep} if g.labels is not None else None)
-    return Graph({v: tuple(w for w in g.adj[v] if w in keep)
-                  for v in sorted(keep)}, labels)
+    return Graph({v: tuple(w for w in g.adj[v] if w in keep) for v in sorted(keep)})
 
 
 def line_graph(g: Graph):

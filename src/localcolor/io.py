@@ -146,6 +146,8 @@ def gen_forest(n, delta, seed=0) -> Graph:
     """Random forest hitting max degree exactly delta (needs n > delta)."""
     if n <= delta:
         raise GraphError(f"need n > delta to realize degree {delta}")
+    if delta < min(n - 1, 2):  # a tree on n >= 3 vertices has a degree-2 vertex
+        raise GraphError(f"no tree on n={n} vertices has max degree delta={delta}")
     rng = random.Random(seed)
     edges = []
     deg = [0] * n

@@ -51,7 +51,6 @@ class LocalView:
     """What a vertex sees before round 1: itself and its immediate edges."""
 
     vertex: int
-    label: int
     neighbors: tuple[int, ...]
 
 
@@ -125,7 +124,7 @@ def run(g: Graph, make_program, round_cap: int | None = None):
 
     for v, nbrs in adj.items():
         prog = make_program(v)
-        out, h = prog.init(LocalView(v, g.label(v), nbrs))
+        out, h = prog.init(LocalView(v, nbrs))
         programs[v] = prog
         if out:
             deliver(v, out)

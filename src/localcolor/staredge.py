@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .basecolor import _int_floor_root, _require_proper
-from .graph import Coloring, Graph, GraphError, VerificationError, norm_edge
+from .graph import Coloring, Graph, GraphError, VerificationError
 from .sim import RoundTrace
 
 
@@ -98,15 +98,6 @@ def _greedy_edges(edges, mask) -> list[int]:
         mask[u], mask[v] = mu | bit, mv | bit
         append(bit.bit_length() - 1)
     return colors
-
-
-def greedy_edge_coloring(g: Graph) -> Coloring:
-    """Greedy by normalized edge order; at most 2*Delta-1 colors."""
-    edges = sorted(g.edges())
-    colors = _greedy_edges(edges, dict.fromkeys(g.adj, 0))
-    # the palette check is Coloring's: only an inconsistent adjacency
-    # (v lists u but u does not list v) can exceed it
-    return Coloring("edge", dict(zip(edges, colors)), max(2 * g.max_degree - 1, 1))
 
 
 def reduce_edge_colors(g: Graph, c: Coloring,
@@ -253,29 +244,3 @@ def _star_edge_coloring(edges, x: int) -> tuple[Coloring, StarPartitionReport]:
         col, r = reduce_edge_colors(_class_graph(edges), col, bound)
         report.add_phase("trim", r)
     return col, report
-
-
-def check_star_partition(g: Graph, classes, p: int, q: int) -> bool:
-    """True iff ``classes`` is a (p,q)-star-partition: at most p classes,
-    at most q same-class edges at any vertex."""
-    seen: set[tuple[int, int]] = set()
-    for cls in classes:
-        for e in cls:
-            e = norm_edge(*e)
-            if not g.has_edge(*e):
-                raise GraphError(f"{e} is not an edge")
-            if e in seen:
-                raise GraphError(f"{e} appears in two classes")
-            seen.add(e)
-    if seen != set(g.edges()):
-        raise GraphError("classes do not cover the edge set")
-    if len([c for c in classes if c]) > p:
-        return False
-    for cls in classes:
-        per_vertex: dict[int, int] = {}
-        for u, v in cls:
-            per_vertex[u] = per_vertex.get(u, 0) + 1
-            per_vertex[v] = per_vertex.get(v, 0) + 1
-            if per_vertex[u] > q or per_vertex[v] > q:
-                return False
-    return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .graph import Coloring, Graph, GraphError
+from .graph import Coloring, Graph, GraphError, norm_edge
 
 MAX_CLIQUE_ORACLE_N = 30
 CHROMATIC_ORACLE_N = 10
@@ -161,3 +161,49 @@ def greedy_edge_baseline(g: Graph) -> Coloring:
                 for e in [(w, x) if w < x else (x, w)] if e in assign}
         assign[(u, v)] = next(c for c in itertools.count() if c not in used)
     return Coloring("edge", assign, max(2 * g.max_degree - 1, 1))
+
+
+def check_star_partition(g: Graph, classes, p: int, q: int) -> bool:
+    """True iff ``classes`` is a (p,q)-star-partition: at most p classes,
+    at most q same-class edges at any vertex."""
+    seen: set[tuple[int, int]] = set()
+    for cls in classes:
+        for e in cls:
+            e = norm_edge(*e)
+            if not g.has_edge(*e):
+                raise GraphError(f"{e} is not an edge")
+            if e in seen:
+                raise GraphError(f"{e} appears in two classes")
+            seen.add(e)
+    if seen != set(g.edges()):
+        raise GraphError("classes do not cover the edge set")
+    if len([c for c in classes if c]) > p:
+        return False
+    for cls in classes:
+        per_vertex: dict[int, int] = {}
+        for u, v in cls:
+            per_vertex[u] = per_vertex.get(u, 0) + 1
+            per_vertex[v] = per_vertex.get(v, 0) + 1
+            if per_vertex[u] > q or per_vertex[v] > q:
+                return False
+    return True
+
+
+def check_clique_decomposition(g: Graph, parts, p: int, q: int) -> bool:
+    """True iff ``parts`` is a (p,q)-clique-decomposition: at most p parts,
+    each inducing maximum clique size at most q."""
+    import networkx as nx
+
+    seen: set[int] = set()
+    for part in parts:
+        ps = set(part)
+        if ps & seen:
+            raise GraphError("parts overlap; not a partition")
+        seen |= ps
+    if seen != set(g.adj):
+        raise GraphError("parts do not cover the vertex set")
+    if len(parts) > p:
+        return False
+    ng = _to_nx(g)
+    return all(max(map(len, nx.find_cliques(ng.subgraph(part))), default=0) <= q
+               for part in parts)

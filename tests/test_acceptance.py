@@ -23,9 +23,9 @@ from localcolor.cdcolor import cd_coloring, choose_params, refined_coloring
 from localcolor.cliques import enumerate_maximal_cliques
 from localcolor.graph import Coloring, Graph, induced_subgraph, line_graph
 from localcolor.io import gen_complete, gen_forest, gen_hyper_line, gen_line_of, gen_path, gen_random
-from localcolor.staredge import greedy_edge_coloring, recursive_star_edge_coloring, star_edge_coloring_4delta
+from localcolor.staredge import recursive_star_edge_coloring, star_edge_coloring_4delta
 from localcolor.verify import (brute_force_chromatic, brute_force_edge_chromatic,
-                               brute_force_max_clique, is_proper_edge,
+                               brute_force_max_clique, greedy_edge_baseline, is_proper_edge,
                                is_proper_vertex)
 from helpers import corpus
 
@@ -141,8 +141,8 @@ def test_criterion_5_merge_lemma(capsys):
         d = g.max_degree
         A = {v for v in g.adj if rng.random() < 0.4}
         B = set(g.adj) - A
-        colA = greedy_edge_coloring(induced_subgraph(g, A))
-        colB = greedy_edge_coloring(induced_subgraph(g, B))
+        colA = greedy_edge_baseline(induced_subgraph(g, A))
+        colB = greedy_edge_baseline(induced_subgraph(g, B))
         col, rounds = merge_cross_coloring(g, A, B, colA, colB, d)
         ok = ok and rounds == d and is_proper_edge(g, col).ok
         low = g.max_degree + d - 1

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcolor import arbedge
-from localcolor.arbedge import (Orientation, arb_edge_coloring, arb_palette_bound,
-                                acyclic_orientation, auto_params,
-                                build_orientation_connector, delta_plus_little_o,
+from localcolor.arbedge import (_bipartite_level, _connector_graph, _connector_walk,
+                                arb_edge_coloring, arb_palette_bound,
+                                acyclic_orientation, auto_params, delta_plus_little_o,
                                 estimate_arboricity, h_partition,
                                 little_o_palette_bound, merge_cross_coloring,
                                 powered_edge_coloring, powered_palette_bound)
 from localcolor.graph import Coloring, Graph, GraphError, induced_subgraph, norm_edge
 from localcolor.io import gen_complete, gen_forest, gen_grid, gen_matching, gen_path, gen_random, gen_star
-from localcolor.staredge import greedy_edge_coloring
-from localcolor.verify import is_proper_edge
+from localcolor.verify import greedy_edge_baseline, is_proper_edge
 
 
 def test_h_partition_examples():
@@ -85,8 +84,8 @@ def test_merge_lemma_random_instances():
         d = g.max_degree
         A = {v for v in g.adj if rng.random() < 0.35}
         B = set(g.adj) - A
-        colA = greedy_edge_coloring(induced_subgraph(g, A))
-        colB = greedy_edge_coloring(induced_subgraph(g, B))
+        colA = greedy_edge_baseline(induced_subgraph(g, A))
+        colB = greedy_edge_baseline(induced_subgraph(g, B))
         col, rounds = merge_cross_coloring(g, A, B, colA, colB, d)
         assert rounds == d
         assert is_proper_edge(g, col).ok
@@ -123,19 +122,20 @@ def test_arb_edge_closed_form():
 def test_orientation_connector_star_example():
     star = gen_star(10)
     o = acyclic_orientation(star, h_partition(star, 1))
-    conn = build_orientation_connector(star, o, in_split=3, out_split=1)
+    conn, virtuals = _connector_walk(sorted(o.oriented_edges()), 3, 1, bipartite=False)
+    derived = _connector_graph(conn, virtuals, 3 + 1)
     # center has 9 incoming edges in 3 groups of 3; leaves one out-virtual
-    center_virtuals = [i for i, (v, _, _) in conn.virtual_of.items() if v == 9]
+    center_virtuals = [i for i, (v, _, _) in enumerate(virtuals) if v == 9]
     assert len(center_virtuals) == 3
-    assert all(conn.derived.degree(i) == 3 for i in center_virtuals)
-    assert conn.derived.m == 9
+    assert all(derived.degree(i) == 3 for i in center_virtuals)
+    assert derived.m == 9
 
 
 def test_orientation_connector_sink_has_no_out_groups():
     star = gen_star(4)
     o = acyclic_orientation(star, h_partition(star, 1))
-    conn = build_orientation_connector(star, o, 2, 2, bipartite=True)
-    sides = {side for v, side, _ in conn.virtual_of.values() if v == 3}
+    _, virtuals = _connector_walk(sorted(o.oriented_edges()), 2, 2, bipartite=True)
+    sides = {side for v, side, _ in virtuals if v == 3}
     assert sides == {"in"}  # the sink center only has in-virtuals
 
 
@@ -260,9 +260,11 @@ def test_hpartition_validate_raises():
 
 @pytest.mark.parametrize("bipartite", [False, True])
 def test_orientation_connector_rejects_an_overfull_virtual(bipartite):
-    # a hand-built orientation listing the edge 0->1 three times puts three
-    # connector edges on the one in-chunk of vertex 1
-    g = Graph.from_edges(range(2), [(0, 1)])
-    orient = Orientation(g, {0: (1, 1, 1), 1: ()}, 3)
+    # the arc 0->1 listed three times puts three connector edges on the
+    # one in-chunk of vertex 1
+    arcs = [(0, 1)] * 3
     with pytest.raises(GraphError, match="has degree 3"):
-        build_orientation_connector(g, orient, 1, 1, bipartite=bipartite)
+        if bipartite:
+            _bipartite_level(arcs, 1, 1)
+        else:
+            _connector_graph(*_connector_walk(arcs, 1, 1, bipartite=False), 2)

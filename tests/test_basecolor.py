@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from localcolor import basecolor
 from localcolor.basecolor import (LINIAL_CL, delta_plus_one, linial_coloring,
-                                  linial_schedule, reduce_colors, refresh_ids)
+                                  linial_schedule, reduce_colors)
 from localcolor.graph import Coloring, Graph, GraphError
 from localcolor.io import gen_path, gen_random
 from localcolor.verify import is_proper_vertex
@@ -105,16 +105,6 @@ def test_delta_plus_one_palette():
     col, trace = delta_plus_one(g)
     assert col.palette_size == g.max_degree + 1
     assert is_proper_vertex(g, col).ok
-
-
-def test_refresh_ids_gives_neighbor_distinct_labels():
-    g = gen_random(40, 5, seed=9)
-    col, _ = delta_plus_one(g)
-    g2 = refresh_ids(g, col)
-    for v in g2.adj:
-        for w in g2.adj[v]:
-            assert g2.label(v) != g2.label(w)
-    assert max(g2.label(v) for v in g2.adj) <= g.max_degree
 
 
 def test_log_star_trend_on_paths():

@@ -257,3 +257,33 @@ def test_provided_cover(tmp_path, capsys):
     cover.write_text("0 1 2\n2 x\n")
     assert main(["cd-color", "--input", str(g), "--cover", f"provided:{cover}"]) == 2
     assert f"{cover}:2: non-integer vertex id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,delta", [(10, 1), (2, 0)])
+def test_gen_forest_below_tree_degree_exits_2(capsys, n, delta):
+    # a tree on n >= 3 vertices has a vertex of degree 2, on 2 vertices one
+    # of degree 1
+    code = main(["gen", "--kind", "forest", "--n", str(n), "--delta", str(delta)])
+    assert code == 2
+    assert f"error: no tree on n={n} vertices has max degree delta={delta}" in \
+        capsys.readouterr().err
+
+
+def test_arboricity_estimated_once_per_run(tmp_path, capsys, monkeypatch):
+    from localcolor import arbedge
+    path = tmp_path / "g.el"
+    code, _ = run_cli(capsys, "gen", "--kind", "random", "--n", "60", "--delta", "8",
+                      "--seed", "2", "--out", str(path))
+    assert code == 0
+    calls = []
+    estimate = arbedge.estimate_arboricity
+
+    def counting(g):
+        calls.append(g.n)
+        return estimate(g)
+
+    monkeypatch.setattr(arbedge, "estimate_arboricity", counting)
+    code, out = run_cli(capsys, "arb-edge", "--input", str(path))
+    assert code == 0 and len(calls) == 1
+    report = json.loads(out)
+    assert report["a"] == report["graph"]["a_estimate"] == estimate(load_edgelist(path))

@@ -3,12 +3,10 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localcolor.cliques import (CliqueCover, build_vertex_connector,
-                                check_clique_decomposition, elect_masters,
-                                enumerate_maximal_cliques, max_clique_size)
+from localcolor.cliques import CliqueCover, build_vertex_connector, enumerate_maximal_cliques
 from localcolor.graph import Graph, GraphError, norm_edge
 from localcolor.io import gen_complete, gen_random
-from localcolor.verify import brute_force_maximal_cliques
+from localcolor.verify import brute_force_maximal_cliques, check_clique_decomposition
 from helpers import petersen
 
 
@@ -46,21 +44,15 @@ def test_from_cliques_rejects_uncovered_edge():
         CliqueCover.from_cliques(g, [[0, 1]], mode="provided")
 
 
-def test_elect_masters_takes_max_id():
-    g = gen_complete(5)
-    cover = enumerate_maximal_cliques(g)
-    assert elect_masters(cover) == {0: 4}
-
-
 def test_k9_connector_t3_gives_three_triangles():
     g = gen_complete(9)
     cover = enumerate_maximal_cliques(g)
     conn = build_vertex_connector(g, cover, t=3)
     # one clique of 9 split into parts {0,1,2},{3,4,5},{6,7,8}
-    assert conn.derived.m == 9
-    assert conn.derived.max_degree == 2
-    assert conn.derived.max_degree <= cover.D * (3 - 1)
-    assert conn.derived.has_edge(0, 2) and not conn.derived.has_edge(2, 3)
+    assert conn.m == 9
+    assert conn.max_degree == 2
+    assert conn.max_degree <= cover.D * (3 - 1)
+    assert conn.has_edge(0, 2) and not conn.has_edge(2, 3)
 
 
 def test_connector_rejects_t1():
@@ -70,8 +62,8 @@ def test_connector_rejects_t1():
 
 
 def test_max_clique_size():
-    assert max_clique_size(gen_complete(6)) == 6
-    assert max_clique_size(petersen()) == 2
+    assert enumerate_maximal_cliques(gen_complete(6)).S == 6
+    assert enumerate_maximal_cliques(petersen()).S == 2
 
 
 def test_check_clique_decomposition():
@@ -96,10 +88,11 @@ def test_connector_edges_stay_inside_parts():
     g = gen_random(30, 8, seed=5)
     cover = enumerate_maximal_cliques(g)
     conn = build_vertex_connector(g, cover, t=2)
-    for u, v in conn.derived.edges():
+    # each clique's parts: its members by ascending ID, t at a time
+    parts = [frozenset(sorted(q)[i:i + 2]) for q in cover.cliques for i in range(0, len(q), 2)]
+    for u, v in conn.edges():
         assert g.has_edge(u, v)
-        shared = set(conn.part_of[u]) & set(conn.part_of[v])
-        assert shared, (u, v)
+        assert any(u in p and v in p for p in parts), (u, v)
 
 
 def test_vertex_connector_rejects_an_understated_diversity():

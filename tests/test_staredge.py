@@ -7,10 +7,10 @@ from localcolor import staredge
 from localcolor.basecolor import _int_floor_root
 from localcolor.graph import Graph, GraphError, line_graph
 from localcolor.io import gen_matching, gen_random, gen_star
-from localcolor.staredge import (_FirstFit, _star_level, check_star_partition,
-                                 greedy_edge_coloring, recursive_star_edge_coloring,
+from localcolor.staredge import (_FirstFit, _star_level, recursive_star_edge_coloring,
                                  reduce_edge_colors, star_edge_coloring_4delta)
-from localcolor.verify import is_proper_edge, is_proper_vertex
+from localcolor.verify import (check_star_partition, greedy_edge_baseline, is_proper_edge,
+                               is_proper_vertex)
 
 
 def test_connector_degree_and_bijection():
@@ -130,7 +130,7 @@ def test_improper_leaf_coloring_raises(monkeypatch):
 
 def test_reduce_edge_colors_round_count():
     g = gen_random(40, 6, seed=8)
-    col = greedy_edge_coloring(g)
+    col = greedy_edge_baseline(g)
     widened = type(col)("edge", col.assignment, col.palette_size + 5)
     target = 2 * g.max_degree - 1
     out, rounds = reduce_edge_colors(g, widened, target)
@@ -141,7 +141,7 @@ def test_reduce_edge_colors_round_count():
 
 def test_reduce_edge_target_validated():
     g = gen_random(40, 6, seed=8)
-    col = greedy_edge_coloring(g)
+    col = greedy_edge_baseline(g)
     with pytest.raises(GraphError):
         reduce_edge_colors(g, col, g.max_degree)
 
@@ -173,7 +173,7 @@ def test_edge_coloring_matches_line_graph_vertex_coloring():
 @given(st.integers(0, 10 ** 6), st.integers(2, 12))
 def test_greedy_edge_palette_property(seed, delta):
     g = gen_random(3 * delta + 4, delta, seed=seed)
-    col = greedy_edge_coloring(g)
+    col = greedy_edge_baseline(g)
     assert col.palette_size <= 2 * delta - 1
     assert is_proper_edge(g, col).ok
 
