@@ -164,7 +164,8 @@ def _require_proper(g: Graph, col: Coloring, what: str) -> None:
 
 class _ReduceProgram(VertexProgram):
     """Color class ``palette - r`` recolors in round r.  A vertex sleeps
-    except when mail arrives, at its own turn and in the last round."""
+    except at its own turn and in the last round, and sends its new color
+    only to the neighbors whose turn is still to come."""
 
     def __init__(self, palette: int, target: int):
         self.palette = palette
@@ -194,7 +195,9 @@ class _ReduceProgram(VertexProgram):
             used = set(self.neighbor_colors.values())
             self.color = next(c for c in range(self.target) if c not in used)
             self.output = self.color
-            outbox = {w: self.color for w in self.neighbor_colors}
+            later = self.palette - round_no  # the colors whose turn is to come
+            outbox = {w: self.color for w, c in self.neighbor_colors.items()
+                      if self.target <= c < later}
         if round_no == self.total_rounds:
             return outbox, True
         return outbox, self._sleep(round_no)

@@ -8,6 +8,7 @@ line.  Generators are deterministic for a fixed seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 from .graph import Graph, GraphError, Hypergraph, hypergraph_line_graph, line_graph, norm_edge
 
@@ -151,14 +152,19 @@ def gen_forest(n, delta, seed=0) -> Graph:
     rng = random.Random(seed)
     edges = []
     deg = [0] * n
+    unsaturated = [0]  # ascending: the u < v with deg[u] < delta
     for v in range(1, n):
         if deg[0] < delta:
             u = 0  # saturate one hub so the advertised Delta is exact
         else:
-            u = rng.choice([u for u in range(v) if deg[u] < delta])
+            u = rng.choice(unsaturated)
         edges.append((u, v))
         deg[u] += 1
         deg[v] += 1
+        if deg[u] == delta:
+            del unsaturated[bisect_left(unsaturated, u)]
+        if deg[v] < delta:
+            unsaturated.append(v)
     return Graph.from_edges(range(n), edges)
 
 

@@ -1,24 +1,26 @@
 """Deterministic synchronous round engine (LOCAL model).
 
 Each vertex runs a local program; in every round each vertex that is due
-receives last round's messages, computes, and emits messages to neighbors.
-Message size and local computation are unrestricted; the engine only counts
-rounds and enforces the locality contract (messages go to neighbors only).
+receives the messages sent to it since its last step, computes, and emits
+messages to neighbors.  Message size and local computation are
+unrestricted; the engine only counts rounds and enforces the locality
+contract (messages go to neighbors only).
 
 A program reports after every call whether it is done: ``True`` halts it
 for good, ``False`` has it stepped again next round, and ``Sleep(until)``
-has it stepped again only when mail arrives or at round ``until``,
-whichever comes first.  Each round therefore costs time in the vertices
-stepped and messages sent, not in the size of the graph.  Rounds in which
-no vertex is due are skipped but still counted, so the round count is the
-same as if every sleeping vertex had been stepped with an empty inbox.
+has it stepped next at round ``until``.  Mail that arrives while a vertex
+sleeps does not wake it; the engine holds it, latest message per sender,
+and hands it over at ``until``.  Mail to a halted vertex is dropped.  Each
+round therefore costs time in the vertices stepped and messages sent, not
+in the size of the graph.  Rounds in which no vertex is due are skipped
+but still counted, so the round count is the same as if every sleeping
+vertex had been stepped every round and had only stored its mail.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .graph import Graph, GraphError
@@ -56,9 +58,10 @@ class LocalView:
 
 @dataclass(frozen=True)
 class Sleep:
-    """Returned in place of ``halted``: not halted, but step me next only
-    when mail arrives or at round ``until``, whichever comes first.  A
-    due wake-up without mail delivers an empty inbox."""
+    """Returned in place of ``halted``: not halted, but step me next at
+    round ``until`` (later than the current round).  Mail sent to the
+    vertex meanwhile is held and handed over then, one message per sender,
+    the latest; with no mail the inbox is empty."""
 
     until: int
 
@@ -88,8 +91,10 @@ def run(g: Graph, make_program, round_cap: int | None = None):
 
     ``make_program`` is a factory ``vertex_id -> VertexProgram`` (programs
     carry per-vertex state).  Due vertices are stepped in ascending id
-    order.  Each outbox goes straight into next round's inboxes as it is
-    returned; a message to a non-neighbor raises :class:`GraphError`.
+    order.  Each outbox goes straight into its recipients' mailboxes as it
+    is returned; a message to a non-neighbor raises :class:`GraphError`.
+    A vertex's mailbox keeps the latest message per sender until the
+    vertex is next stepped, and is dropped when the vertex halts.
     Returns ({vertex: output}, RoundTrace), where a vertex's output is its
     program's ``output`` attribute once every vertex has halted.
     """
@@ -98,16 +103,17 @@ def run(g: Graph, make_program, round_cap: int | None = None):
     adj = g.adj
     programs = {}
     awake: list[int] = []                # stepped next round, ascending
-    sleeping: dict[int, int] = {}        # vertex -> round it wakes at
-    calendar: dict[int, list[int]] = {}  # round -> vertices that asked for it
+    calendar: dict[int, list[int]] = {}  # round -> vertices sleeping until it
     wake_rounds: list[int] = []          # heap of the calendar's rounds
-    mail: defaultdict[int, dict] = defaultdict(dict)  # next round's inboxes
+    # live vertex -> mail since its last step; halting deletes the entry.
+    # No key is added after this, so the dict is never resized (popping and
+    # re-adding mailboxes each round raised peak memory on wide graphs).
+    mail: dict[int, dict] = {v: {} for v in adj}
 
     def sleep(v: int, until: int, round_no: int) -> None:
         if until <= round_no:
             raise GraphError(f"vertex {v} asked in round {round_no} "
                              f"to sleep until round {until}")
-        sleeping[v] = until
         due = calendar.get(until)
         if due is None:
             calendar[until] = [v]
@@ -120,7 +126,10 @@ def run(g: Graph, make_program, round_cap: int | None = None):
         for w, msg in out.items():
             if w not in nbrs:
                 raise GraphError(f"vertex {v} addressed non-neighbor {w}")
-            mail[w][v] = msg
+            try:
+                mail[w][v] = msg
+            except KeyError:  # w has halted: the message is dropped
+                pass
 
     for v, nbrs in adj.items():
         prog = make_program(v)
@@ -132,36 +141,30 @@ def run(g: Graph, make_program, round_cap: int | None = None):
             awake.append(v)
         elif isinstance(h, Sleep):
             sleep(v, h.until, 0)
+        else:
+            del mail[v]
 
     trace = RoundTrace()
     rounds = 0
-    while awake or sleeping:
-        inboxes, mail = mail, defaultdict(dict)
+    while awake or wake_rounds:
         due = awake
         round_no = rounds + 1
-        if sleeping:
-            woken = [w for w in inboxes if w in sleeping]
-            for w in woken:
-                del sleeping[w]
-            if not due and not woken:
+        if wake_rounds:
+            if not due:
                 round_no = wake_rounds[0]  # skip rounds where nothing is due
             if wake_rounds[0] == round_no:
                 heapq.heappop(wake_rounds)
-                for v in calendar.pop(round_no):
-                    # stale if mail woke v since it asked for this round
-                    if sleeping.get(v) == round_no:
-                        del sleeping[v]
-                        woken.append(v)
-            if woken:
-                due = sorted(due + woken)
+                due = sorted(due + calendar.pop(round_no))
         if round_no > round_cap:
             raise RoundBudgetExceeded(
-                f"round budget {round_cap} exceeded; "
-                f"{len(due) + len(sleeping)} vertices active")
+                f"round budget {round_cap} exceeded; {len(mail)} vertices active")
         rounds = round_no
         awake = []
-        for v in due:
-            out, h = programs[v].step(round_no, inboxes[v])
+        # take every due mailbox first: mail sent this round waits a round
+        inboxes = list(map(mail.__getitem__, due))
+        mail.update(zip(due, iter(dict, None)))  # iter(dict, None): endless new {}
+        for v, inbox in zip(due, inboxes):
+            out, h = programs[v].step(round_no, inbox)
             # a halting vertex may still flush its final messages
             if out:
                 deliver(v, out)
@@ -169,5 +172,7 @@ def run(g: Graph, make_program, round_cap: int | None = None):
                 awake.append(v)
             elif isinstance(h, Sleep):
                 sleep(v, h.until, round_no)
+            else:
+                del mail[v]
     trace.add_phase("run", rounds)
     return {v: getattr(programs[v], "output", None) for v in g.adj}, trace

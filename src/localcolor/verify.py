@@ -37,8 +37,13 @@ def is_proper_vertex(g: Graph, c: Coloring) -> Verdict:
         raise GraphError(f"coloring not total; missing {missing[:5]}")
     if len(c.assignment) > g.n:
         _reject_stray([v for v in c.assignment if v not in g.adj])
-    bad = [(u, v) for u, v in g.edges()
-           if c.assignment[u] == c.assignment[v]]
+    col = c.assignment
+    bad = []
+    for u, nbrs in g.adj.items():  # the order of g.edges(), without building it
+        cu = col[u]
+        for v in nbrs:
+            if col[v] == cu and u < v:
+                bad.append((u, v))
     return Verdict(not bad, bad)
 
 

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localcolor.graph import Graph, GraphError
-from localcolor.sim import RoundBudgetExceeded, RoundTrace, Sleep, VertexProgram, run
+from localcolor.sim import (LocalView, RoundBudgetExceeded, RoundTrace, Sleep, VertexProgram,
+                            default_round_cap, run)
 from helpers import cycle
 
 
@@ -126,13 +128,14 @@ def run_scripted(g, plans, round_cap=None):
     return log, trace
 
 
-def test_mail_wakes_a_sleeping_vertex():
+def test_mail_reaches_a_sleeping_vertex_at_its_wake_up():
+    # the mail does not wake vertex 0: it is held and handed over at round 10
     g = Graph.from_edges([0, 1], [(0, 1)])
     plans = {0: {0: ({}, Sleep(10))},
              1: {0: ({}, False), 1: ({}, False), 2: ({0: "hi"}, True)}}
     log, trace = run_scripted(g, plans)
-    assert log == [(1, 1, {}), (2, 1, {}), (3, 0, {1: "hi"})]
-    assert trace.rounds == 3
+    assert log == [(1, 1, {}), (2, 1, {}), (10, 0, {1: "hi"})]
+    assert trace.rounds == 10
 
 
 def test_due_wake_up_delivers_empty_inbox():
@@ -166,13 +169,15 @@ def test_round_cap_enforced_across_a_skip():
 
 
 def test_due_vertices_stepped_in_ascending_id_order():
-    # round 2: 0 wakes on schedule, 1 wakes on mail, 2 was never asleep
-    g = Graph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
-    plans = {0: {0: ({}, Sleep(2))},
-             1: {0: ({}, Sleep(5))},
-             2: {0: ({}, False), 1: ({1: "x"}, False)}}
+    # round 2: 1 and 3 asked for it at init, 0 asked in round 1 (so the
+    # calendar holds them as 1, 3, 0), and 2 was never asleep
+    g = Graph.from_edges([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
+    plans = {0: {0: ({}, False), 1: ({}, Sleep(2))},
+             1: {0: ({}, Sleep(2))},
+             2: {0: ({}, False), 1: ({}, False)},
+             3: {0: ({}, Sleep(2))}}
     log, _ = run_scripted(g, plans)
-    assert [(r, v) for r, v, _ in log] == [(1, 2), (2, 0), (2, 1), (2, 2)]
+    assert [(r, v) for r, v, _ in log] == [(1, 0), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3)]
 
 
 def test_sleep_must_end_in_a_later_round():
@@ -193,7 +198,161 @@ def test_message_to_non_neighbor_from_step_rejected():
 def test_halting_step_still_delivers_outbox():
     g = Graph.from_edges([0, 1], [(0, 1)])
     plans = {0: {0: ({}, False), 1: ({1: "bye"}, True)},
-             1: {0: ({}, Sleep(9))}}
+             1: {0: ({}, Sleep(3))}}
     log, trace = run_scripted(g, plans)
-    assert log == [(1, 0, {}), (2, 1, {0: "bye"})]
+    assert log == [(1, 0, {}), (3, 1, {0: "bye"})]
+    assert trace.rounds == 3
+
+
+def test_held_mail_keeps_the_latest_message_per_sender():
+    # vertex 2 sleeps through rounds 1-4 while 0 and 1 write to it; mail
+    # sent in round 5, the round it wakes in, waits for its next step
+    g = Graph.from_edges([0, 1, 2], [(0, 2), (1, 2)])
+    plans = {0: {0: ({}, False), 1: ({2: "a"}, False), 2: ({2: "b"}, Sleep(5)),
+                 5: ({2: "e"}, True)},
+             1: {0: ({2: "c"}, Sleep(4)), 4: ({2: "d"}, True)},
+             2: {0: ({}, Sleep(5)), 5: ({}, Sleep(7))}}
+    log, trace = run_scripted(g, plans)
+    assert [(r, v) for r, v, _ in log] == [(1, 0), (2, 0), (4, 1), (5, 0), (5, 2), (7, 2)]
+    assert log[4] == (5, 2, {0: "b", 1: "d"})
+    assert log[5] == (7, 2, {0: "e"})
+    assert trace.rounds == 7
+
+
+def test_mail_to_a_halted_vertex_neither_wakes_it_nor_extends_the_run():
+    # 0 halts at init and 1 in round 1; 2 keeps writing to both until it halts
+    g = Graph.from_edges([0, 1, 2], [(0, 2), (1, 2)])
+    plans = {0: {0: ({2: "x"}, True)},
+             1: {0: ({}, False), 1: ({}, True)},
+             2: {0: ({0: 1, 1: 1}, False), 1: ({0: 2, 1: 2}, False),
+                 2: ({0: 3, 1: 3}, True)}}
+    log, trace = run_scripted(g, plans)
+    assert log == [(1, 1, {2: 1}), (1, 2, {0: "x"}), (2, 2, {})]
     assert trace.rounds == 2
+
+
+# -- differential check against a round-by-round reference engine ----------
+
+def reference_run(g, make_program, round_cap):
+    """The contract of ``run`` spelled out one round at a time: every round
+    looks at every live vertex, and mail sent in a round is posted after
+    it, to the vertices still live, latest message per sender."""
+    programs = {}
+    next_step = {}  # live vertex -> round it is stepped next
+    held = {v: {} for v in g.adj}
+    sent = []
+
+    def settle(v, out, h, r):
+        for w, msg in out.items():
+            if w not in g.adj[v]:
+                raise GraphError(f"vertex {v} addressed non-neighbor {w}")
+            sent.append((v, w, msg))
+        if not h:
+            next_step[v] = r + 1
+        elif isinstance(h, Sleep):
+            if h.until <= r:
+                raise GraphError(f"vertex {v} asked in round {r} "
+                                 f"to sleep until round {h.until}")
+            next_step[v] = h.until
+        else:
+            next_step.pop(v, None)
+
+    def post():
+        for v, w, msg in sent:
+            if w in next_step:
+                held[w][v] = msg
+        sent.clear()
+
+    for v, nbrs in g.adj.items():
+        programs[v] = make_program(v)
+        out, h = programs[v].init(LocalView(v, nbrs))
+        settle(v, out, h, 0)
+    post()
+    rounds = r = 0
+    while next_step:
+        r += 1
+        due = sorted(v for v, t in next_step.items() if t == r)
+        if not due:
+            continue
+        if r > round_cap:
+            raise RoundBudgetExceeded(f"round budget {round_cap} exceeded; "
+                                      f"{len(next_step)} vertices active")
+        rounds = r
+        for v in due:
+            inbox, held[v] = held[v], {}
+            out, h = programs[v].step(r, inbox)
+            settle(v, out, h, r)
+        post()
+    return {v: getattr(p, "output", None) for v, p in programs.items()}, rounds
+
+
+class Tally(Scripted):
+    """Scripted, with the number of steps taken as its output."""
+
+    output = 0
+
+    def step(self, round_no, inbox):
+        self.output += 1
+        return super().step(round_no, inbox)
+
+
+HORIZON = 6
+
+
+@st.composite
+def scripted_runs(draw):
+    """A small graph, a plan per vertex for rounds 0..HORIZON (a round a
+    plan leaves out halts the vertex) and a round cap.  Outboxes mostly
+    address neighbors and sleeps mostly end later, so most runs finish."""
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.integers(0, 3))]
+    g = Graph.from_edges(range(n), edges)
+    plans = {}
+    for v in range(n):
+        nbrs = list(g.adj[v])
+        plan = {}
+        for r in range(HORIZON + 1):
+            if r and not draw(st.integers(0, 5)):
+                continue
+            targets = draw(st.lists(st.sampled_from(nbrs), max_size=3)) if nbrs else []
+            if not draw(st.integers(0, 39)):
+                targets.append((v + 1) % n)  # not a neighbor, or v itself
+            out = {w: f"{v}@{r}" for w in targets}
+            kind = draw(st.integers(0, 39))
+            if kind < 4:
+                h = True
+            elif kind < 18:
+                h = False
+            elif kind < 39:
+                h = Sleep(draw(st.integers(r + 1, HORIZON + 2)))
+            else:
+                h = Sleep(draw(st.integers(r - 1, r)))  # not in a later round
+            plan[r] = (out, h)
+        plans[v] = plan
+    cap = draw(st.one_of(st.none(), st.integers(1, HORIZON + 2)))
+    return g, plans, cap
+
+
+def outcome(engine, g, plans, cap):
+    log = []
+    try:
+        result = engine(g, lambda v: Tally(v, plans[v], log), cap)
+    except (GraphError, RoundBudgetExceeded) as exc:
+        return log, (type(exc), str(exc))
+    return log, result
+
+
+@settings(max_examples=300, deadline=None)
+@given(scripted_runs())
+def test_run_matches_round_by_round_reference(case):
+    g, plans, cap = case
+
+    def engine(g, make, cap):
+        outputs, trace = run(g, make, cap)
+        return outputs, trace.rounds
+
+    def reference(g, make, cap):
+        return reference_run(g, make, default_round_cap(g) if cap is None else cap)
+
+    assert outcome(engine, g, plans, cap) == outcome(reference, g, plans, cap)
