@@ -18,7 +18,7 @@ from operator import itemgetter
 from .basecolor import _int_ceil_root, _require_proper
 from .graph import Coloring, Graph, GraphError, VerificationError, induced_subgraph, norm_edge
 from .sim import RoundTrace
-from .staredge import _class_graph, _FirstFit, _greedy_edges, _star_edge_coloring
+from .staredge import _FirstFit, _greedy_edges, _star_edge_coloring
 from .verify import is_proper_edge
 
 EPSILON_DEFAULT = 0.5
@@ -226,7 +226,8 @@ def merge_cross_coloring(g: Graph, A, B, colA: Coloring, colB: Coloring,
 
     delta = g.max_degree
     low = max(colB.palette_size, delta + d - 1, 1)
-    ff = _FirstFit(colB.assignment)
+    ff = _FirstFit()
+    ff.paint(colB.assignment.items())
     ff.paint(colA.assignment.items(), low)
 
     # round i colors the crossing edges each A-vertex numbers i (1..d)
@@ -348,6 +349,18 @@ def _connector_walk(arcs, in_split: int, out_split: int, bipartite: bool):
         v, idx = divmod(key >> 1, stride)
         virtuals.append((v, sides[key & 1], idx))
     return conn, virtuals
+
+
+def _class_graph(cls) -> Graph:
+    """The graph of the distinct normalized edges in ``cls`` and their
+    endpoints only.  Appended in sorted edge order, every vertex gets its
+    lower neighbors and then its higher ones, each ascending, so no list
+    needs a sort of its own."""
+    adj: dict[int, list[int]] = {}
+    for u, v in sorted(cls):
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return Graph({v: tuple(adj[v]) for v in sorted(adj)})
 
 
 def _connector_graph(conn, virtuals, cap: int) -> Graph:

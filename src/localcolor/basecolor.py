@@ -35,12 +35,7 @@ def _int_ceil_root(m: int, r: int) -> int:
 
 def _int_floor_root(m: int, r: int) -> int:
     """Largest x with x**r <= m (m >= 0)."""
-    x = int(round(m ** (1.0 / r)))
-    while x ** r > m:
-        x -= 1
-    while (x + 1) ** r <= m:
-        x += 1
-    return x
+    return _int_ceil_root(m + 1, r) - 1
 
 
 def _next_prime(n: int) -> int:

@@ -126,31 +126,15 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
 
 
 def line_graph(g: Graph):
-    """Line graph of g plus the per-original-vertex clique cover.
-
-    Line-graph vertex IDs are the lexicographic ranks of the normalized
-    edge pairs.  The cover has one clique per original vertex of degree >= 1
-    (the star of that vertex), so its diversity is at most 2.
-    """
-    from .cliques import CliqueCover  # local import to avoid a cycle
-
+    """Line graph of g plus the per-original-vertex clique cover: the
+    hypergraph line graph of g's sorted normalized edges.  Line-graph vertex
+    IDs are the lexicographic ranks of the edges, and the cover has one
+    clique per vertex of degree >= 1 (its star), so its diversity is at
+    most 2."""
     edges = sorted(g.edges())
     if not edges:
         raise GraphError("line graph of an edgeless graph")
-    eid = {e: i for i, e in enumerate(edges)}
-    adj: dict[int, set[int]] = {i: set() for i in range(len(edges))}
-    cliques = []
-    for v in g.adj:
-        star = sorted(eid[norm_edge(v, w)] for w in g.adj[v])
-        if not star:
-            continue
-        cliques.append(frozenset(star))
-        for i in range(len(star)):
-            for j in range(i + 1, len(star)):
-                adj[star[i]].add(star[j])
-                adj[star[j]].add(star[i])
-    lg = Graph({v: tuple(sorted(ns)) for v, ns in adj.items()})
-    return lg, CliqueCover.from_cliques(lg, cliques, mode="provided")
+    return hypergraph_line_graph(Hypergraph.from_lists(edges))
 
 
 def hypergraph_line_graph(h: Hypergraph):

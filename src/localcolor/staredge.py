@@ -13,7 +13,7 @@ per-class graph, and hands each class on as a sorted sublist.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
@@ -33,28 +33,22 @@ class StarPartitionReport(RoundTrace):
 
 class _FirstFit:
     """A proper partial edge coloring plus, per vertex, an int bitmask of
-    the colors on its colored edges.  The first-fit color of an edge is
-    the lowest bit clear in both endpoint masks, ignoring the edge's own
-    color; an improper state cannot be represented and is rejected."""
+    the colors on its colored edges.  Each edge is colored once: with a
+    given color by ``paint``, or first-fit by ``fill``; an improper state
+    cannot be represented and is rejected."""
 
-    def __init__(self, assign: dict | None = None):
+    def __init__(self):
         self.assign: dict[tuple[int, int], int] = {}
-        self.mask: dict[int, int] = {}
-        if assign:
-            self.paint(assign.items())
+        self.mask: defaultdict[int, int] = defaultdict(int)
 
     def paint(self, items, shift: int = 0) -> None:
-        """Color each e of the pairs (e, c) in ``items`` with shift + c,
-        which no adjacent edge may have; a colored e is recolored."""
+        """Color each uncolored e of the pairs (e, c) in ``items`` with
+        shift + c, which no adjacent edge may have."""
         mask, assign = self.mask, self.assign
         for e, c in items:
             c += shift
             u, v = e
-            mu, mv = mask.get(u, 0), mask.get(v, 0)
-            own = assign.get(e)
-            if own is not None:
-                keep = ~(1 << own)
-                mu, mv = mu & keep, mv & keep
+            mu, mv = mask[u], mask[v]
             bit = 1 << c
             if (mu | mv) & bit:
                 raise GraphError(f"improper partial coloring: color {c} is already "
@@ -62,25 +56,15 @@ class _FirstFit:
             mask[u], mask[v] = mu | bit, mv | bit
             assign[e] = c
 
-    def fill(self, edges, palette: int) -> None:
-        """Color each of ``edges``, in the given order, with the smallest
-        color in [palette] on no colored edge adjacent to it; a colored
-        edge is recolored."""
-        mask, assign = self.mask, self.assign
-        for e in edges:
-            u, v = e
-            mu, mv = mask.get(u, 0), mask.get(v, 0)
-            own = assign.get(e)
-            if own is not None:
-                keep = ~(1 << own)
-                mu, mv = mu & keep, mv & keep
-            used = mu | mv
-            bit = ~used & (used + 1)  # lowest clear bit
-            c = bit.bit_length() - 1
-            if c >= palette:
-                raise GraphError(f"no free color for edge {e} in a palette of {palette}")
-            mask[u], mask[v] = mu | bit, mv | bit
-            assign[e] = c
+    def fill(self, edges: list, palette: int) -> None:
+        """Color each uncolored edge of ``edges``, in the given order, with
+        the smallest color on no colored edge adjacent to it, which must
+        lie in [palette]."""
+        colors = _greedy_edges(edges, self.mask)
+        if colors and max(colors) >= palette:
+            e = next(e for e, c in zip(edges, colors) if c >= palette)
+            raise GraphError(f"no free color for edge {e} in a palette of {palette}")
+        self.assign.update(zip(edges, colors))
 
 
 def _greedy_edges(edges, mask) -> list[int]:
@@ -98,37 +82,6 @@ def _greedy_edges(edges, mask) -> list[int]:
         mask[u], mask[v] = mu | bit, mv | bit
         append(bit.bit_length() - 1)
     return colors
-
-
-def reduce_edge_colors(g: Graph, c: Coloring,
-                       target: int) -> tuple[Coloring, int]:
-    """Basic color reduction on edges: one top class per round recolors
-    greedily from [target].  Needs target >= 2*Delta-1.  Returns the new
-    coloring and the simulated round count (palette - target)."""
-    if target >= c.palette_size:
-        return c, 0
-    if target < max(2 * g.max_degree - 1, 1):
-        raise GraphError(f"edge reduction target {target} below 2*Delta-1")
-    ff = _FirstFit(c.assignment)
-    top: dict[int, list[tuple[int, int]]] = {}  # edges colored >= target
-    for e, col in c.assignment.items():
-        if col >= target:
-            top.setdefault(col, []).append(e)
-    for col in range(c.palette_size - 1, target - 1, -1):
-        ff.fill(sorted(top.get(col, ())), target)
-    return Coloring("edge", ff.assign, target), c.palette_size - target
-
-
-def _class_graph(cls) -> Graph:
-    """The graph of the distinct normalized edges in ``cls`` and their
-    endpoints only.  Appended in sorted edge order, every vertex gets its
-    lower neighbors and then its higher ones, each ascending, so no list
-    needs a sort of its own."""
-    adj: dict[int, list[int]] = {}
-    for u, v in sorted(cls):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return Graph({v: tuple(adj[v]) for v in sorted(adj)})
 
 
 def _star_level(edges, t: int) -> tuple[list[list[tuple[int, int]]], int]:
@@ -175,16 +128,20 @@ def _star_level(edges, t: int) -> tuple[list[list[tuple[int, int]]], int]:
 
 def star_edge_coloring_4delta(g: Graph) -> tuple[Coloring, StarPartitionReport]:
     """The two-stage 4*Delta scheme, which is recursive_star_edge_coloring
-    with x=1: t = floor(sqrt(Delta)), stars of size at most ceil(Delta/t)
-    colored with 2*ceil(Delta/t)-1 colors each, trimmed to 4*Delta."""
+    with x=1: t = max(2, floor(sqrt(Delta))), 2t-1 classes whose stars of
+    size at most ceil(Delta/t) get 2*ceil(Delta/t)-1 colors each, at most
+    4*Delta in all."""
     return recursive_star_edge_coloring(g, 1)
 
 
 def recursive_star_edge_coloring(g: Graph,
                                  x: int) -> tuple[Coloring, StarPartitionReport]:
-    """x connector levels with a single t = floor(Delta^(1/(x+1))), leaves
-    colored greedily, palette trimmed to at most 2^(x+1)*Delta.  The
-    report's max_star is the largest star of the top-level partition."""
+    """x connector levels with a single t = max(2, floor(Delta^(1/(x+1)))),
+    leaves colored greedily.  x is capped at the largest value with
+    2^(x+1) <= Delta (or 1), so (2*ceil(Delta/t^x)-1)(2t-1)^x <= 2^(x+1)*Delta:
+    with u = Delta/t^x >= t the ratio is at most (1+1/2u)(1-1/2t)^x < 1, and
+    Delta = 2, 3 give 3 and 9 colors.  The report's max_star is the largest
+    star of the top-level partition."""
     col, report = _star_edge_coloring(sorted(g.edges()), x)
     _require_proper(g, col, "recursive_star_edge_coloring output")
     return col, report
@@ -202,6 +159,7 @@ def _star_edge_coloring(edges, x: int) -> tuple[Coloring, StarPartitionReport]:
         report.class_count = 1 if edges else 0
         report.max_star = delta
         return Coloring("edge", dict.fromkeys(edges, 0), 1), report
+    x = min(x, max(1, delta.bit_length() - 2))  # the largest x with 2^(x+1) <= Delta
     t = max(2, _int_floor_root(delta, x + 1))
 
     # per-level star-size bounds: b[0]=Delta, b[j+1]=ceil(b[j]/t)
@@ -238,9 +196,7 @@ def _star_edge_coloring(edges, x: int) -> tuple[Coloring, StarPartitionReport]:
 
     rec(edges, 0, 0)
     combined = leaf_radix * (2 * t - 1) ** x
-    col = Coloring("edge", assign, combined)
-    bound = 2 ** (x + 1) * delta
-    if combined > bound:  # the trim is the one step that needs adjacency
-        col, r = reduce_edge_colors(_class_graph(edges), col, bound)
-        report.add_phase("trim", r)
-    return col, report
+    if combined > 2 ** (x + 1) * delta:
+        raise VerificationError(f"palette {combined} exceeds 2^{x + 1}*Delta = "
+                                f"{2 ** (x + 1) * delta}")
+    return Coloring("edge", assign, combined), report

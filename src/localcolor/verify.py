@@ -50,22 +50,28 @@ def is_proper_vertex(g: Graph, c: Coloring) -> Verdict:
 def is_proper_edge(g: Graph, c: Coloring) -> Verdict:
     if c.kind != "edge":
         raise GraphError("expected an edge coloring")
-    edges = g.edges()
-    missing = [e for e in edges if e not in c.assignment]
+    col = c.assignment
+    missing, bad = [], []
+    m = 0
+    for v, nbrs in g.adj.items():
+        seen: dict = {}
+        for w in nbrs:
+            if v < w:  # at its lower end an edge comes in g.edges() order
+                e = (v, w)
+                m += 1
+                if e not in col:
+                    missing.append(e)
+            else:
+                e = (w, v)
+            ce = col.get(e)  # a missing edge is reported before any verdict
+            if ce in seen and seen[ce] != e:
+                bad.append((v, seen[ce], e))
+            seen[ce] = e
     if missing:
         raise GraphError(f"coloring not total; missing {missing[:5]}")
-    if len(c.assignment) > len(edges):
-        edge_set = set(edges)
-        _reject_stray([e for e in c.assignment if e not in edge_set])
-    bad = []
-    for v in g.adj:
-        seen: dict[int, tuple[int, int]] = {}
-        for w in g.adj[v]:
-            e = (v, w) if v < w else (w, v)
-            col = c.assignment[e]
-            if col in seen and seen[col] != e:
-                bad.append((v, seen[col], e))
-            seen[col] = e
+    if len(col) > m:
+        edge_set = set(g.edges())
+        _reject_stray([e for e in col if e not in edge_set])
     return Verdict(not bad, bad)
 
 

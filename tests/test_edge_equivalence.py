@@ -1,16 +1,15 @@
 """The edge layer's linear-time pieces against reference copies of the
 simpler code they replaced, on small random graphs."""
 
-import random
 from itertools import chain
 
 from hypothesis import given, settings, strategies as st
 
 from localcolor import arbedge
-from localcolor.arbedge import (_bipartite_level, _connector_graph, _connector_walk,
-                                acyclic_orientation, h_partition)
-from localcolor.graph import Coloring, Graph, GraphError, norm_edge
-from localcolor.staredge import _class_graph, _greedy_edges, _star_level, reduce_edge_colors
+from localcolor.arbedge import (_bipartite_level, _class_graph, _connector_graph,
+                                _connector_walk, acyclic_orientation, h_partition)
+from localcolor.graph import Graph, GraphError, norm_edge
+from localcolor.staredge import _greedy_edges, _star_level
 from localcolor.verify import greedy_edge_baseline
 
 
@@ -83,16 +82,6 @@ def ref_h_sets(g, d):
         for u in remaining:
             remaining[u] -= gone
     return sets
-
-
-def ref_reduce(g, assign, palette, target):
-    assign = dict(assign)
-    for col in range(palette - 1, target - 1, -1):
-        for e in sorted(e for e, ec in assign.items() if ec == col):
-            used = {assign[f] for u in e for z in g.adj[u]
-                    for f in [norm_edge(u, z)] if f != e and f in assign}
-            assign[e] = next(c for c in range(target) if c not in used)
-    return assign
 
 
 # -- properties ---------------------------------------------------------------
@@ -185,19 +174,3 @@ def test_h_partition_matches_set_peeling(g, a):
         return
     assert hp.sets == expected
     assert hp.set_of == {v: i for i, s in enumerate(expected) for v in s}
-
-
-@settings(max_examples=150, deadline=None)
-@given(graphs(), st.integers(0, 10 ** 6), st.integers(0, 6))
-def test_reduce_edge_colors_matches_free_color_loop(g, seed, extra):
-    # spread a proper coloring over a wider palette, then reduce it
-    base = greedy_edge_baseline(g)
-    target = base.palette_size
-    palette = target + extra
-    spread = random.Random(seed).sample(range(palette), target)
-    assign = {e: spread[c] for e, c in base.assignment.items()}
-    out, rounds = reduce_edge_colors(g, Coloring("edge", assign, palette), target)
-    if palette > target:
-        assert rounds == palette - target
-        assert out.assignment == ref_reduce(g, assign, palette, target)
-        assert list(out.assignment) == list(assign)

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from localcolor import staredge
 from localcolor.basecolor import _int_floor_root
 from localcolor.graph import Graph, GraphError, line_graph
-from localcolor.io import gen_matching, gen_random, gen_star
+from localcolor.io import gen_matching, gen_path, gen_random, gen_star
 from localcolor.staredge import (_FirstFit, _star_level, recursive_star_edge_coloring,
-                                 reduce_edge_colors, star_edge_coloring_4delta)
+                                 star_edge_coloring_4delta)
 from localcolor.verify import (check_star_partition, greedy_edge_baseline, is_proper_edge,
                                is_proper_vertex)
 
@@ -88,28 +88,28 @@ def test_recursive_max_star_is_top_level_star():
 
 
 def test_free_color_raises_on_exhausted_palette():
-    # the star (0,3), (1,3), (2,3); (2,3)'s own color 2 is ignored
-    ff = _FirstFit({(0, 3): 0, (1, 3): 1, (2, 3): 2})
+    # the star (0,3), (1,3) colored 0 and 1 leaves 2 as (2,3)'s first fit
+    ff = _FirstFit()
+    ff.paint([((0, 3), 0), ((1, 3), 1)])
     ff.fill([(2, 3)], 3)
     assert ff.assign[(2, 3)] == 2
-    with pytest.raises(GraphError, match="no free color"):
+    ff = _FirstFit()
+    ff.paint([((0, 3), 0), ((1, 3), 1)])
+    with pytest.raises(GraphError, match=r"no free color for edge \(2, 3\)"):
         ff.fill([(2, 3)], 2)
 
 
 def test_first_fit_rejects_an_improper_partial_coloring():
     with pytest.raises(GraphError, match="improper"):
-        _FirstFit({(0, 3): 0, (1, 3): 1, (2, 3): 0})
-    ff = _FirstFit({(0, 1): 0, (2, 3): 1})
+        _FirstFit().paint([((0, 3), 0), ((1, 3), 1), ((2, 3), 0)])
+    ff = _FirstFit()
+    ff.paint([((0, 1), 0), ((2, 3), 1)])
     with pytest.raises(GraphError, match="improper"):
         ff.paint([((1, 2), 0)])
-    ff.paint([((0, 1), 2)])  # recoloring an edge frees its old color
-    ff.paint([((1, 2), 0)])
-    ff.paint([((1, 2), 0)])  # an edge's own color is not a clash
-    assert ff.assign == {(0, 1): 2, (2, 3): 1, (1, 2): 0}
     with pytest.raises(GraphError, match="improper"):
         ff.paint([((1, 2), 1)])
-    ff.paint([((0, 1), 0)], shift=3)  # colors are shifted
-    assert ff.assign[(0, 1)] == 3
+    ff.paint([((1, 2), 0)], shift=2)  # colors are shifted
+    assert ff.assign == {(0, 1): 0, (2, 3): 1, (1, 2): 2}
 
 
 def test_improper_leaf_coloring_raises(monkeypatch):
@@ -128,22 +128,26 @@ def test_improper_leaf_coloring_raises(monkeypatch):
         recursive_star_edge_coloring(gen_random(60, 9, seed=1), 1)
 
 
-def test_reduce_edge_colors_round_count():
-    g = gen_random(40, 6, seed=8)
-    col = greedy_edge_baseline(g)
-    widened = type(col)("edge", col.assignment, col.palette_size + 5)
-    target = 2 * g.max_degree - 1
-    out, rounds = reduce_edge_colors(g, widened, target)
-    assert rounds == widened.palette_size - target
-    assert out.palette_size == target
-    assert is_proper_edge(g, out).ok
+def test_palette_within_bound_without_a_trim_on_stars():
+    # x is capped at the largest value with 2^(x+1) <= Delta, so the
+    # combined palette never exceeds 2^(x+1)*Delta and no phase is added
+    for delta in range(2, 201):
+        g = gen_star(delta + 1)
+        for x in range(1, 9):
+            col, report = recursive_star_edge_coloring(g, x)
+            assert col.palette_size <= 2 ** (x + 1) * delta, (delta, x)
+            assert report.phase_breakdown == [], (delta, x)
 
 
-def test_reduce_edge_target_validated():
-    g = gen_random(40, 6, seed=8)
-    col = greedy_edge_baseline(g)
-    with pytest.raises(GraphError):
-        reduce_edge_colors(g, col, g.max_degree)
+def test_capped_depth_palettes():
+    # Delta < 2^(x+1): the depth drops to max(1, bit_length(Delta) - 2)
+    for g, x, palette in [(gen_path(50), 4, 3), (gen_random(40, 5, seed=1), 3, 15),
+                          (gen_random(40, 7, seed=1), 2, 21),
+                          (gen_random(60, 9, seed=1), 4, 45)]:
+        col, report = recursive_star_edge_coloring(g, x)
+        assert col.palette_size == palette
+        assert is_proper_edge(g, col).ok
+        assert report.phase_breakdown == []
 
 
 def test_check_star_partition():
