@@ -102,6 +102,12 @@ def _first_free(mine: int, theirs, q: int, k: int) -> int:
 
 
 class _LinialProgram(VertexProgram):
+    """One schedule step per round.  The initial colors are the IDs, so
+    round 1 reads the neighbors' colors from the view and nothing is sent
+    at init; a KT0 vertex would learn those IDs in round 1, when they are
+    first used, so the round count is the same.  Later rounds read the
+    colors that every neighbor sent in the round before."""
+
     def __init__(self, schedule: list[tuple[int, int]]):
         self.schedule = schedule
         self.color = 0
@@ -110,16 +116,16 @@ class _LinialProgram(VertexProgram):
     def init(self, view: LocalView):
         self.color = view.vertex
         self.output = self.color
-        if not self.schedule:
-            return {}, True
-        return dict.fromkeys(view.neighbors, self.color), False
+        self.neighbors = view.neighbors
+        return {}, not self.schedule
 
     def step(self, round_no: int, inbox: dict):
         k, q = self.schedule[round_no - 1]
-        self.color = self.output = _first_free(self.color, inbox.values(), q, k)
+        theirs = self.neighbors if round_no == 1 else inbox.values()
+        self.color = self.output = _first_free(self.color, theirs, q, k)
         if round_no == len(self.schedule):
             return {}, True
-        return dict.fromkeys(inbox, self.color), False
+        return dict.fromkeys(self.neighbors, self.color), False
 
 
 def linial_coloring(g: Graph) -> tuple[Coloring, RoundTrace]:
@@ -144,7 +150,7 @@ def _linial(g: Graph) -> tuple[Coloring, RoundTrace]:
     outputs, trace = run(g, lambda v: _LinialProgram(schedule),
                          round_cap=len(schedule) + 1)
     final = m0 if not schedule else schedule[-1][1] ** 2
-    return Coloring("vertex", dict(outputs), final), trace
+    return Coloring("vertex", outputs, final), trace
 
 
 def _require_proper(g: Graph, col: Coloring, what: str) -> None:
@@ -159,8 +165,12 @@ def _require_proper(g: Graph, col: Coloring, what: str) -> None:
 
 class _ReduceProgram(VertexProgram):
     """Color class ``palette - r`` recolors in round r.  A vertex sleeps
-    except at its own turn and in the last round, and sends its new color
-    only to the neighbors whose turn is still to come."""
+    except at its own turn and in the last round.  Only colors below the
+    target can block a choice, so only a vertex colored below it announces
+    its color at init; a recoloring vertex sends its new color to the
+    neighbors it has not heard from, which are exactly those whose turn is
+    still to come.  An edge thus carries 2 messages if both ends start
+    below the target, else 1."""
 
     def __init__(self, palette: int, target: int):
         self.palette = palette
@@ -174,7 +184,9 @@ class _ReduceProgram(VertexProgram):
         self.total_rounds = self.palette - self.target
         if self.total_rounds == 0:
             return {}, True
-        return {w: self.color for w in view.neighbors}, self._sleep(0)
+        self.neighbors = view.neighbors
+        out = dict.fromkeys(view.neighbors, self.color) if self.color < self.target else {}
+        return out, self._sleep(0)
 
     def _sleep(self, round_no: int) -> Sleep:
         turn = self.palette - self.color
@@ -190,9 +202,8 @@ class _ReduceProgram(VertexProgram):
             used = set(self.neighbor_colors.values())
             self.color = next(c for c in range(self.target) if c not in used)
             self.output = self.color
-            later = self.palette - round_no  # the colors whose turn is to come
-            outbox = {w: self.color for w, c in self.neighbor_colors.items()
-                      if self.target <= c < later}
+            heard = self.neighbor_colors
+            outbox = {w: self.color for w in self.neighbors if w not in heard}
         if round_no == self.total_rounds:
             return outbox, True
         return outbox, self._sleep(round_no)
@@ -220,7 +231,7 @@ def reduce_colors(g: Graph, c: Coloring,
         return prog
 
     outputs, trace = run(g, make, round_cap=c.palette_size - target + 1)
-    out = Coloring("vertex", dict(outputs), target)
+    out = Coloring("vertex", outputs, target)
     _require_proper(g, out, "reduce_colors output")
     return out, trace
 

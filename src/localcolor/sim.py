@@ -20,7 +20,6 @@ vertex had been stepped every round and had only stored its mail.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 
 from .graph import Graph, GraphError
@@ -72,7 +71,8 @@ class VertexProgram:
     init(view) and step(round_no, inbox) both return (outbox, halted) where
     outbox maps neighbor id -> message and halted is True, False or a
     :class:`Sleep`.  A halted vertex is never stepped again and sends
-    nothing further.
+    nothing further.  Programs keep an instance ``__dict__`` (no
+    ``__slots__``): ``perfbench/tracer.py`` rebinds init/step per instance.
     """
 
     def init(self, view: LocalView):
@@ -83,7 +83,7 @@ class VertexProgram:
 
 
 def default_round_cap(g: Graph) -> int:
-    return 10 * (int(math.log2(max(g.n, 2))) + g.max_degree + 50)
+    return 10 * (max(g.n, 2).bit_length() - 1 + g.max_degree + 50)
 
 
 def run(g: Graph, make_program, round_cap: int | None = None):
@@ -94,7 +94,9 @@ def run(g: Graph, make_program, round_cap: int | None = None):
     order.  Each outbox goes straight into its recipients' mailboxes as it
     is returned; a message to a non-neighbor raises :class:`GraphError`.
     A vertex's mailbox keeps the latest message per sender until the
-    vertex is next stepped, and is dropped when the vertex halts.
+    vertex is next stepped, and is dropped when the vertex halts.  A taken
+    mailbox is handed to the program as its inbox and released by the
+    engine when that step returns; the engine never reuses or mutates it.
     Returns ({vertex: output}, RoundTrace), where a vertex's output is its
     program's ``output`` attribute once every vertex has halted.
     """
@@ -160,11 +162,12 @@ def run(g: Graph, make_program, round_cap: int | None = None):
                 f"round budget {round_cap} exceeded; {len(mail)} vertices active")
         rounds = round_no
         awake = []
-        # take every due mailbox first: mail sent this round waits a round
-        inboxes = list(map(mail.__getitem__, due))
+        # take every due mailbox first: mail sent this round waits a round.
+        # Reversed, so pop() hands them out in order and frees each at its step.
+        inboxes = list(map(mail.__getitem__, reversed(due)))
         mail.update(zip(due, iter(dict, None)))  # iter(dict, None): endless new {}
-        for v, inbox in zip(due, inboxes):
-            out, h = programs[v].step(round_no, inbox)
+        for v in due:
+            out, h = programs[v].step(round_no, inboxes.pop())
             # a halting vertex may still flush its final messages
             if out:
                 deliver(v, out)

@@ -1,5 +1,7 @@
 """Shared graph fixtures for the test suite."""
 
+import random
+
 from localcolor.graph import Graph
 from localcolor.io import gen_complete, gen_forest, gen_grid, gen_hyper_line, gen_line_of, gen_path, gen_random
 
@@ -9,6 +11,13 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph.from_edges(range(10), outer + inner + spokes)
+
+
+def relabel(g, seed):
+    """The same graph with vertex IDs permuted by a seeded shuffle."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(range(g.n), [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def cycle(n):

@@ -7,9 +7,9 @@ from localcolor import basecolor
 from localcolor.basecolor import (LINIAL_CL, delta_plus_one, linial_coloring,
                                   linial_schedule, reduce_colors)
 from localcolor.graph import Coloring, Graph, GraphError
-from localcolor.io import gen_path, gen_random
+from localcolor.io import gen_grid, gen_path, gen_random
 from localcolor.verify import is_proper_vertex
-from helpers import cycle
+from helpers import cycle, relabel
 
 
 def test_linial_on_path():
@@ -45,40 +45,72 @@ def test_reduce_colors_round_count_exact():
     assert is_proper_vertex(g, out).ok
 
 
-def test_reduce_colors_steps_only_due_vertices(monkeypatch):
-    counts = {"steps": 0, "messages": 0}
+def _record_messages(monkeypatch):
+    """Patch ``basecolor.run`` so that every program logs what it sends:
+    one (round, sender, recipients) entry per init (round 0) and per step."""
+    log = []
     real_run = basecolor.run
 
-    def counting_run(g, make_program, *args, **kwargs):
+    def recording_run(g, make_program, *args, **kwargs):
         def make(v):
             prog = make_program(v)
             init, step = prog.init, prog.step
 
-            def counted_init(view):
+            def logged_init(view):
                 out, halted = init(view)
-                counts["messages"] += len(out)
+                log.append((0, v, tuple(out)))
                 return out, halted
 
-            def counted_step(round_no, inbox):
+            def logged_step(round_no, inbox):
                 out, halted = step(round_no, inbox)
-                counts["steps"] += 1
-                counts["messages"] += len(out)
+                log.append((round_no, v, tuple(out)))
                 return out, halted
 
-            prog.init, prog.step = counted_init, counted_step
+            prog.init, prog.step = logged_init, logged_step
             return prog
         return real_run(g, make, *args, **kwargs)
 
-    monkeypatch.setattr(basecolor, "run", counting_run)
+    monkeypatch.setattr(basecolor, "run", recording_run)
+    return log
+
+
+def test_reduce_colors_steps_only_due_vertices(monkeypatch):
+    log = _record_messages(monkeypatch)
     g = gen_random(200, 10, seed=3)
     ids = Coloring("vertex", {v: v for v in g.adj}, g.n)
     out, trace = reduce_colors(g, ids)
-    assert trace.rounds == g.n - (g.max_degree + 1)
+    target = g.max_degree + 1
+    assert trace.rounds == g.n - target
     assert is_proper_vertex(g, out).ok
-    # each vertex is stepped at its turn and in the last round; each edge
-    # carries both initial colors and at most one recolor message
-    assert counts["steps"] <= 2 * g.n
-    assert counts["messages"] <= 3 * g.m
+    steps = [(r, v, to) for r, v, to in log if r > 0]
+    # each vertex is stepped at its turn and in the last round
+    assert len(steps) <= 2 * g.n
+    # only colors below the target are announced at init, to every neighbor
+    for r, v, to in log:
+        if r == 0:
+            assert to == (g.adj[v] if v < target else ())
+    # a new color goes only to neighbors whose turn (round g.n - w) is to come
+    for r, v, to in steps:
+        assert all(w >= target and g.n - w > r for w in to)
+    # an edge carries 2 messages if both ends start below the target, else 1
+    expected = (sum(len(g.adj[v]) for v in g.adj if v < target)
+                + sum(1 for u, v in g.edges() if u >= target and v >= target))
+    assert sum(len(to) for _, _, to in log) == expected
+
+
+@pytest.mark.parametrize("g, steps", [(relabel(gen_path(3000), 1), 2),
+                                      (relabel(gen_grid(30, 30), 2), 1)])
+def test_linial_sends_nothing_at_init(monkeypatch, g, steps):
+    # round 1 reads the neighbors' IDs, their initial colors, from the view
+    log = _record_messages(monkeypatch)
+    _, trace = linial_coloring(g)
+    schedule = linial_schedule(g.n, g.max_degree)
+    assert len(schedule) == steps
+    assert trace.rounds == len(schedule)
+    assert sum(len(to) for r, _, to in log if r == 0) == 0
+    assert sum(1 for r, _, _ in log if r > 0) == len(schedule) * g.n
+    # every vertex tells every neighbor its color after each non-final round
+    assert sum(len(to) for _, _, to in log) == (len(schedule) - 1) * 2 * g.m
 
 
 def test_reduce_rejects_improper_input():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -229,6 +231,48 @@ def test_mail_to_a_halted_vertex_neither_wakes_it_nor_extends_the_run():
     log, trace = run_scripted(g, plans)
     assert log == [(1, 1, {2: 1}), (1, 2, {0: "x"}), (2, 2, {})]
     assert trace.rounds == 2
+
+
+class Hoard(VertexProgram):
+    """Broadcast the round number for ``rounds`` rounds, keeping every
+    inbox handed over next to a copy taken at its step."""
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+        self.kept = []
+
+    def init(self, view):
+        self.neighbors = view.neighbors
+        return dict.fromkeys(view.neighbors, 0), False
+
+    def step(self, round_no, inbox):
+        self.kept.append((inbox, dict(inbox)))
+        if round_no == self.rounds:
+            self.output = self.kept
+            return {}, True
+        return dict.fromkeys(self.neighbors, round_no), False
+
+
+def test_handed_over_inboxes_are_never_reused_or_mutated():
+    # the engine may drop its own references to an inbox, but a program
+    # that keeps one finds it as it was at its step
+    g = cycle(6)
+    out, trace = run(g, lambda v: Hoard(4))
+    assert trace.rounds == 4
+    kept = [pair for v in g.adj for pair in out[v]]
+    assert len(kept) == 4 * g.n
+    assert len({id(inbox) for inbox, _ in kept}) == len(kept)
+    for v in g.adj:
+        for round_no, (inbox, copy) in enumerate(out[v], 1):
+            assert inbox == copy == dict.fromkeys(g.adj[v], round_no - 1)
+
+
+def test_default_round_cap_uses_exact_integer_log():
+    # float log2 rounds 2**60 - 1 up to 60.0; the cap uses floor(log2 n)
+    assert default_round_cap(SimpleNamespace(n=2 ** 60 - 1, max_degree=0)) == 10 * (59 + 50)
+    assert default_round_cap(SimpleNamespace(n=2 ** 60, max_degree=0)) == 10 * (60 + 50)
+    assert default_round_cap(cycle(5)) == 10 * (2 + 2 + 50)
+    assert default_round_cap(Graph.from_edges([0], [])) == 10 * (1 + 0 + 50)
 
 
 # -- differential check against a round-by-round reference engine ----------
