@@ -16,7 +16,8 @@ from itertools import chain
 from operator import itemgetter
 
 from .basecolor import _int_ceil_root, _require_proper
-from .graph import Coloring, Graph, GraphError, VerificationError, induced_subgraph, norm_edge
+from .graph import (Coloring, Graph, GraphError, VerificationError, _degeneracy_order,
+                    induced_subgraph, norm_edge)
 from .sim import RoundTrace
 from .staredge import _FirstFit, _greedy_edges, _star_edge_coloring
 from .verify import is_proper_edge
@@ -128,28 +129,7 @@ def estimate_arboricity(g: Graph) -> int:
     ceil((degeneracy+1)/2), which this value never exceeds and undercuts
     when the degeneracy is even: the 200x200 grid has degeneracy 2 and
     arboricity 2, but gets 1."""
-    # bucket-queue degeneracy in O(n+m) (Matula & Beck 1983): buckets[d]
-    # holds vertices last seen at remaining degree d; stale entries are
-    # skipped.  Peeling a vertex lowers the minimum degree by at most one.
-    deg = {v: len(ns) for v, ns in g.adj.items()}
-    buckets: list[list[int]] = [[] for _ in range(g.max_degree + 1)]
-    for v, d in deg.items():
-        buckets[d].append(v)
-    degen = d = 0
-    while deg:
-        while True:
-            while not buckets[d]:
-                d += 1
-            v = buckets[d].pop()
-            if deg.get(v) == d:
-                break
-        degen = max(degen, d)
-        del deg[v]
-        for w in g.adj[v]:
-            if w in deg:
-                deg[w] -= 1
-                buckets[deg[w]].append(w)
-        d = max(d - 1, 0)
+    _, degen = _degeneracy_order(g)
     return max(1, -(-degen // 2))
 
 

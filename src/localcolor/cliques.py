@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _degeneracy_order
 
 CLIQUE_CAP = 10 ** 6
 
@@ -30,31 +32,24 @@ class CliqueCover:
 
     @staticmethod
     def from_cliques(g: Graph, cliques, mode: str) -> "CliqueCover":
-        uniq = sorted({frozenset(q) for q in cliques},
-                      key=lambda q: tuple(sorted(q)))
-        count = dict.fromkeys(g.adj, 0)  # cliques per vertex
+        uniq = sorted({tuple(sorted(set(q))) for q in cliques})
+        count = Counter(chain.from_iterable(uniq))  # cliques per vertex
+        if not count.keys() <= g.adj.keys():
+            raise GraphError(next(_violations(g, uniq)))
+        # Every clique at v lies in v's closed neighborhood N[v] iff each
+        # is a clique, and together they reach all of N(v) iff every edge
+        # at v is covered: the cover is valid iff their union is N[v].
+        reach = {v: {v} for v in g.adj}
         for q in uniq:
-            for v in sorted(q):
-                if v not in count:
-                    raise GraphError(f"clique vertex {v} not in graph")
-                count[v] += 1
-            for u in q:
-                for w in q:
-                    if u < w and not g.has_edge(u, w):
-                        raise GraphError(
-                            f"clique {sorted(q)} is not a clique: ({u},{w}) missing")
-        covered = set()
-        for q in uniq:
-            qs = sorted(q)
-            for i in range(len(qs)):
-                for j in range(i + 1, len(qs)):
-                    covered.add((qs[i], qs[j]))
-        for e in g.edges():
-            if e not in covered:
-                raise GraphError(f"edge {e} not covered by any clique")
+            for v in q:
+                reach[v].update(q)
+        for v, ns in g.adj.items():
+            r = reach[v]
+            if len(r) != len(ns) + 1 or not r.issuperset(ns):
+                raise GraphError(next(_violations(g, uniq)))
         D = max(count.values(), default=0)
         S = max((len(q) for q in uniq), default=0)
-        return CliqueCover(uniq, D, S, mode)
+        return CliqueCover([frozenset(q) for q in uniq], D, S, mode)
 
     def restrict(self, g_sub: Graph) -> "CliqueCover":
         """Cover of an induced subgraph: intersect every clique with the
@@ -66,31 +61,60 @@ class CliqueCover:
                                         mode="provided")
 
 
-def _bron_kerbosch(adj: dict[int, set[int]], cap: int) -> list[frozenset[int]]:
-    """Maximal cliques with pivoting."""
-    out: list[frozenset[int]] = []
+def _violations(g: Graph, cliques: list[tuple[int, ...]]):
+    """Why sorted, distinct ``cliques`` are no clique cover of g, in order:
+    for each clique, a vertex not in g, then its lexicographically first
+    pair that is no edge; then each edge of g that no clique covers."""
+    for q in cliques:
+        for v in q:
+            if v not in g.adj:
+                yield f"clique vertex {v} not in graph"
+        for i, u in enumerate(q):
+            for w in q[i + 1:]:
+                if not g.has_edge(u, w):
+                    yield f"clique {list(q)} is not a clique: ({u},{w}) missing"
+    reach: dict[int, set[int]] = {}
+    for q in cliques:
+        for v in q:
+            reach.setdefault(v, set()).update(q)
+    for u, w in g.edges():
+        if w not in reach.get(u, ()):
+            yield f"edge {(u, w)} not covered by any clique"
 
-    def expand(r: set[int], p: set[int], x: set[int]):
-        if not p and not x:
-            out.append(frozenset(r))
-            if len(out) > cap:
-                raise CliqueCapExceeded(
-                    f"more than {cap} maximal cliques; aborting enumeration")
-            return
-        pivot = max(p | x, key=lambda v: (len(adj[v] & p), -v))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
+
+def _bron_kerbosch(adj: dict[int, set[int]], order: list[int],
+                   cap: int) -> list[tuple[int, ...]]:
+    """Maximal cliques as sorted tuples, by Bron–Kerbosch on an explicit
+    stack of calls (R, P, X, vertices to branch on), so a big clique needs
+    no deep recursion.  The outer call branches on the vertices in a
+    degeneracy order, which gives vertex v the subproblem P = its later
+    neighbors, X = its earlier ones (Eppstein, Löffler and Strash 2010);
+    every inner call branches on P minus the neighbors of Tomita's pivot,
+    the vertex of P | X with most neighbors in P."""
+    out: list[tuple[int, ...]] = []
+    stack = [((), set(adj), set(), order)]
+    while stack:
+        r, p, x, branch = stack.pop()
+        for v in branch:
+            nv = adj[v]
+            pv, xv = p & nv, x & nv
+            if pv:
+                pivot = max(pv | xv, key=lambda u: len(pv & adj[u]))
+                stack.append((r + (v,), pv, xv, pv - adj[pivot]))
+            elif not xv:
+                out.append(tuple(sorted(r + (v,))))
+                if len(out) > cap:
+                    raise CliqueCapExceeded(
+                        f"more than {cap} maximal cliques; aborting enumeration")
             p.remove(v)
             x.add(v)
-
-    expand(set(), set(adj), set())
     return out
 
 
 def enumerate_maximal_cliques(g: Graph, cap: int = CLIQUE_CAP) -> CliqueCover:
     adj = {v: set(ns) for v, ns in g.adj.items()}
-    cliques = _bron_kerbosch(adj, cap)
-    return CliqueCover.from_cliques(g, cliques, mode="intrinsic")
+    order, _ = _degeneracy_order(g)
+    return CliqueCover.from_cliques(g, _bron_kerbosch(adj, order, cap), mode="intrinsic")
 
 
 def build_vertex_connector(g: Graph, cover: CliqueCover, t: int) -> Graph:
@@ -98,15 +122,18 @@ def build_vertex_connector(g: Graph, cover: CliqueCover, t: int) -> Graph:
     cover's cliques; each clique is split by ascending ID."""
     if t <= 1:
         raise GraphError(f"connector part size t must exceed 1, got {t}")
-    edges: set[tuple[int, int]] = set()
+    adj = {v: set() for v in sorted(g.adj)}
     for q in cover.cliques:
         members = sorted(q)
         for start in range(0, len(members), t):
             part = members[start:start + t]
-            for i in range(len(part)):
-                for j in range(i + 1, len(part)):
-                    edges.add((part[i], part[j]))
-    derived = Graph.from_edges(g.adj, edges)
+            for v in part:
+                if v not in adj:
+                    raise GraphError(f"connector vertex {v} not in graph")
+                adj[v].update(part)
+    for v, ns in adj.items():
+        ns.discard(v)
+    derived = Graph({v: tuple(sorted(ns)) for v, ns in adj.items()})
     # invariant: connector degree never exceeds D*(t-1)
     if derived.max_degree > cover.D * (t - 1):
         raise GraphError(f"vertex connector degree {derived.max_degree} exceeds "

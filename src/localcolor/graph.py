@@ -118,6 +118,37 @@ class Coloring:
         return len(set(self.assignment.values()))
 
 
+def _degeneracy_order(g: Graph) -> tuple[list[int], int]:
+    """A smallest-last peel order of g's vertices and g's degeneracy, in
+    O(n+m) with a bucket queue (Matula & Beck 1983).  Every vertex has at
+    most degeneracy neighbors later in the order."""
+    # buckets[d] holds vertices last seen at remaining degree d; stale
+    # entries are skipped.  Peeling a vertex lowers the minimum degree by
+    # at most one.
+    deg = {v: len(ns) for v, ns in g.adj.items()}
+    buckets: list[list[int]] = [[] for _ in range(g.max_degree + 1)]
+    for v, d in deg.items():
+        buckets[d].append(v)
+    order = []
+    degen = d = 0
+    while deg:
+        while True:
+            while not buckets[d]:
+                d += 1
+            v = buckets[d].pop()
+            if deg.get(v) == d:
+                break
+        degen = max(degen, d)
+        del deg[v]
+        order.append(v)
+        for w in g.adj[v]:
+            if w in deg:
+                deg[w] -= 1
+                buckets[deg[w]].append(w)
+        d = max(d - 1, 0)
+    return order, degen
+
+
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     keep = set(keep)
     if not keep <= g.adj.keys():
@@ -144,16 +175,16 @@ def hypergraph_line_graph(h: Hypergraph):
 
     if not h.hyperedges:
         raise GraphError("line graph of an empty hypergraph")
-    adj: dict[int, set[int]] = {i: set() for i in range(len(h.hyperedges))}
     by_vertex: dict[int, list[int]] = {}
     for i, he in enumerate(h.hyperedges):
-        for v in sorted(he):
+        for v in he:
             by_vertex.setdefault(v, []).append(i)
+    adj: list[set[int]] = [set() for _ in h.hyperedges]
     for members in by_vertex.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                adj[members[i]].add(members[j])
-                adj[members[j]].add(members[i])
-    lg = Graph({v: tuple(sorted(ns)) for v, ns in adj.items()})
-    cliques = [frozenset(members) for _, members in sorted(by_vertex.items())]
+        for i in members:
+            adj[i].update(members)
+    for i, ns in enumerate(adj):
+        ns.discard(i)
+    lg = Graph({i: tuple(sorted(ns)) for i, ns in enumerate(adj)})
+    cliques = [members for _, members in sorted(by_vertex.items())]
     return lg, CliqueCover.from_cliques(lg, cliques, mode="provided")

@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localcolor.cliques import CliqueCover, build_vertex_connector, enumerate_maximal_cliques
+from localcolor.cliques import (CliqueCapExceeded, CliqueCover, build_vertex_connector,
+                                enumerate_maximal_cliques)
 from localcolor.graph import Graph, GraphError, norm_edge
-from localcolor.io import gen_complete, gen_random
+from localcolor.io import gen_complete, gen_line_of, gen_random
 from localcolor.verify import brute_force_maximal_cliques, check_clique_decomposition
 from helpers import petersen
 
@@ -44,6 +47,43 @@ def test_from_cliques_rejects_uncovered_edge():
         CliqueCover.from_cliques(g, [[0, 1]], mode="provided")
 
 
+def test_from_cliques_names_the_first_violation():
+    path = [[i, i + 1] for i in range(17)]
+    g = Graph.from_edges(range(18), path)
+    # no pair of [3, 10, 17] is an edge; the lexicographically first is
+    # named, not the first in the frozenset's iteration order (17, 10, 3)
+    with pytest.raises(GraphError, match=r"^clique \[3, 10, 17\] is not a clique: \(3,10\) missing$"):
+        CliqueCover.from_cliques(g, path + [[17, 10, 3]], mode="provided")
+    with pytest.raises(GraphError, match="^clique vertex 20 not in graph$"):
+        CliqueCover.from_cliques(g, path + [[2, 20]], mode="provided")
+    # clique [0, 1, 2] comes before [2, 20], so its missing pair is named first
+    with pytest.raises(GraphError, match=r"\(0,2\) missing"):
+        CliqueCover.from_cliques(g, path + [[2, 20], [0, 1, 2]], mode="provided")
+    with pytest.raises(GraphError, match=r"^edge \(2, 3\) not covered by any clique$"):
+        CliqueCover.from_cliques(g, path[:2] + path[3:], mode="provided")
+
+
+def test_clique_cap():
+    # Petersen is triangle-free: its 15 edges are its maximal cliques
+    assert len(enumerate_maximal_cliques(petersen(), cap=15).cliques) == 15
+    with pytest.raises(CliqueCapExceeded):
+        enumerate_maximal_cliques(petersen(), cap=14)
+
+
+def test_enumeration_needs_no_deep_recursion():
+    # one frame per clique vertex would overflow this limit
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        cover = enumerate_maximal_cliques(gen_complete(60))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cover.cliques == [frozenset(range(60))]
+
+
 def test_k9_connector_t3_gives_three_triangles():
     g = gen_complete(9)
     cover = enumerate_maximal_cliques(g)
@@ -59,6 +99,11 @@ def test_connector_rejects_t1():
     g = gen_complete(3)
     with pytest.raises(GraphError):
         build_vertex_connector(g, enumerate_maximal_cliques(g), t=1)
+
+
+def test_connector_rejects_a_cover_of_another_graph():
+    with pytest.raises(GraphError, match="connector vertex 3 not in graph"):
+        build_vertex_connector(gen_complete(3), enumerate_maximal_cliques(gen_complete(4)), t=2)
 
 
 def test_max_clique_size():
@@ -101,3 +146,66 @@ def test_vertex_connector_rejects_an_understated_diversity():
     assert cover.D == 2
     with pytest.raises(GraphError, match="exceeds D"):
         build_vertex_connector(g, dataclasses.replace(cover, D=1), 3)
+
+
+def _digest(x) -> str:
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+def test_covers_and_connectors_match_golden():
+    """The benchmark's covers (clique order, D, S) and the vertex connectors
+    of the first at t = 2 and 3, pinned by the sha256 of their lists."""
+    g = gen_random(1000, 24, 1)
+    cover = enumerate_maximal_cliques(g)
+    assert (_digest([tuple(sorted(q)) for q in cover.cliques]), cover.D, cover.S) == \
+        ("48509b49cf2a344e", 24, 4)
+    assert [_digest(build_vertex_connector(g, cover, t).edges()) for t in (2, 3)] == \
+        ["4f40d5113bcc1128", "370d171abbe0c5f2"]
+    lg, lcover = gen_line_of(100, 30, 1)
+    assert (_digest([tuple(sorted(q)) for q in lcover.cliques]), lcover.D, lcover.S) == \
+        ("ef4bf9bd68d7b93b", 2, 30)
+
+
+def _pairwise_cover_error(g, cliques):
+    """Reference check: every clique pair tested with ``has_edge`` and every
+    edge looked up in the set of covered pairs.  Returns the first failure
+    or None."""
+    uniq = sorted({tuple(sorted(set(q))) for q in cliques})
+    for q in uniq:
+        for v in q:
+            if v not in g.adj:
+                return f"clique vertex {v} not in graph"
+        for i, u in enumerate(q):
+            for w in q[i + 1:]:
+                if not g.has_edge(u, w):
+                    return f"clique {list(q)} is not a clique: ({u},{w}) missing"
+    covered = {(u, w) for q in uniq for i, u in enumerate(q) for w in q[i + 1:]}
+    for e in g.edges():
+        if e not in covered:
+            return f"edge {e} not covered by any clique"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["none", "drop", "extra", "outside", "merge"]),
+       st.data())
+def test_cover_check_matches_pairwise_reference(seed, damage, data):
+    g = gen_random(16, 5, seed=seed)
+    cliques = [sorted(q) for q in enumerate_maximal_cliques(g).cliques]
+    i = data.draw(st.integers(0, len(cliques) - 1))
+    if damage == "drop":
+        del cliques[i]
+    elif damage == "extra":  # a vertex of the graph, often not adjacent to all of q
+        cliques[i].append(data.draw(st.sampled_from(sorted(g.adj))))
+    elif damage == "outside":
+        cliques[i].append(g.n + data.draw(st.integers(0, 3)))
+    elif damage == "merge":  # the union of two cliques, rarely a clique
+        cliques.append(cliques[i] + cliques[data.draw(st.integers(0, len(cliques) - 1))])
+    expected = _pairwise_cover_error(g, cliques)
+    if expected is None:
+        cover = CliqueCover.from_cliques(g, cliques, mode="provided")
+        assert cover.S == max(len(set(q)) for q in cliques)
+    else:
+        with pytest.raises(GraphError) as err:
+            CliqueCover.from_cliques(g, cliques, mode="provided")
+        assert str(err.value) == expected

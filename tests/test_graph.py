@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from localcolor.graph import (Coloring, Graph, GraphError, Hypergraph,
+from localcolor.graph import (Coloring, Graph, GraphError, Hypergraph, _degeneracy_order,
                               hypergraph_line_graph, induced_subgraph,
                               line_graph, norm_edge)
 
@@ -85,3 +85,18 @@ def test_line_graph_cover_is_valid(pairs):
             shares = bool(set(base[i]) & set(base[j]))
             assert lg.has_edge(i, j) == shares
     assert cover.D <= 2
+
+
+@given(st.integers(0, 25), st.sets(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=80))
+def test_degeneracy_order_is_smallest_last(n, pairs):
+    import networkx
+
+    g = Graph.from_edges(range(n), [(u, v) for u, v in pairs if u != v and max(u, v) < n])
+    order, degen = _degeneracy_order(g)
+    assert sorted(order) == sorted(g.adj)
+    pos = {v: i for i, v in enumerate(order)}
+    later = [sum(pos[w] > pos[v] for w in g.adj[v]) for v in order]
+    assert max(later, default=0) == degen
+    nxg = networkx.Graph(g.edges())
+    nxg.add_nodes_from(g.adj)
+    assert degen == max(networkx.core_number(nxg).values(), default=0)
