@@ -112,17 +112,6 @@ def _topo_order(vertices, out: dict) -> list:
     return order
 
 
-@dataclass
-class ArbParams:
-    a: int
-    q: float
-    a_hat: float
-    x: int
-    eta: float
-    c: float
-    guaranteed: bool  # whether the Delta*(1+2*eta) palette guarantee holds
-
-
 def estimate_arboricity(g: Graph) -> int:
     """ceil(degeneracy/2), an estimate that is not an upper bound.  Since
     a <= degeneracy <= 2a-1, the arboricity is at least
@@ -534,36 +523,3 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
     _require_proper(g, col, "powered_edge_coloring output")
     return col, trace
 
-
-def _log2(v):
-    return math.log2(max(v, 2.0))
-
-
-def _loglog2(v):
-    return max(math.log2(max(math.log2(max(v, 2.0)), 1.0)), 1.0)
-
-
-def auto_params(delta: int, a: int, c: float = 2.0,
-                eps: float = EPSILON_DEFAULT) -> ArbParams:
-    """Pick q, x, eta per the two regimes; the `guaranteed` flag says
-    whether Delta^(1/x) >= (x/eta)(a_hat^(1/x)+3) holds with eta small
-    enough for the Delta*(1+2*eta) palette guarantee."""
-    if delta < 1 or a < 1:
-        raise GraphError("delta and a must be at least 1")
-    small_arb = a <= delta ** (1.0 / (4 * _loglog2(delta)))
-    if small_arb:
-        eta = 1.0 / _log2(delta)
-        q = max(2 + eps,
-                (1.0 / a) * 2 ** (_log2(delta) /
-                                  (_loglog2(delta) + math.log2(1 / eta) + 1)))
-        a_hat = q * a
-        x = max(1, round(_log2(a_hat)))
-        guaranteed = delta ** (1.0 / x) >= (x / eta) * (a_hat ** (1.0 / x) + 3)
-    else:
-        q = 2 + eps
-        a_hat = q * a
-        x = max(1, round(_log2(a_hat) / (c * _loglog2(a_hat))))
-        eta_min = x * (a_hat ** (1.0 / x) + 3) / delta ** (1.0 / x)
-        eta = min(0.5, eta_min)
-        guaranteed = eta_min <= 0.5
-    return ArbParams(a, q, a_hat, x, eta, c, guaranteed)

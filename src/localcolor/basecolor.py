@@ -209,19 +209,14 @@ class _ReduceProgram(VertexProgram):
         return outbox, self._sleep(round_no)
 
 
-def reduce_colors(g: Graph, c: Coloring,
-                  target: int | None = None) -> tuple[Coloring, RoundTrace]:
-    """Basic color reduction: from palette Delta+r down to ``target``
-    (default Delta+1) in exactly (palette - target) rounds, one top color
-    class recolored greedily per round."""
+def reduce_colors(g: Graph, c: Coloring) -> tuple[Coloring, RoundTrace]:
+    """Basic color reduction: from palette Delta+r down to the target
+    Delta+1 in exactly r rounds, one top color class recolored greedily
+    per round."""
     if c.kind != "vertex":
         raise GraphError("reduce_colors expects a vertex coloring")
     _require_proper(g, c, "input coloring")
-    delta = g.max_degree
-    if target is None:
-        target = delta + 1
-    if target < delta + 1:
-        raise GraphError(f"target {target} below Delta+1 = {delta + 1}")
+    target = g.max_degree + 1
     if target >= c.palette_size:
         return Coloring(c.kind, dict(c.assignment), c.palette_size), RoundTrace()
 

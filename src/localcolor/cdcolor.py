@@ -137,6 +137,11 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, palette,
     return col, report
 
 
+def cd_envelope(D: int, S: int, t: int, x: int) -> float:
+    """CD-Coloring's coarse palette envelope (tD)^x * D(S/t^x + 2) + (tD)^x."""
+    return (t * D) ** x * (D * (S / t ** x + 2)) + (t * D) ** x
+
+
 def cd_coloring(g: Graph, cover: CliqueCover, t: int, x: int,
                 audit: bool = False) -> tuple[Coloring, DecompositionReport]:
     """CD-Coloring: x connector levels with one part size t, leaves colored
@@ -155,8 +160,7 @@ def cd_coloring(g: Graph, cover: CliqueCover, t: int, x: int,
 
     col, report = _decompose(g, cover, x, lambda S_cur, x_cur: t,
                              total_palette, audit)
-    # palette stays inside the coarse decomposition envelope
-    envelope = (t * D) ** x * ((S / t ** x + 2) * D) + (t * D) ** x
+    envelope = cd_envelope(D, S, t, x)
     if g.m and col.palette_size > envelope:
         raise VerificationError(f"palette {col.palette_size} exceeds the "
                                 f"envelope {envelope:g}")

@@ -13,23 +13,14 @@ import sys
 import time
 
 from . import arbedge
-from .cdcolor import cd_coloring, choose_params, refined_coloring, refined_palette_bound
+from .cdcolor import (cd_coloring, cd_envelope, choose_params, refined_coloring,
+                      refined_palette_bound)
 from .cliques import CliqueCover, enumerate_maximal_cliques
 from .graph import (Coloring, GraphError, VerificationError, hypergraph_line_graph, line_graph,
                     norm_edge)
 from .io import GENERATORS, ParseError, load_graph
-from .staredge import recursive_star_edge_coloring
+from .staredge import recursive_star_edge_coloring, star_palette_bound
 from .verify import count_colors, is_proper_edge, is_proper_vertex
-
-
-def _add_common(p):
-    p.add_argument("--input", help="input graph file")
-    p.add_argument("--format", default="edgelist",
-                   choices=["edgelist", "dimacs", "hyper"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--audit", action="store_true",
-                   help="enable per-level decomposition checks")
-    p.add_argument("--json", dest="json_path", help="also write the report here")
 
 
 def _build_parser():
@@ -38,19 +29,22 @@ def _build_parser():
     for name in ("cd-color", "refined", "star-edge", "arb-edge",
                  "delta-little-o", "powered", "verify"):
         p = sub.add_parser(name)
-        _add_common(p)
-        if name in ("cd-color", "refined"):
+        p.add_argument("--input", help="input graph file")
+        p.add_argument("--format", default="edgelist",
+                       choices=["edgelist", "dimacs", "hyper"])
+        p.add_argument("--json", dest="json_path", help="also write the report here")
+        if name in ("cd-color", "refined", "star-edge", "powered"):
             p.add_argument("--x", type=int, default=1)
-            p.add_argument("--t", type=int, default=None)
+        if name in ("cd-color", "refined"):
             p.add_argument("--cover", default="intrinsic",
                            help="intrinsic | line | provided:PATH")
-        if name == "star-edge":
-            p.add_argument("--x", type=int, default=1)
+            p.add_argument("--audit", action="store_true",
+                           help="enable per-level decomposition checks")
+        if name == "cd-color":
+            p.add_argument("--t", type=int, default=None)
         if name in ("arb-edge", "delta-little-o", "powered"):
             p.add_argument("--a", type=int, default=None)
             p.add_argument("--q", type=float, default=arbedge.DEFAULT_Q)
-        if name == "powered":
-            p.add_argument("--x", type=int, default=1)
         if name == "verify":
             p.add_argument("--coloring", help="JSON coloring file to check")
     g = sub.add_parser("gen")
@@ -64,14 +58,19 @@ def _build_parser():
     return ap
 
 
-def _load_with_cover(args):
-    """Returns (graph, cover-or-None) honoring --format and --cover."""
+def _load(args):
+    """(graph, cover): the input graph and the clique cover that --cover
+    asks for, or None on a subcommand without --cover.  A hypergraph
+    (--format hyper) becomes the intersection graph of its hyperedges,
+    with one clique per original vertex as its cover."""
     if not args.input:
         raise ParseError("--input is required for this command")
     loaded = load_graph(args.input, args.format)
     if args.format == "hyper":
         return hypergraph_line_graph(loaded)
-    cover_mode = getattr(args, "cover", "intrinsic")
+    cover_mode = getattr(args, "cover", None)
+    if cover_mode is None:
+        return loaded, None
     if cover_mode == "line":
         return line_graph(loaded)
     if cover_mode == "intrinsic":
@@ -80,7 +79,7 @@ def _load_with_cover(args):
         # one clique per line, the hypergraph format: a bad token is a
         # ParseError naming the cover file and line
         cliques = load_graph(cover_mode.split(":", 1)[1], "hyper").hyperedges
-        return loaded, CliqueCover.from_cliques(loaded, cliques, mode="provided")
+        return loaded, CliqueCover.from_cliques(loaded, cliques)
     raise ParseError(f"unknown cover mode {cover_mode!r}")
 
 
@@ -89,21 +88,13 @@ def _report(args, algorithm, g, a_estimate, col, trace, theory_bound, extra):
     declared bound is the coloring's palette."""
     declared = col.palette_size
     used, declared_palette = count_colors(col)
-    if col.kind == "vertex":
-        verdict = is_proper_vertex(g, col)
-    else:
-        verdict = is_proper_edge(g, col)
+    verdict = (is_proper_vertex if col.kind == "vertex" else is_proper_edge)(g, col)
     ok = verdict.ok and used <= declared and declared <= theory_bound
     report = {
         "algorithm": algorithm,
         "params": {k: v for k, v in sorted(vars(args).items())
                    if k not in ("command", "json_path") and v is not None},
-        "graph": {
-            "n": g.n,
-            "m": g.m,
-            "delta": g.max_degree,
-            "a_estimate": a_estimate,
-        },
+        "graph": {"n": g.n, "m": g.m, "delta": g.max_degree, "a_estimate": a_estimate},
         "colors_used": used,
         "declared_palette": declared_palette,
         "declared_bound": declared,
@@ -166,8 +157,7 @@ def _load_coloring(path) -> Coloring:
 
 def _cmd_verify(args):
     start = time.monotonic()
-    g = load_graph(args.input, args.format) if args.format != "hyper" else \
-        hypergraph_line_graph(load_graph(args.input, "hyper"))[0]
+    g, _ = _load(args)
     if not args.coloring:
         report = {
             "algorithm": "verify",
@@ -193,18 +183,14 @@ def _cmd_verify(args):
 
 def _run_algorithm(args):
     start = time.monotonic()
-    vertex_family = args.command in ("cd-color", "refined")
-    if vertex_family:
-        g, cover = _load_with_cover(args)
-    else:
-        g = load_graph(args.input, args.format)
+    g, cover = _load(args)
     a_estimate = arbedge.estimate_arboricity(g) if g.m else 0
-    if vertex_family:
+    if args.command in ("cd-color", "refined"):
         D, S = cover.D, cover.S
         if args.command == "cd-color":
             t = args.t if args.t is not None else choose_params(S, args.x)
             col, trace = cd_coloring(g, cover, t, args.x, audit=args.audit)
-            theory = (t * D) ** args.x * (D * (S / t ** args.x + 2)) + (t * D) ** args.x
+            theory = cd_envelope(D, S, t, args.x)
         else:
             col, trace = refined_coloring(g, cover, args.x, audit=args.audit)
             theory = refined_palette_bound(D, S, args.x)
@@ -212,7 +198,7 @@ def _run_algorithm(args):
                  "leaf_count": trace.leaf_count()}
     elif args.command == "star-edge":
         col, trace = recursive_star_edge_coloring(g, args.x)
-        theory = max(2 ** (args.x + 1) * g.max_degree, 1)
+        theory = star_palette_bound(g.max_degree, args.x)
         extra = {"class_count": trace.class_count, "max_star": trace.max_star}
     else:
         # estimate_arboricity is at least 1, also on an edgeless graph

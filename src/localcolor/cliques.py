@@ -11,27 +11,24 @@ from .graph import Graph, GraphError, _degeneracy_order
 CLIQUE_CAP = 10 ** 6
 
 
-class CliqueCapExceeded(RuntimeError):
+class CliqueCapExceeded(GraphError):
     pass
 
 
 @dataclass
 class CliqueCover:
-    """A consistent set of cliques covering every edge of the graph.
-
-    ``mode`` is "intrinsic" when the cliques are exactly the maximal cliques
-    of the graph, or "provided" for externally supplied covers (line graphs,
-    hypergraph line graphs).  Clique IDs are positions in lexicographic order
-    of the sorted vertex tuples, so they are reproducible.
+    """A consistent set of cliques covering every edge of the graph: its
+    maximal cliques, or a cover given with it (line graphs, hypergraph
+    line graphs, a cover file).  Clique IDs are positions in lexicographic
+    order of the sorted vertex tuples, so they are reproducible.
     """
 
     cliques: list[frozenset[int]]
     D: int
     S: int
-    mode: str
 
     @staticmethod
-    def from_cliques(g: Graph, cliques, mode: str) -> "CliqueCover":
+    def from_cliques(g: Graph, cliques) -> "CliqueCover":
         uniq = sorted({tuple(sorted(set(q))) for q in cliques})
         count = Counter(chain.from_iterable(uniq))  # cliques per vertex
         if not count.keys() <= g.adj.keys():
@@ -49,7 +46,7 @@ class CliqueCover:
                 raise GraphError(next(_violations(g, uniq)))
         D = max(count.values(), default=0)
         S = max((len(q) for q in uniq), default=0)
-        return CliqueCover([frozenset(q) for q in uniq], D, S, mode)
+        return CliqueCover([frozenset(q) for q in uniq], D, S)
 
     def restrict(self, g_sub: Graph) -> "CliqueCover":
         """Cover of an induced subgraph: intersect every clique with the
@@ -57,8 +54,7 @@ class CliqueCover:
         edge lay in some clique) and never increases D or S."""
         keep = set(g_sub.adj)
         parts = [q & keep for q in self.cliques]
-        return CliqueCover.from_cliques(g_sub, [p for p in parts if p],
-                                        mode="provided")
+        return CliqueCover.from_cliques(g_sub, [p for p in parts if p])
 
 
 def _violations(g: Graph, cliques: list[tuple[int, ...]]):
@@ -82,6 +78,21 @@ def _violations(g: Graph, cliques: list[tuple[int, ...]]):
             yield f"edge {(u, w)} not covered by any clique"
 
 
+def _tomita_pivot(p: set[int], x: set[int], adj: dict[int, set[int]]) -> int:
+    """Tomita's pivot of the call (P, X): a vertex of P | X with most
+    neighbors in P.  X is scored first; scoring stops at a vertex that
+    covers P (all of it from X, the rest of it from P), as none can beat it."""
+    best, most = None, -1
+    for group, full in ((x, len(p)), (p, len(p) - 1)):
+        for u in group:
+            k = len(p & adj[u])
+            if k > most:
+                best, most = u, k
+                if k == full:
+                    return best
+    return best
+
+
 def _bron_kerbosch(adj: dict[int, set[int]], order: list[int],
                    cap: int) -> list[tuple[int, ...]]:
     """Maximal cliques as sorted tuples, by Bron–Kerbosch on an explicit
@@ -90,7 +101,7 @@ def _bron_kerbosch(adj: dict[int, set[int]], order: list[int],
     degeneracy order, which gives vertex v the subproblem P = its later
     neighbors, X = its earlier ones (Eppstein, Löffler and Strash 2010);
     every inner call branches on P minus the neighbors of Tomita's pivot,
-    the vertex of P | X with most neighbors in P."""
+    and no call is made whose P lies in the neighborhood of a vertex of X."""
     out: list[tuple[int, ...]] = []
     stack = [((), set(adj), set(), order)]
     while stack:
@@ -99,8 +110,9 @@ def _bron_kerbosch(adj: dict[int, set[int]], order: list[int],
             nv = adj[v]
             pv, xv = p & nv, x & nv
             if pv:
-                pivot = max(pv | xv, key=lambda u: len(pv & adj[u]))
-                stack.append((r + (v,), pv, xv, pv - adj[pivot]))
+                rest = pv - adj[_tomita_pivot(pv, xv, adj)]
+                if rest:  # empty iff the pivot is a vertex of X that covers P
+                    stack.append((r + (v,), pv, xv, rest))
             elif not xv:
                 out.append(tuple(sorted(r + (v,))))
                 if len(out) > cap:
@@ -114,7 +126,7 @@ def _bron_kerbosch(adj: dict[int, set[int]], order: list[int],
 def enumerate_maximal_cliques(g: Graph, cap: int = CLIQUE_CAP) -> CliqueCover:
     adj = {v: set(ns) for v, ns in g.adj.items()}
     order, _ = _degeneracy_order(g)
-    return CliqueCover.from_cliques(g, _bron_kerbosch(adj, order, cap), mode="intrinsic")
+    return CliqueCover.from_cliques(g, _bron_kerbosch(adj, order, cap))
 
 
 def build_vertex_connector(g: Graph, cover: CliqueCover, t: int) -> Graph:

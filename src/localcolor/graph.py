@@ -187,4 +187,4 @@ def hypergraph_line_graph(h: Hypergraph):
         ns.discard(i)
     lg = Graph({i: tuple(sorted(ns)) for i, ns in enumerate(adj)})
     cliques = [members for _, members in sorted(by_vertex.items())]
-    return lg, CliqueCover.from_cliques(lg, cliques, mode="provided")
+    return lg, CliqueCover.from_cliques(lg, cliques)

@@ -126,6 +126,11 @@ def _star_level(edges, t: int) -> tuple[list[list[tuple[int, int]]], int]:
     return classes, max(rank.values(), default=0)
 
 
+def star_palette_bound(delta: int, x: int) -> int:
+    """max(2^(x+1)*Delta, 1), the star scheme's palette bound for x levels."""
+    return max(2 ** (x + 1) * delta, 1)
+
+
 def star_edge_coloring_4delta(g: Graph) -> tuple[Coloring, StarPartitionReport]:
     """The two-stage 4*Delta scheme, which is recursive_star_edge_coloring
     with x=1: t = max(2, floor(sqrt(Delta))), 2t-1 classes whose stars of
@@ -196,7 +201,7 @@ def _star_edge_coloring(edges, x: int) -> tuple[Coloring, StarPartitionReport]:
 
     rec(edges, 0, 0)
     combined = leaf_radix * (2 * t - 1) ** x
-    if combined > 2 ** (x + 1) * delta:
-        raise VerificationError(f"palette {combined} exceeds 2^{x + 1}*Delta = "
-                                f"{2 ** (x + 1) * delta}")
+    bound = star_palette_bound(delta, x)
+    if combined > bound:
+        raise VerificationError(f"palette {combined} exceeds 2^{x + 1}*Delta = {bound}")
     return Coloring("edge", assign, combined), report

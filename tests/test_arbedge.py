@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from localcolor import arbedge
 from localcolor.arbedge import (_bipartite_level, _connector_graph, _connector_walk,
                                 arb_edge_coloring, arb_palette_bound,
-                                acyclic_orientation, auto_params, delta_plus_little_o,
+                                acyclic_orientation, delta_plus_little_o,
                                 estimate_arboricity, h_partition,
                                 little_o_palette_bound, merge_cross_coloring,
                                 powered_edge_coloring, powered_palette_bound)
@@ -192,13 +192,6 @@ def test_powered_x1_matches_direct_palette():
     col, _ = powered_edge_coloring(f, 1, 2.5, 1)
     # one level: plain oriented coloring with Delta + out - 1 colors
     assert col.palette_size <= f.max_degree + int(2.5) - 1
-
-
-def test_auto_params_branches():
-    p = auto_params(2 ** 16, 2)
-    assert p.x == 2 and p.q == 2.5 and p.guaranteed
-    assert not auto_params(64, 64).guaranteed
-    assert auto_params(7, 1).x >= 1
 
 
 def test_estimate_arboricity():

@@ -120,17 +120,10 @@ def test_reduce_rejects_improper_input():
         reduce_colors(g, bad)
 
 
-def test_reduce_rejects_target_below_delta_plus_one():
-    g = cycle(4)
-    col = Coloring("vertex", {0: 0, 1: 1, 2: 0, 3: 3}, 4)
-    with pytest.raises(GraphError):
-        reduce_colors(g, col, target=2)
-
-
 def test_reduce_noop_when_target_covers_palette():
     g = cycle(4)
     col = Coloring("vertex", {0: 0, 1: 1, 2: 0, 3: 2}, 3)
-    out, trace = reduce_colors(g, col, target=5)
+    out, trace = reduce_colors(g, col)  # palette 3 is already Delta+1
     assert out.assignment == col.assignment
     assert trace.rounds == 0
 

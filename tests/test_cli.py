@@ -287,3 +287,69 @@ def test_arboricity_estimated_once_per_run(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     report = json.loads(out)
     assert report["a"] == report["graph"]["a_estimate"] == estimate(load_edgelist(path))
+
+
+def test_clique_cap_exits_2(tmp_path, capsys, monkeypatch):
+    from localcolor import cliques
+    path = tmp_path / "p.el"
+    path.write_text("0 1\n1 2\n")  # two maximal cliques
+    monkeypatch.setattr(cliques.enumerate_maximal_cliques, "__defaults__", (1,))
+    assert main(["cd-color", "--input", str(path)]) == 2
+    assert "error: more than 1 maximal cliques" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["star-edge", "arb-edge", "delta-little-o",
+                                     "powered", "verify"])
+def test_edge_subcommands_run_on_a_hypergraph(tmp_path, capsys, command):
+    path = tmp_path / "h.hg"
+    path.write_text("0 1 2\n2 3 4\n4 5\n0 5 6\n")  # intersection graph: a 4-cycle
+    code, out = run_cli(capsys, command, "--input", str(path), "--format", "hyper")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] and report["graph"] == {"n": 4, "m": 4, "delta": 2,
+                                                "a_estimate": 1}
+
+
+# the options each algorithm subcommand reads, all given below
+READS = {
+    "cd-color": {"input", "format", "x", "cover", "audit", "t"},
+    "refined": {"input", "format", "x", "cover", "audit"},
+    "star-edge": {"input", "format", "x"},
+    "arb-edge": {"input", "format", "a", "q"},
+    "delta-little-o": {"input", "format", "a", "q"},
+    "powered": {"input", "format", "x", "a", "q"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_report_params_are_the_options_read(tmp_path, capsys, monkeypatch, command):
+    from localcolor.cliques import CliqueCover
+    path = tmp_path / "f.el"
+    code, _ = run_cli(capsys, "gen", "--kind", "forest", "--n", "40", "--delta", "5",
+                      "--seed", "1", "--out", str(path))
+    assert code == 0
+    covers = []
+    from_cliques = CliqueCover.from_cliques
+    monkeypatch.setattr(CliqueCover, "from_cliques",
+                        staticmethod(lambda *a: covers.append(1) or from_cliques(*a)))
+    given = {"x": "1", "cover": "intrinsic", "t": "2", "a": "1", "q": "2.5"}
+    argv = [f"--{k}={v}" for k, v in given.items() if k in READS[command]]
+    argv += ["--audit"] if "audit" in READS[command] else []
+    code, out = run_cli(capsys, command, "--input", str(path), *argv)
+    assert code == 0
+    assert set(json.loads(out)["params"]) == READS[command]
+    # only the vertex colorings build a clique cover
+    assert bool(covers) == (command in ("cd-color", "refined"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["star-edge", "--seed", "1"], ["star-edge", "--audit"], ["arb-edge", "--seed", "1"],
+    ["delta-little-o", "--audit"], ["powered", "--seed", "1"], ["verify", "--seed", "1"],
+    ["verify", "--audit"], ["cd-color", "--seed", "1"], ["refined", "--seed", "1"],
+    ["refined", "--t", "3"],
+], ids=" ".join)
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "g.el"
+    path.write_text("0 1\n1 2\n")
+    assert main([*argv, "--input", str(path)]) == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err

@@ -14,19 +14,19 @@ from localcolor.cli import main
 # subcommand argv (after --input) -> sha256 of the report
 GOLDEN = {
     ("star-edge", "--x", "1"):
-        "3af6c35037c3fd53da736a358d0475d08853e4ba9c4ea24c13b38f10ad7511cd",
+        "a48ceb4325a556698d78cea3248dcdf9d7ddacd66dc3d0f5c05b63d34c28e2b3",
     ("star-edge", "--x", "2"):
-        "002a2afa08c3a02d8483ecd8596a956655c1e13a6c58d20304bfb3a3d6c6d24c",
+        "271f62697409f24fae36c04036258ec6cb1c99f6fe861ac90fdec1509ced7c1b",
     ("arb-edge",):
-        "28ef3ce6432864872e86f0a8ffaab447524d156f85a4f45b3a63038839b019f2",
+        "885121a109343f7f2d10d76f7734f7d3778c987fd9fc4221296f0605ae4731cf",
     ("delta-little-o",):
-        "0609f00f6d385dabaf4d356c5f970b166c0a43b253f43de5d531596573489c85",
+        "87db1d1fe164c610eb8e54259f76f0031e1b7b980697c79d19f5750208e9d984",
     ("powered", "--x", "2"):
-        "3d05be9b124ed6626158b3a64daa999167a2ca3e29f9d195fd11df54f28b74cc",
+        "87066f4cb694318aed3b9ea983e398feee65993155bc9d572c6ad091a9c284b3",
     ("cd-color",):
-        "2ec1c8ba15f1448c3440533ddb57c24a5021e1e22b19aa2751db1ae4f6ffe55e",
+        "5a4ca362dfe60751affaf0498a1546c4a4136be814860d181e9e9763e6eb444e",
     ("refined", "--cover", "line"):
-        "9462c58511e47335b7e86729f84d98acfb5c0766d835cc3848cf6dfd420d0eaa",
+        "774309e01f47e35c9896eadec26a9a9cdbc65450716db7a6a9e5d46d2e2960f3",
     ("verify",):
         "f2d23b71c092ebf4595adac89fb049fac4b19d17317dbfa5cfe0211bb80bc51f",
 }

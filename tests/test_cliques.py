@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +29,9 @@ def test_path_cover():
     assert cover.D == 2 and cover.S == 2
 
 
-def test_cover_mode_and_ids_are_stable():
+def test_cover_ids_are_stable():
     g = gen_complete(4)
     cover = enumerate_maximal_cliques(g)
-    assert cover.mode == "intrinsic"
     again = enumerate_maximal_cliques(g)
     assert cover.cliques == again.cliques
 
@@ -38,13 +39,13 @@ def test_cover_mode_and_ids_are_stable():
 def test_from_cliques_rejects_non_clique():
     g = Graph.from_edges(range(3), [(0, 1), (1, 2)])
     with pytest.raises(GraphError):
-        CliqueCover.from_cliques(g, [[0, 1, 2]], mode="provided")
+        CliqueCover.from_cliques(g, [[0, 1, 2]])
 
 
 def test_from_cliques_rejects_uncovered_edge():
     g = Graph.from_edges(range(3), [(0, 1), (1, 2)])
     with pytest.raises(GraphError):
-        CliqueCover.from_cliques(g, [[0, 1]], mode="provided")
+        CliqueCover.from_cliques(g, [[0, 1]])
 
 
 def test_from_cliques_names_the_first_violation():
@@ -53,14 +54,14 @@ def test_from_cliques_names_the_first_violation():
     # no pair of [3, 10, 17] is an edge; the lexicographically first is
     # named, not the first in the frozenset's iteration order (17, 10, 3)
     with pytest.raises(GraphError, match=r"^clique \[3, 10, 17\] is not a clique: \(3,10\) missing$"):
-        CliqueCover.from_cliques(g, path + [[17, 10, 3]], mode="provided")
+        CliqueCover.from_cliques(g, path + [[17, 10, 3]])
     with pytest.raises(GraphError, match="^clique vertex 20 not in graph$"):
-        CliqueCover.from_cliques(g, path + [[2, 20]], mode="provided")
+        CliqueCover.from_cliques(g, path + [[2, 20]])
     # clique [0, 1, 2] comes before [2, 20], so its missing pair is named first
     with pytest.raises(GraphError, match=r"\(0,2\) missing"):
-        CliqueCover.from_cliques(g, path + [[2, 20], [0, 1, 2]], mode="provided")
+        CliqueCover.from_cliques(g, path + [[2, 20], [0, 1, 2]])
     with pytest.raises(GraphError, match=r"^edge \(2, 3\) not covered by any clique$"):
-        CliqueCover.from_cliques(g, path[:2] + path[3:], mode="provided")
+        CliqueCover.from_cliques(g, path[:2] + path[3:])
 
 
 def test_clique_cap():
@@ -82,6 +83,32 @@ def test_enumeration_needs_no_deep_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert cover.cliques == [frozenset(range(60))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_big_cliques_with_pendants_match_oracle(seed):
+    # overlapping big cliques plus pendant vertices: the calls whose P lies
+    # in the neighborhood of a vertex of X are the ones not made
+    rng = random.Random(seed)
+    core = rng.randint(6, 24)
+    edges = set()
+    for _ in range(rng.randint(1, 3)):
+        q = rng.sample(range(core), rng.randint(4, core))
+        edges.update(norm_edge(u, w) for i, u in enumerate(q) for w in q[i + 1:])
+    edges.update(norm_edge(*rng.sample(range(core), 2)) for _ in range(rng.randint(0, core)))
+    n = rng.randint(core, 30)
+    edges.update((rng.randrange(core), v) for v in range(core, n))
+    g = Graph.from_edges(range(n), edges)
+    assert set(enumerate_maximal_cliques(g).cliques) == brute_force_maximal_cliques(g)
+
+
+def test_k600_is_one_clique_quickly():
+    g = gen_complete(600)
+    start = time.perf_counter()
+    cover = enumerate_maximal_cliques(g)
+    assert time.perf_counter() - start < 2.0
+    assert cover.cliques == [frozenset(range(600))]
 
 
 def test_k9_connector_t3_gives_three_triangles():
@@ -142,7 +169,7 @@ def test_connector_edges_stay_inside_parts():
 
 def test_vertex_connector_rejects_an_understated_diversity():
     g = Graph.from_edges(range(5), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-    cover = CliqueCover.from_cliques(g, [{0, 1, 2}, {0, 3, 4}], mode="provided")
+    cover = CliqueCover.from_cliques(g, [{0, 1, 2}, {0, 3, 4}])
     assert cover.D == 2
     with pytest.raises(GraphError, match="exceeds D"):
         build_vertex_connector(g, dataclasses.replace(cover, D=1), 3)
@@ -203,9 +230,9 @@ def test_cover_check_matches_pairwise_reference(seed, damage, data):
         cliques.append(cliques[i] + cliques[data.draw(st.integers(0, len(cliques) - 1))])
     expected = _pairwise_cover_error(g, cliques)
     if expected is None:
-        cover = CliqueCover.from_cliques(g, cliques, mode="provided")
+        cover = CliqueCover.from_cliques(g, cliques)
         assert cover.S == max(len(set(q)) for q in cliques)
     else:
         with pytest.raises(GraphError) as err:
-            CliqueCover.from_cliques(g, cliques, mode="provided")
+            CliqueCover.from_cliques(g, cliques)
         assert str(err.value) == expected

@@ -47,7 +47,6 @@ def test_line_graph_of_path():
     lg, cover = line_graph(g)
     assert lg.n == 3 and lg.m == 2
     assert cover.D <= 2
-    assert cover.mode == "provided"
 
 
 def test_line_graph_ids_are_lexicographic_ranks():
