@@ -19,7 +19,7 @@ from .basecolor import _int_ceil_root, _require_proper
 from .graph import (Coloring, Graph, GraphError, VerificationError, _degeneracy_order,
                     induced_subgraph, norm_edge)
 from .sim import RoundTrace
-from .staredge import _FirstFit, _greedy_edges, _star_edge_coloring
+from .staredge import _greedy_edges, _star_edge_coloring
 from .verify import is_proper_edge
 
 EPSILON_DEFAULT = 0.5
@@ -124,10 +124,12 @@ def estimate_arboricity(g: Graph) -> int:
 
 def h_partition(g: Graph, a: int, q: float = DEFAULT_Q) -> HPartition:
     """Peel vertices of remaining degree <= floor(q*a), one set per phase."""
-    if q < 2 + EPSILON_DEFAULT - 1e-9:
+    if not q >= 2 + EPSILON_DEFAULT - 1e-9:  # NaN too
         raise GraphError(f"q must be at least {2 + EPSILON_DEFAULT}, got {q}")
     if a < 1:
         raise GraphError("a must be at least 1")
+    if not math.isfinite(q * a):
+        raise GraphError(f"q*a must be finite, got q={q}, a={a}")
     d = int(q * a)
     # deg[v]: v's neighbors not yet peeled.  Every vertex left after a
     # phase has deg > d, so the next phase peels exactly the vertices
@@ -172,13 +174,22 @@ def acyclic_orientation(g: Graph, h: HPartition) -> Orientation:
     return orient
 
 
+def _first_fit(edges: list, mask: dict, palette: int) -> dict:
+    """The first-fit colors of ``edges`` (see _greedy_edges), each in [palette]."""
+    colors = _greedy_edges(edges, mask)
+    if colors and max(colors) >= palette:
+        e = next(e for e, c in zip(edges, colors) if c >= palette)
+        raise GraphError(f"no free color for edge {e} in a palette of {palette}")
+    return dict(zip(edges, colors))
+
+
 def merge_cross_coloring(g: Graph, A, B, colA: Coloring, colB: Coloring,
                          d: int) -> tuple[Coloring, int]:
     """Unify edge colorings of G(A) and G(B) and color the crossing edges.
 
     Crossing and B-internal edges share a low range of size
     max(|colB|, Delta+d-1); A-internal colors move to a disjoint high
-    range.  Exactly d rounds are simulated: each A-vertex numbers its
+    range.  Exactly d rounds are charged: each A-vertex numbers its
     crossing edges 1..d and the label-i edges are colored in round i by
     their B-endpoints."""
     A, B = set(A), set(B)
@@ -195,9 +206,13 @@ def merge_cross_coloring(g: Graph, A, B, colA: Coloring, colB: Coloring,
 
     delta = g.max_degree
     low = max(colB.palette_size, delta + d - 1, 1)
-    ff = _FirstFit()
-    ff.paint(colB.assignment.items())
-    ff.paint(colA.assignment.items(), low)
+    # crossing edges take colors below low, so only B's colors are masked
+    mask = dict.fromkeys(g.adj, 0)
+    for (u, w), c in colB.assignment.items():
+        mask[u] |= 1 << c
+        mask[w] |= 1 << c
+    assign = dict(colB.assignment)
+    assign.update((e, low + c) for e, c in colA.assignment.items())
 
     # round i colors the crossing edges each A-vertex numbers i (1..d)
     by_round: list[list] = [[] for _ in range(d + 1)]
@@ -206,8 +221,8 @@ def merge_cross_coloring(g: Graph, A, B, colA: Coloring, colB: Coloring,
         for i, w in enumerate(cross, start=1):
             by_round[i].append((w, v, norm_edge(v, w)))
 
-    ff.fill([e for active in by_round[1:] for _, _, e in sorted(active)], low)
-    col = Coloring("edge", ff.assign, low + colA.palette_size)
+    assign.update(_first_fit([e for r in by_round[1:] for _, _, e in sorted(r)], mask, low))
+    col = Coloring("edge", assign, low + colA.palette_size)
     _require_proper(g, col, "merge_cross_coloring output")
     return col, d
 
@@ -219,9 +234,10 @@ def arb_palette_bound(delta: int, a: int, q: float = DEFAULT_Q) -> int:
 
 def arb_edge_coloring(g: Graph, a: int,
                       q: float = DEFAULT_Q) -> tuple[Coloring, RoundTrace]:
-    """H-partition, internal stars per set in a shared high range, then a
-    sequential merge sweep coloring crossing edges from a low range of
-    size Delta+d-1.  Total palette is arb_palette_bound(Delta, a, q)."""
+    """H-partition, one star-scheme run on the internal edges of all H-sets
+    into a high range of 4d, then a sequential merge sweep coloring crossing
+    edges from a low range of size Delta+d-1.  Total palette is
+    arb_palette_bound(Delta, a, q)."""
     col, trace = _arb_edge_coloring(g, a, q)
     _require_proper(g, col, "arb_edge_coloring output")
     return col, trace
@@ -238,35 +254,24 @@ def _arb_edge_coloring(g: Graph, a: int, q: float) -> tuple[Coloring, RoundTrace
     d = hp.d
     low = max(delta + d - 1, 1)
 
-    # each H-set's internal edges, in sorted order, from one pass
+    # The H-sets share no vertex: one star-scheme run on all internal edges
+    # is their parallel run, with one t.  h_partition caps an H-set's degree
+    # at d, and the star scheme checks its palette against 4*Delta <= 4d.
     set_of = hp.set_of
-    internal_edges: list[list[tuple[int, int]]] = [[] for _ in hp.sets]
-    for e in sorted(g.edges()):
-        s = set_of[e[0]]
-        if s == set_of[e[1]]:
-            internal_edges[s].append(e)
-
-    ff = _FirstFit()
-    internal = []
-    for edges in internal_edges:
-        if not edges:
-            continue
-        # h_partition checked that an H-set has degree <= d, and the star
-        # scheme checks its palette against 4*Delta(H-set) <= 4d
-        col, rep = _star_edge_coloring(edges, 1)
-        part = RoundTrace()
-        part.add_phase("internal-stars", rep.rounds)
-        internal.append(part)
-        ff.paint(col.assignment.items(), low)
-    trace.merge_parallel("hset-internal", internal)
+    star, rep = _star_edge_coloring(
+        [e for e in sorted(g.edges()) if set_of[e[0]] == set_of[e[1]]], 1)
+    trace.add_phase("hset-internal", rep.rounds)
+    assign = {e: low + c for e, c in star.assignment.items()}
 
     # the merge sweep, d rounds per H-set from the second-to-last down:
-    # each vertex colors its edges to later sets, in ascending order
-    ff.fill([norm_edge(v, w) for i in range(hp.ell - 2, -1, -1)
-             for v in sorted(hp.sets[i]) for w in g.adj[v] if set_of[w] > i], low)
+    # each vertex colors its edges to later sets, in ascending order, from
+    # the colors below low, so the internal edges need no mask bits
+    assign.update(_first_fit([norm_edge(v, w) for i in range(hp.ell - 2, -1, -1)
+                              for v in sorted(hp.sets[i]) for w in g.adj[v] if set_of[w] > i],
+                             dict.fromkeys(g.adj, 0), low))
     trace.add_phase("merge-sweep", d * max(hp.ell - 1, 0))
 
-    col = Coloring("edge", ff.assign, low + 4 * d)
+    col = Coloring("edge", assign, low + 4 * d)
     if col.palette_size != arb_palette_bound(delta, a, q):
         raise VerificationError(f"palette {col.palette_size} is not "
                                 f"arb_palette_bound = {arb_palette_bound(delta, a, q)}")
@@ -419,10 +424,8 @@ def _oriented_sweep(arcs, palette: int) -> dict:
     for v, w in arcs:
         out.setdefault(v, []).append(w)
     order = _topo_order(chain.from_iterable(arcs), out)
-    ff = _FirstFit()
-    ff.fill([(v, w) if v < w else (w, v)
-             for v in reversed(order) for w in out.get(v, ())], palette)
-    return ff.assign
+    return _first_fit([(v, w) if v < w else (w, v) for v in reversed(order)
+                       for w in out.get(v, ())], dict.fromkeys(order, 0), palette)
 
 
 def _bipartite_level(arcs, gin: int, gout: int) -> list[list[tuple[int, int]]]:

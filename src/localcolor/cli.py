@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -66,9 +67,11 @@ def _load(args):
     if not args.input:
         raise ParseError("--input is required for this command")
     loaded = load_graph(args.input, args.format)
-    if args.format == "hyper":
-        return hypergraph_line_graph(loaded)
     cover_mode = getattr(args, "cover", None)
+    if args.format == "hyper":
+        if cover_mode not in (None, "intrinsic"):
+            raise ParseError(f"--cover {cover_mode}: a hypergraph brings its own cover")
+        return hypergraph_line_graph(loaded)
     if cover_mode is None:
         return loaded, None
     if cover_mode == "line":
@@ -203,6 +206,8 @@ def _run_algorithm(args):
     else:
         # estimate_arboricity is at least 1, also on an edgeless graph
         a = args.a if args.a is not None else max(a_estimate, 1)
+        if not math.isfinite(args.q * a):  # NaN, inf, or q*a past the float range
+            raise GraphError(f"q*a must be finite, got q={args.q}, a={a}")
         delta = g.max_degree
         if args.command == "arb-edge":
             col, trace = arbedge.arb_edge_coloring(g, a, args.q)

@@ -13,7 +13,7 @@ per-class graph, and hands each class on as a sorted sublist.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -29,42 +29,6 @@ class StarPartitionReport(RoundTrace):
 
     class_count: int = 0
     max_star: int = 0
-
-
-class _FirstFit:
-    """A proper partial edge coloring plus, per vertex, an int bitmask of
-    the colors on its colored edges.  Each edge is colored once: with a
-    given color by ``paint``, or first-fit by ``fill``; an improper state
-    cannot be represented and is rejected."""
-
-    def __init__(self):
-        self.assign: dict[tuple[int, int], int] = {}
-        self.mask: defaultdict[int, int] = defaultdict(int)
-
-    def paint(self, items, shift: int = 0) -> None:
-        """Color each uncolored e of the pairs (e, c) in ``items`` with
-        shift + c, which no adjacent edge may have."""
-        mask, assign = self.mask, self.assign
-        for e, c in items:
-            c += shift
-            u, v = e
-            mu, mv = mask[u], mask[v]
-            bit = 1 << c
-            if (mu | mv) & bit:
-                raise GraphError(f"improper partial coloring: color {c} is already "
-                                 f"at an endpoint of {e}")
-            mask[u], mask[v] = mu | bit, mv | bit
-            assign[e] = c
-
-    def fill(self, edges: list, palette: int) -> None:
-        """Color each uncolored edge of ``edges``, in the given order, with
-        the smallest color on no colored edge adjacent to it, which must
-        lie in [palette]."""
-        colors = _greedy_edges(edges, self.mask)
-        if colors and max(colors) >= palette:
-            e = next(e for e, c in zip(edges, colors) if c >= palette)
-            raise GraphError(f"no free color for edge {e} in a palette of {palette}")
-        self.assign.update(zip(edges, colors))
 
 
 def _greedy_edges(edges, mask) -> list[int]:
@@ -126,9 +90,15 @@ def _star_level(edges, t: int) -> tuple[list[list[tuple[int, int]]], int]:
     return classes, max(rank.values(), default=0)
 
 
+def _star_depth(delta: int, x: int) -> int:
+    """The star scheme's level count: x capped at the largest value with
+    2^(x+1) <= Delta, or at 1 when Delta < 4."""
+    return min(x, max(1, delta.bit_length() - 2))
+
+
 def star_palette_bound(delta: int, x: int) -> int:
-    """max(2^(x+1)*Delta, 1), the star scheme's palette bound for x levels."""
-    return max(2 ** (x + 1) * delta, 1)
+    """The star scheme's palette bound: max(2^(x+1)*Delta, 1), x capped by _star_depth."""
+    return max(2 ** (_star_depth(delta, x) + 1) * delta, 1)
 
 
 def star_edge_coloring_4delta(g: Graph) -> tuple[Coloring, StarPartitionReport]:
@@ -164,7 +134,7 @@ def _star_edge_coloring(edges, x: int) -> tuple[Coloring, StarPartitionReport]:
         report.class_count = 1 if edges else 0
         report.max_star = delta
         return Coloring("edge", dict.fromkeys(edges, 0), 1), report
-    x = min(x, max(1, delta.bit_length() - 2))  # the largest x with 2^(x+1) <= Delta
+    x = _star_depth(delta, x)
     t = max(2, _int_floor_root(delta, x + 1))
 
     # per-level star-size bounds: b[0]=Delta, b[j+1]=ceil(b[j]/t)

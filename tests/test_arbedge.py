@@ -14,7 +14,7 @@ from localcolor.arbedge import (_bipartite_level, _connector_graph, _connector_w
                                 powered_edge_coloring, powered_palette_bound)
 from localcolor.graph import Coloring, Graph, GraphError, induced_subgraph, norm_edge
 from localcolor.io import gen_complete, gen_forest, gen_grid, gen_matching, gen_path, gen_random, gen_star
-from localcolor.verify import greedy_edge_baseline, is_proper_edge
+from localcolor.verify import count_colors, greedy_edge_baseline, is_proper_edge
 
 
 def test_h_partition_examples():
@@ -28,6 +28,13 @@ def test_h_partition_examples():
 def test_h_partition_stall_diagnostic():
     with pytest.raises(GraphError, match="stall"):
         h_partition(gen_complete(9), 1)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, 1e308])
+def test_h_partition_rejects_non_finite_q(q):
+    # 1e308 is finite, but q*a is not
+    with pytest.raises(GraphError, match="q"):
+        h_partition(gen_path(5), 2, q)
 
 
 def test_h_partition_ell_shrinks_with_q():
@@ -219,6 +226,23 @@ def _min_scan_arboricity(g):
 def test_estimate_arboricity_matches_min_scan(n, pairs):
     g = Graph.from_edges(range(n), [(u, v) for u, v in pairs if u != v and max(u, v) < n])
     assert estimate_arboricity(g) == _min_scan_arboricity(g)
+
+
+def test_hset_internal_edges_are_one_star_scheme_run():
+    # the H-sets share no vertex, so their internal edges are colored by one
+    # star-scheme run with one t, shifted past the crossing edges' low range
+    g, a = gen_random(60, 9, seed=1), 3
+    hp = h_partition(g, a)
+    assert hp.ell == 8
+    low = g.max_degree + hp.d - 1
+    internal = [e for e in sorted(g.edges()) if hp.set_of[e[0]] == hp.set_of[e[1]]]
+    star, _ = arbedge._star_edge_coloring(internal, 1)
+    col, _ = arb_edge_coloring(g, a)
+    assert {e: col.assignment[e] for e in internal} == \
+        {e: low + c for e, c in star.assignment.items()}
+    assert all(c < low for e, c in col.assignment.items() if e not in star.assignment)
+    assert col.palette_size == arb_palette_bound(g.max_degree, a)
+    assert count_colors(col)[0] == 17
 
 
 def test_improper_leaf_colorings_raise(monkeypatch):

@@ -353,3 +353,43 @@ def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
     path.write_text("0 1\n1 2\n")
     assert main([*argv, "--input", str(path)]) == 2
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_star_edge_bound_uses_the_capped_depth(tmp_path, capsys):
+    # Delta = 12 caps x at 2 (2^3 <= 12 < 2^4), so --x 5 runs, and is
+    # bounded, as --x 2
+    path = tmp_path / "g.el"
+    code, _ = run_cli(capsys, "gen", "--kind", "random", "--n", "60", "--delta", "12",
+                      "--seed", "7", "--out", str(path))
+    assert code == 0
+    reports = []
+    for x in ("2", "5"):
+        code, out = run_cli(capsys, "star-edge", "--input", str(path), "--x", x)
+        assert code == 0
+        reports.append(json.loads(out))
+    for r in reports:
+        assert (r["declared_palette"], r["theory_bound"]) == (45, 96)
+
+
+@pytest.mark.parametrize("cover", ["line", "provided:/nonexistent"])
+def test_cover_with_a_hypergraph_exits_2(tmp_path, capsys, cover):
+    path = tmp_path / "h.hg"
+    path.write_text("0 1 2\n2 3 4\n4 5\n0 5 6\n")
+    assert main(["cd-color", "--input", str(path), "--format", "hyper", "--cover", cover]) == 2
+    assert f"--cover {cover}: a hypergraph brings its own cover" in capsys.readouterr().err
+    code, out = run_cli(capsys, "cd-color", "--input", str(path), "--format", "hyper",
+                        "--cover", "intrinsic")
+    assert code == 0 and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("q", ["inf", "1e308", "nan"])
+@pytest.mark.parametrize("command", ["arb-edge", "delta-little-o", "powered"])
+def test_non_finite_q_exits_2(tmp_path, capsys, command, q):
+    # a triangle reaches h_partition; an edgeless graph does not
+    path = tmp_path / "g.el"
+    path.write_text("0 1\n1 2\n0 2\n")
+    empty = tmp_path / "e.col"
+    empty.write_text("p edge 3 0\n")
+    for argv in (["--input", str(path)], ["--input", str(empty), "--format", "dimacs"]):
+        assert main([command, *argv, "--a", "2", "--q", q]) == 2
+        assert "error: q*a must be finite" in capsys.readouterr().err

@@ -7,7 +7,8 @@ from localcolor import staredge
 from localcolor.basecolor import _int_floor_root
 from localcolor.graph import Graph, GraphError, line_graph
 from localcolor.io import gen_matching, gen_path, gen_random, gen_star
-from localcolor.staredge import (_FirstFit, _star_level, recursive_star_edge_coloring,
+from localcolor.arbedge import _first_fit
+from localcolor.staredge import (_star_level, recursive_star_edge_coloring,
                                  star_edge_coloring_4delta)
 from localcolor.verify import (check_star_partition, greedy_edge_baseline, is_proper_edge,
                                is_proper_vertex)
@@ -89,27 +90,12 @@ def test_recursive_max_star_is_top_level_star():
 
 def test_free_color_raises_on_exhausted_palette():
     # the star (0,3), (1,3) colored 0 and 1 leaves 2 as (2,3)'s first fit
-    ff = _FirstFit()
-    ff.paint([((0, 3), 0), ((1, 3), 1)])
-    ff.fill([(2, 3)], 3)
-    assert ff.assign[(2, 3)] == 2
-    ff = _FirstFit()
-    ff.paint([((0, 3), 0), ((1, 3), 1)])
-    with pytest.raises(GraphError, match=r"no free color for edge \(2, 3\)"):
-        ff.fill([(2, 3)], 2)
-
-
-def test_first_fit_rejects_an_improper_partial_coloring():
-    with pytest.raises(GraphError, match="improper"):
-        _FirstFit().paint([((0, 3), 0), ((1, 3), 1), ((2, 3), 0)])
-    ff = _FirstFit()
-    ff.paint([((0, 1), 0), ((2, 3), 1)])
-    with pytest.raises(GraphError, match="improper"):
-        ff.paint([((1, 2), 0)])
-    with pytest.raises(GraphError, match="improper"):
-        ff.paint([((1, 2), 1)])
-    ff.paint([((1, 2), 0)], shift=2)  # colors are shifted
-    assert ff.assign == {(0, 1): 0, (2, 3): 1, (1, 2): 2}
+    assert _first_fit([(0, 3), (1, 3), (2, 3)], dict.fromkeys(range(4), 0), 3) == \
+        {(0, 3): 0, (1, 3): 1, (2, 3): 2}
+    mask = {0: 0b01, 1: 0b10, 2: 0, 3: 0b11}  # colors 0 and 1 already at 3
+    assert _first_fit([(0, 1)], dict(mask), 3) == {(0, 1): 2}
+    with pytest.raises(GraphError, match=r"no free color for edge \(2, 3\) in a palette of 2"):
+        _first_fit([(2, 3)], mask, 2)
 
 
 def test_improper_leaf_coloring_raises(monkeypatch):
