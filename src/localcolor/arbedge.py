@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 
@@ -122,15 +123,22 @@ def estimate_arboricity(g: Graph) -> int:
     return max(1, -(-degen // 2))
 
 
+def _q_times_a(q: float, a: int) -> Fraction:
+    """q*a exactly, with q taken at its decimal value (2.51 is 251/100,
+    not the nearest binary float): q*a must be finite and q at least 2.5."""
+    if not math.isfinite(q * a):  # NaN, inf, or q*a past the float range
+        raise GraphError(f"q*a must be finite, got q={q}, a={a}")
+    exact = Fraction(str(q))
+    if exact < DEFAULT_Q:
+        raise GraphError(f"q must be at least {DEFAULT_Q}, got {q}")
+    return exact * a
+
+
 def h_partition(g: Graph, a: int, q: float = DEFAULT_Q) -> HPartition:
     """Peel vertices of remaining degree <= floor(q*a), one set per phase."""
-    if not q >= 2 + EPSILON_DEFAULT - 1e-9:  # NaN too
-        raise GraphError(f"q must be at least {2 + EPSILON_DEFAULT}, got {q}")
     if a < 1:
         raise GraphError("a must be at least 1")
-    if not math.isfinite(q * a):
-        raise GraphError(f"q*a must be finite, got q={q}, a={a}")
-    d = int(q * a)
+    d = math.floor(_q_times_a(q, a))
     # deg[v]: v's neighbors not yet peeled.  Every vertex left after a
     # phase has deg > d, so the next phase peels exactly the vertices
     # whose count falls to d during this one.
@@ -228,7 +236,7 @@ def merge_cross_coloring(g: Graph, A, B, colA: Coloring, colB: Coloring,
 
 
 def arb_palette_bound(delta: int, a: int, q: float = DEFAULT_Q) -> int:
-    d = int(q * a)
+    d = math.floor(_q_times_a(q, a))
     return max(delta + d - 1, 1) + 4 * d
 
 
@@ -352,9 +360,9 @@ def _connector_graph(conn, virtuals, cap: int) -> Graph:
 
 
 def little_o_palette_bound(delta: int, a: int, q: float = DEFAULT_Q) -> int:
+    d = math.floor(_q_times_a(q, a))
     if delta < 2:
         return max(2 * delta - 1, 1)
-    d = int(q * a)
     k = math.isqrt(delta - 1) + 1  # ceil(sqrt(delta))
     rt_d = math.isqrt(d - 1) + 1 if d > 1 else 1
     in_split = -(-delta // k)
@@ -372,6 +380,7 @@ def delta_plus_little_o(g: Graph, a: int,
     + O(a)."""
     trace = RoundTrace()
     delta = g.max_degree
+    _q_times_a(q, a)
     if delta < 2:  # a matching: one color
         return Coloring("edge", dict.fromkeys(g.edges(), 0), 1), trace
     hp = h_partition(g, a, q)
@@ -460,7 +469,8 @@ def _bipartite_level(arcs, gin: int, gout: int) -> list[list[tuple[int, int]]]:
 def powered_palette_bound(delta: int, a: int, q: float, x: int) -> int:
     """(ceil(Delta^(1/x)) + ceil(a_hat^(1/x)) + 3)^x with exact integer
     roots: an integer r has r^x >= a_hat exactly when r^x >= ceil(a_hat)."""
-    return (_int_ceil_root(delta, x) + _int_ceil_root(math.ceil(q * a), x) + 3) ** x
+    a_hat = math.ceil(_q_times_a(q, a))
+    return (_int_ceil_root(delta, x) + _int_ceil_root(a_hat, x) + 3) ** x
 
 
 def powered_edge_coloring(g: Graph, a: int, q: float,
@@ -475,12 +485,12 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
     delta = g.max_degree
     if delta < 1:
         return Coloring("edge", {}, 1), trace
-    a_hat = q * a
+    a_hat = math.ceil(_q_times_a(q, a))
     hp = h_partition(g, a, q)
     orient = acyclic_orientation(g, hp)
 
     gin = _int_ceil_root(delta, x) + 1
-    gout = _int_ceil_root(math.ceil(a_hat), x) + 1
+    gout = _int_ceil_root(a_hat, x) + 1
     level_palette = gin + gout - 1
 
     # degree / out-degree bounds per level

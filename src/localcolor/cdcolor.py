@@ -2,17 +2,18 @@
 
 CD-Coloring and the refined family are one recursion.  A level builds the
 vertex connector for part size t, properly colors it (its degree is at
-most D(t-1)), and recurses on the color classes, whose cliques shrink by a
-factor of t; class i's color c becomes i*radix + c.  The families differ
-only in how t and the declared palette are chosen: CD-Coloring keeps one
-t and declares the product of its level palettes, the refined family
-takes t = floor(S^(1/(x+1))) per level and declares D^(x+1)*S, which the
-product of its level palettes never exceeds, so no level needs a color
-reduction.
+most D(t-1)), checks that each class keeps at most ceil(S/t) vertices of
+any clique, and recurses on the classes; class i's color c becomes
+i*radix + c.  The families differ only in how t and the declared palette
+are chosen: CD-Coloring keeps one t and declares the product of its level
+palettes, the refined family takes t = floor(S^(1/(x+1))) per level and
+declares D^(x+1)*S, which the product of its level palettes never
+exceeds, so no level needs a color reduction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .basecolor import _int_floor_root, _require_proper, delta_plus_one
@@ -29,14 +30,12 @@ REFINED_SMALL_S = 16
 class LevelStats:
     subgraph_count: int = 0
     max_degree: int = 0
-    max_clique: int = 0      # audit only (0 = not measured)
-    max_diversity: int = 0   # audit only
+    max_clique: int = 0  # the most vertices of one cover clique in one class
 
     def absorb(self, other: "LevelStats") -> None:
         self.subgraph_count += other.subgraph_count
         self.max_degree = max(self.max_degree, other.max_degree)
         self.max_clique = max(self.max_clique, other.max_clique)
-        self.max_diversity = max(self.max_diversity, other.max_diversity)
 
 
 @dataclass
@@ -56,23 +55,8 @@ def choose_params(S: int, x: int) -> int:
     return max(2, _int_floor_root(S, x + 1))
 
 
-def _audit_level(classes: list[Graph], subcover: CliqueCover, k: int, D: int,
-                 stats: LevelStats) -> None:
-    """Check that every class's share of the level's cover, which its
-    recursion inherits, has cliques of at most k vertices and diversity at
-    most D."""
-    for sub in classes:
-        cover = subcover.restrict(sub)
-        stats.max_clique = max(stats.max_clique, cover.S)
-        stats.max_diversity = max(stats.max_diversity, cover.D)
-        if cover.S > k:
-            raise VerificationError(f"class clique {cover.S} exceeds k={k}")
-        if cover.D > D:
-            raise VerificationError(f"class diversity {cover.D} exceeds D={D}")
-
-
-def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, palette,
-               audit: bool) -> tuple[Coloring, DecompositionReport]:
+def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t,
+               palette) -> tuple[Coloring, DecompositionReport]:
     """The recursion of both families.  A part with cliques of at most S
     vertices and x levels to go is split with part size ``pick_t(S, x)``,
     or colored directly with Delta+1 colors when that is None, and declares
@@ -105,17 +89,26 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, palette,
             raise VerificationError(f"level palette {gamma}*{radix} exceeds the "
                                     f"declared {target}")
 
+        # the connector lemma: a part is a clique of the connector, so a
+        # class meets each of a clique's ceil(|q|/t) <= k parts at most
+        # once, and a class vertex, in at most D cliques, has class degree
+        # at most (k-1)D.  share is the most vertices of one clique in one
+        # class; a clique's is at most |q| and |q| - (colors in q) + 1.
+        color = phi.assignment
+        share = 0
+        for q in subcover.cliques:
+            if len(q) > share:
+                cs = list(map(color.__getitem__, q))
+                if len(cs) - len(set(cs)) >= share:
+                    share = max(share, *Counter(cs).values())
+        if share > k:
+            raise VerificationError(f"class clique {share} exceeds k={k}")
         members: list[list[int]] = [[] for _ in range(gamma)]
-        for v, c in phi.assignment.items():
+        for v, c in color.items():
             members[c].append(v)
         classes = [(i, induced_subgraph(sub, vs))
                    for i, vs in enumerate(members) if vs]
-        stats = LevelStats(len(classes), max(cls.max_degree for _, cls in classes))
-        if stats.max_degree > (k - 1) * D:
-            raise VerificationError(f"class degree {stats.max_degree} exceeds "
-                                    f"(k-1)D = {(k - 1) * D}")
-        if audit:
-            _audit_level([cls for _, cls in classes], subcover, k, D, stats)
+        stats = LevelStats(len(classes), max(cls.max_degree for _, cls in classes), share)
         while len(report.levels) <= depth:
             report.levels.append(LevelStats())
         report.levels[depth].absorb(stats)
@@ -137,33 +130,34 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, palette,
     return col, report
 
 
-def cd_envelope(D: int, S: int, t: int, x: int) -> float:
-    """CD-Coloring's coarse palette envelope (tD)^x * D(S/t^x + 2) + (tD)^x."""
-    return (t * D) ** x * (D * (S / t ** x + 2)) + (t * D) ** x
+def cd_envelope(D: int, S: int, t: int, x: int) -> int:
+    """CD-Coloring's coarse palette envelope (tD)^x * D(S/t^x + 2) + (tD)^x,
+    which is the integer D^(x+1)*S + (2D+1)(tD)^x."""
+    return D ** (x + 1) * S + (2 * D + 1) * (t * D) ** x
 
 
-def cd_coloring(g: Graph, cover: CliqueCover, t: int, x: int,
-                audit: bool = False) -> tuple[Coloring, DecompositionReport]:
+def cd_palette_bound(D: int, S: int, t: int, x: int) -> int:
+    """CD-Coloring's declared palette, the product of its level palettes:
+    (D(t-1)+1)^x * (D(ceil(S/t^x)-1)+1), as ceil(ceil(S/t)/t) = ceil(S/t^2)."""
+    return (D * (t - 1) + 1) ** x * (D * (-(-S // t ** x) - 1) + 1)
+
+
+def cd_coloring(g: Graph, cover: CliqueCover, t: int,
+                x: int) -> tuple[Coloring, DecompositionReport]:
     """CD-Coloring: x connector levels with one part size t, leaves colored
-    with D(ceil(S/t)-1)+1 colors, colors combined as (branch index, leaf
+    with D(ceil(S/t^x)-1)+1 colors, colors combined as (branch index, leaf
     color) flattened with per-level padded radixes."""
     if t < 2:
         raise GraphError(f"part size t must be at least 2, got {t}")
     if x < 1:
         raise GraphError(f"recursion depth x must be at least 1, got {x}")
     D, S = cover.D, cover.S
-
-    def total_palette(S_cur: int, x_cur: int) -> int:
-        k = -(-S_cur // t)
-        child = total_palette(k, x_cur - 1) if x_cur > 1 else D * (k - 1) + 1
-        return (D * (t - 1) + 1) * child
-
     col, report = _decompose(g, cover, x, lambda S_cur, x_cur: t,
-                             total_palette, audit)
+                             lambda S_cur, x_cur: cd_palette_bound(D, S_cur, t, x_cur))
     envelope = cd_envelope(D, S, t, x)
     if g.m and col.palette_size > envelope:
         raise VerificationError(f"palette {col.palette_size} exceeds the "
-                                f"envelope {envelope:g}")
+                                f"envelope {envelope}")
     return col, report
 
 
@@ -175,8 +169,8 @@ def refined_palette_bound(D: int, S: int, x: int) -> int:
     return D ** (x + 1) * S
 
 
-def refined_coloring(g: Graph, cover: CliqueCover, x: int,
-                     audit: bool = False) -> tuple[Coloring, DecompositionReport]:
+def refined_coloring(g: Graph, cover: CliqueCover,
+                     x: int) -> tuple[Coloring, DecompositionReport]:
     """The refined recursive family: per-level t = floor(S^(1/(x+1))),
     direct coloring of parts with D < 2 or S below REFINED_SMALL_S, and
     at most refined_palette_bound(D, S, x) colors."""
@@ -190,5 +184,4 @@ def refined_coloring(g: Graph, cover: CliqueCover, x: int,
         return choose_params(S_cur, x_cur)
 
     return _decompose(g, cover, x, pick_t,
-                      lambda S_cur, x_cur: refined_palette_bound(D, S_cur, x_cur),
-                      audit)
+                      lambda S_cur, x_cur: refined_palette_bound(D, S_cur, x_cur))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -39,8 +38,6 @@ def _build_parser():
         if name in ("cd-color", "refined"):
             p.add_argument("--cover", default="intrinsic",
                            help="intrinsic | line | provided:PATH")
-            p.add_argument("--audit", action="store_true",
-                           help="enable per-level decomposition checks")
         if name == "cd-color":
             p.add_argument("--t", type=int, default=None)
         if name in ("arb-edge", "delta-little-o", "powered"):
@@ -192,10 +189,10 @@ def _run_algorithm(args):
         D, S = cover.D, cover.S
         if args.command == "cd-color":
             t = args.t if args.t is not None else choose_params(S, args.x)
-            col, trace = cd_coloring(g, cover, t, args.x, audit=args.audit)
+            col, trace = cd_coloring(g, cover, t, args.x)
             theory = cd_envelope(D, S, t, args.x)
         else:
-            col, trace = refined_coloring(g, cover, args.x, audit=args.audit)
+            col, trace = refined_coloring(g, cover, args.x)
             theory = refined_palette_bound(D, S, args.x)
         extra = {"cover": {"D": D, "S": S, "cliques": len(cover.cliques)},
                  "leaf_count": trace.leaf_count()}
@@ -206,8 +203,6 @@ def _run_algorithm(args):
     else:
         # estimate_arboricity is at least 1, also on an edgeless graph
         a = args.a if args.a is not None else max(a_estimate, 1)
-        if not math.isfinite(args.q * a):  # NaN, inf, or q*a past the float range
-            raise GraphError(f"q*a must be finite, got q={args.q}, a={a}")
         delta = g.max_degree
         if args.command == "arb-edge":
             col, trace = arbedge.arb_edge_coloring(g, a, args.q)

@@ -118,7 +118,7 @@ def test_criterion_4_decomposition_audit(capsys):
              (gen_random(60, 8, seed=7), 2, 1)]
     for g, t, x in cases:
         cover = enumerate_maximal_cliques(g)
-        col, report = cd_coloring(g, cover, t, x, audit=True)
+        col, report = cd_coloring(g, cover, t, x)
         gamma = cover.D * (t - 1) + 1
         leaf_radix = col.palette_size // gamma ** x
         leaves = {}

@@ -37,6 +37,25 @@ def test_h_partition_rejects_non_finite_q(q):
         h_partition(gen_path(5), 2, q)
 
 
+def test_bounds_and_matchings_reject_non_finite_q():
+    with pytest.raises(GraphError, match="q"):
+        arb_palette_bound(5, 2, math.inf)
+    with pytest.raises(GraphError, match="q"):
+        powered_palette_bound(5, 2, math.nan, 2)
+    with pytest.raises(GraphError, match="q"):
+        delta_plus_little_o(gen_matching(3), 1, math.nan)
+
+
+def test_q_times_a_is_exact():
+    # 2.51 * 100 is 250.99999999999997 as floats; q is read as 251/100
+    g = gen_random(40, 6, seed=1)
+    assert h_partition(g, 100, 2.51).d == 251
+    assert arb_palette_bound(6, 100, 2.51) == 6 + 251 - 1 + 4 * 251
+    # 2.5 is the floor, with no tolerance below it
+    with pytest.raises(GraphError, match="q must be at least 2.5"):
+        h_partition(g, 100, 2.4999999999)
+
+
 def test_h_partition_ell_shrinks_with_q():
     g = gen_random(200, 12, seed=3)
     a = estimate_arboricity(g)
@@ -189,9 +208,10 @@ def test_powered_palette_bound_uses_exact_roots():
     for r in range(5, 2000):
         assert powered_palette_bound(r ** 5, 1, 2.5, 5) == (r + 2 + 3) ** 5, r
         assert powered_palette_bound(r ** 5 + 1, 1, 2.5, 5) == (r + 1 + 2 + 3) ** 5, r
-    # a_hat is a float: an integer root reaches it exactly when it reaches ceil(a_hat)
+    # a_hat = q*a need not be an integer: an integer root reaches it exactly
+    # when it reaches ceil(a_hat)
     assert powered_palette_bound(1, 3, 2.7, 3) == (1 + 3 + 3) ** 3  # a_hat = 8.1
-    assert powered_palette_bound(1, 4, 2.0, 3) == (1 + 2 + 3) ** 3  # a_hat = 8
+    assert powered_palette_bound(1, 2, 4.0, 3) == (1 + 2 + 3) ** 3  # a_hat = 8
     assert powered_palette_bound(0, 1, 2.5, 2) == (0 + 2 + 3) ** 2
 
 def test_powered_x1_matches_direct_palette():

@@ -1,11 +1,16 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localcolor import cdcolor
-from localcolor.cdcolor import (REFINED_SMALL_S, cd_coloring, choose_params,
-                                refined_coloring, refined_palette_bound)
+from localcolor.arbedge import arb_palette_bound, little_o_palette_bound, powered_palette_bound
+from localcolor.cdcolor import (REFINED_SMALL_S, cd_coloring, cd_envelope, cd_palette_bound,
+                                choose_params, refined_coloring, refined_palette_bound)
 from localcolor.cliques import enumerate_maximal_cliques
-from localcolor.graph import Coloring, GraphError
+from localcolor.graph import Coloring, Graph, GraphError, VerificationError
 from localcolor.io import gen_complete, gen_hyper_line, gen_line_of, gen_random
+from localcolor.staredge import star_palette_bound
 from localcolor.verify import brute_force_max_clique, is_proper_vertex
 
 
@@ -18,7 +23,7 @@ def test_choose_params():
 def test_k9_t3_x1_uses_nine_colors():
     g = gen_complete(9)
     cover = enumerate_maximal_cliques(g)
-    col, report = cd_coloring(g, cover, t=3, x=1, audit=True)
+    col, report = cd_coloring(g, cover, t=3, x=1)
     assert is_proper_vertex(g, col).ok
     assert col.colors_used() == 9
     assert report.leaf_count() <= (3 * cover.D) ** 1
@@ -28,11 +33,9 @@ def test_cd_decomposition_bounds():
     g = gen_random(40, 10, seed=4)
     cover = enumerate_maximal_cliques(g)
     t, x = 2, 2
-    col, report = cd_coloring(g, cover, t, x, audit=True)
+    col, report = cd_coloring(g, cover, t, x)
     assert is_proper_vertex(g, col).ok
     assert report.leaf_count() <= (t * cover.D) ** x
-    for level in report.levels:
-        assert level.max_diversity <= cover.D
 
 
 def test_cd_leaf_cliques_via_oracle():
@@ -41,7 +44,7 @@ def test_cd_leaf_cliques_via_oracle():
     g = gen_complete(16)
     cover = enumerate_maximal_cliques(g)
     t, x = 2, 2
-    col, report = cd_coloring(g, cover, t, x, audit=True)
+    col, report = cd_coloring(g, cover, t, x)
     leaf_radix = col.palette_size // (cover.D * (t - 1) + 1) ** x
     leaves = {}
     for v, c in col.assignment.items():
@@ -126,13 +129,66 @@ def test_level_palette_over_declared_raises(monkeypatch):
         refined_coloring(g, cover, 1)
 
 
-def test_audit_raises_on_a_class_beyond_its_bounds():
-    g = gen_complete(4)
-    cover = enumerate_maximal_cliques(g)  # one clique of 4, D=1
-    with pytest.raises(GraphError, match="class clique 4 exceeds k=3"):
-        cdcolor._audit_level([g], cover, 3, 1, cdcolor.LevelStats())
-    with pytest.raises(GraphError, match="class diversity 1 exceeds D=0"):
-        cdcolor._audit_level([g], cover, 4, 0, cdcolor.LevelStats())
-    stats = cdcolor.LevelStats()
-    cdcolor._audit_level([g], cover, 4, 1, stats)
-    assert (stats.max_clique, stats.max_diversity) == (4, 1)
+def test_class_clique_check_fires(monkeypatch):
+    # an edgeless connector lets phi put all of K9 in one class, 9 > k=3
+    monkeypatch.setattr(cdcolor, "build_vertex_connector",
+                        lambda sub, cover, t: Graph({v: () for v in sub.adj}))
+    g = gen_complete(9)
+    with pytest.raises(VerificationError, match="class clique 9 exceeds k=3"):
+        cd_coloring(g, enumerate_maximal_cliques(g), t=3, x=1)
+
+
+def _cover(kind, seed):
+    # line and hyper-line covers reach S >= REFINED_SMALL_S, so the refined
+    # family splits them too
+    if kind == "line":
+        return gen_line_of(40, 18, seed=seed)
+    if kind == "hyper":
+        return gen_hyper_line(20, 3, 120, seed=seed)
+    g = gen_random(30, 8, seed=seed)
+    return g, enumerate_maximal_cliques(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["line", "hyper", "intrinsic"]), st.integers(0, 1000),
+       st.integers(2, 4), st.integers(1, 3))
+def test_class_cliques_within_k_on_every_level(kind, seed, t, x):
+    g, cover = _cover(kind, seed)
+    _, report = cd_coloring(g, cover, t, x)
+    for i, level in enumerate(report.levels):
+        k = -(-cover.S // t ** (i + 1))
+        assert 1 <= level.max_clique <= k and level.max_degree <= (k - 1) * cover.D
+    _, report = refined_coloring(g, cover, x)
+    k = cover.S
+    for i, level in enumerate(report.levels):
+        k = -(-k // choose_params(k, x - i))
+        assert 1 <= level.max_clique <= k and level.max_degree <= (k - 1) * cover.D
+
+
+def _total_palette(D, S, t, x):
+    """CD-Coloring's declared palette by its level-by-level recursion."""
+    k = -(-S // t)
+    child = _total_palette(D, k, t, x - 1) if x > 1 else D * (k - 1) + 1
+    return (D * (t - 1) + 1) * child
+
+
+def test_palette_bounds_are_exact_ints():
+    for D in range(1, 8):
+        for S in range(1, 60):
+            for t in range(2, 12):
+                for x in range(1, 5):
+                    env = cd_envelope(D, S, t, x)
+                    exact = Fraction(t * D) ** x * D * (Fraction(S, t ** x) + 2) + (t * D) ** x
+                    assert type(env) is int and env == exact, (D, S, t, x)
+                    bound = cd_palette_bound(D, S, t, x)
+                    assert type(bound) is int and bound == _total_palette(D, S, t, x)
+            for x in range(1, 4):
+                assert type(refined_palette_bound(D, S, x)) is int
+    assert cd_envelope(1, 3, 11, 3) == 3996
+    for delta in range(0, 40):
+        assert type(star_palette_bound(delta, 2)) is int
+        for a in range(1, 6):
+            for q in (2.5, 2.51, 3, 7.25):
+                assert type(arb_palette_bound(delta, a, q)) is int
+                assert type(little_o_palette_bound(delta, a, q)) is int
+                assert type(powered_palette_bound(delta, a, q, 2)) is int

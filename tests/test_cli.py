@@ -99,7 +99,7 @@ def test_subcommands_run_clean(tmp_path, capsys):
     run_cli(capsys, "gen", "--kind", "random", "--n", "40", "--delta", "9",
             "--seed", "1", "--out", str(path))
     for argv in (
-        ["cd-color", "--input", str(path), "--x", "1", "--audit"],
+        ["cd-color", "--input", str(path), "--x", "1"],
         ["refined", "--input", str(path), "--cover", "line", "--x", "2"],
         ["star-edge", "--input", str(path), "--x", "1"],
         ["star-edge", "--input", str(path), "--x", "2"],
@@ -232,17 +232,18 @@ def test_round_total_is_the_sum_of_phases(tmp_path, capsys, argv):
     (16, ["refined", "--format", "hyper"]),
 ], ids=["cd-color-line", "refined-hyper"])
 def test_audit_passes_on_a_provided_cover(tmp_path, capsys, delta, argv):
-    # a line graph has triangles outside its star cover, so a class's own
-    # maximal cliques can be more diverse than the cover it inherits
+    # a line graph has triangles outside its star cover; the per-level
+    # clique check reads the cover the classes inherit, not their own
+    # maximal cliques
     path = tmp_path / "g.el"
     code, _ = run_cli(capsys, "gen", "--kind", "random", "--n", "200",
                       "--delta", str(delta), "--seed", "3", "--out", str(path))
     assert code == 0
-    code, out = run_cli(capsys, *argv, "--input", str(path), "--audit")
+    code, out = run_cli(capsys, *argv, "--input", str(path))
     assert code == 0
     report = json.loads(out)
     assert report["ok"] and report["cover"]["D"] == 2
-    assert report["leaf_count"] > 1  # the audit ran on at least one level
+    assert report["leaf_count"] > 1  # the check ran on at least one level
 
 
 def test_provided_cover(tmp_path, capsys):
@@ -312,8 +313,8 @@ def test_edge_subcommands_run_on_a_hypergraph(tmp_path, capsys, command):
 
 # the options each algorithm subcommand reads, all given below
 READS = {
-    "cd-color": {"input", "format", "x", "cover", "audit", "t"},
-    "refined": {"input", "format", "x", "cover", "audit"},
+    "cd-color": {"input", "format", "x", "cover", "t"},
+    "refined": {"input", "format", "x", "cover"},
     "star-edge": {"input", "format", "x"},
     "arb-edge": {"input", "format", "a", "q"},
     "delta-little-o": {"input", "format", "a", "q"},
@@ -334,7 +335,6 @@ def test_report_params_are_the_options_read(tmp_path, capsys, monkeypatch, comma
                         staticmethod(lambda *a: covers.append(1) or from_cliques(*a)))
     given = {"x": "1", "cover": "intrinsic", "t": "2", "a": "1", "q": "2.5"}
     argv = [f"--{k}={v}" for k, v in given.items() if k in READS[command]]
-    argv += ["--audit"] if "audit" in READS[command] else []
     code, out = run_cli(capsys, command, "--input", str(path), *argv)
     assert code == 0
     assert set(json.loads(out)["params"]) == READS[command]
@@ -346,7 +346,7 @@ def test_report_params_are_the_options_read(tmp_path, capsys, monkeypatch, comma
     ["star-edge", "--seed", "1"], ["star-edge", "--audit"], ["arb-edge", "--seed", "1"],
     ["delta-little-o", "--audit"], ["powered", "--seed", "1"], ["verify", "--seed", "1"],
     ["verify", "--audit"], ["cd-color", "--seed", "1"], ["refined", "--seed", "1"],
-    ["refined", "--t", "3"],
+    ["refined", "--t", "3"], ["cd-color", "--audit"], ["refined", "--audit"],
 ], ids=" ".join)
 def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
     path = tmp_path / "g.el"
@@ -393,3 +393,16 @@ def test_non_finite_q_exits_2(tmp_path, capsys, command, q):
     for argv in (["--input", str(path)], ["--input", str(empty), "--format", "dimacs"]):
         assert main([command, *argv, "--a", "2", "--q", q]) == 2
         assert "error: q*a must be finite" in capsys.readouterr().err
+
+
+def test_q_is_taken_at_its_decimal_value(tmp_path, capsys):
+    # 2.51 * 100 is 250.99999999999997 in binary floats, but d = 251
+    path = tmp_path / "g.el"
+    code, _ = run_cli(capsys, "gen", "--kind", "random", "--n", "40", "--delta", "6",
+                      "--seed", "1", "--out", str(path))
+    assert code == 0
+    code, out = run_cli(capsys, "arb-edge", "--input", str(path), "--a", "100", "--q", "2.51")
+    assert code == 0
+    report = json.loads(out)
+    assert report["theory_bound"] == 6 + 251 - 1 + 4 * 251 == 1260
+    assert report["params"]["q"] == 2.51

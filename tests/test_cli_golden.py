@@ -24,9 +24,9 @@ GOLDEN = {
     ("powered", "--x", "2"):
         "87066f4cb694318aed3b9ea983e398feee65993155bc9d572c6ad091a9c284b3",
     ("cd-color",):
-        "5a4ca362dfe60751affaf0498a1546c4a4136be814860d181e9e9763e6eb444e",
+        "a62a216d0def27cfebd7cbbe194ef897da57c5f49283644dffe24ab27ba4f379",
     ("refined", "--cover", "line"):
-        "774309e01f47e35c9896eadec26a9a9cdbc65450716db7a6a9e5d46d2e2960f3",
+        "9ee2d62fdebc1b2ae8ed6ced8a7ef3deefe758007af89bac8430d217fb64da79",
     ("verify",):
         "f2d23b71c092ebf4595adac89fb049fac4b19d17317dbfa5cfe0211bb80bc51f",
 }
