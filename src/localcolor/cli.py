@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from fractions import Fraction
 
 from . import arbedge
 from .cdcolor import (cd_coloring, cd_envelope, choose_params, refined_coloring,
@@ -21,6 +23,19 @@ from .graph import (Coloring, GraphError, VerificationError, hypergraph_line_gra
 from .io import GENERATORS, ParseError, load_graph
 from .staredge import recursive_star_edge_coloring, star_palette_bound
 from .verify import count_colors, is_proper_edge, is_proper_vertex
+
+
+def _q_arg(text: str) -> float:
+    """--q as the float it parses to, refused when its typed decimal value
+    is below 2.5 (2.49999999999999999 rounds to the float 2.5).  A
+    non-finite q passes through to arbedge's own check."""
+    try:
+        q = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if math.isfinite(q) and Fraction(text) < arbedge.DEFAULT_Q:
+        raise argparse.ArgumentTypeError(f"q must be at least {arbedge.DEFAULT_Q}, got {text}")
+    return q
 
 
 def _build_parser():
@@ -42,7 +57,7 @@ def _build_parser():
             p.add_argument("--t", type=int, default=None)
         if name in ("arb-edge", "delta-little-o", "powered"):
             p.add_argument("--a", type=int, default=None)
-            p.add_argument("--q", type=float, default=arbedge.DEFAULT_Q)
+            p.add_argument("--q", type=_q_arg, default=arbedge.DEFAULT_Q)
         if name == "verify":
             p.add_argument("--coloring", help="JSON coloring file to check")
     g = sub.add_parser("gen")

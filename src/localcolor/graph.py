@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, compress, count, islice
+from operator import eq
 from typing import Iterable
 
 
@@ -38,16 +40,21 @@ class Graph:
 
     @staticmethod
     def from_edges(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj: dict[int, set[int]] = {v: set() for v in sorted(set(vertices))}
+        adj: dict[int, list[int]] = {v: [] for v in sorted(set(vertices))}
         for u, v in edges:
-            if u not in adj or v not in adj:
+            try:
+                nu, nv = adj[u], adj[v]
+            except KeyError:
                 u, v = norm_edge(u, v)
-                raise GraphError(f"edge ({u},{v}) uses unknown vertex")
+                raise GraphError(f"edge ({u},{v}) uses unknown vertex") from None
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        return Graph({v: tuple(sorted(ns)) for v, ns in adj.items()})
+            nu.append(v)
+            nv.append(u)
+        g = _freeze(adj)
+        if _repeats(g.adj.values()):  # an edge was given twice
+            g = Graph({v: tuple(dict.fromkeys(ns)) for v, ns in g.adj.items()})
+        return g
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -74,6 +81,25 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj.get(u, ())
+
+
+def _freeze(adj: dict[int, list[int]]) -> Graph:
+    """The graph whose neighbor lists are adj's, each sorted in place and
+    frozen to a tuple, with the vertices in ascending order.  The one
+    builder of from_edges, the generators and the loaders; a list must not
+    repeat a neighbor."""
+    for ns in adj.values():
+        ns.sort()
+    return Graph({v: tuple(adj[v]) for v in sorted(adj)})
+
+
+def _repeats(rows) -> bool:
+    """Whether a sorted row repeats an entry.  One pass over the rows laid
+    end to end; an equal pair across the seam of two rows is no repeat."""
+    flat = list(chain.from_iterable(rows))
+    equal_at = list(compress(count(1), map(eq, flat, islice(flat, 1, None))))
+    seams = set(accumulate(map(len, rows))) if equal_at else ()
+    return any(i not in seams for i in equal_at)
 
 
 @dataclass(frozen=True)

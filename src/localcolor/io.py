@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 
-from .graph import Graph, GraphError, Hypergraph, hypergraph_line_graph, line_graph, norm_edge
+from .graph import (Graph, GraphError, Hypergraph, _freeze, hypergraph_line_graph, line_graph,
+                    norm_edge)
 
 
 class ParseError(GraphError):
@@ -27,7 +28,7 @@ def _tokens(path):
 
 def load_edgelist(path) -> Graph:
     edges = set()
-    verts = set()
+    adj: dict[int, list[int]] = {}
     for lineno, toks in _tokens(path):
         if len(toks) != 2:
             raise ParseError(f"{path}:{lineno}: expected two vertex ids, got {toks}")
@@ -43,23 +44,28 @@ def load_edgelist(path) -> Graph:
         if e in edges:
             raise ParseError(f"{path}:{lineno}: duplicate edge {e}")
         edges.add(e)
-        verts.update(e)
-    return Graph.from_edges(verts, edges)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return _freeze(adj)
 
 
 def load_dimacs(path) -> Graph:
     n = m = None
     edges = set()
+    adj: dict[int, list[int]] = {}
     for lineno, toks in _tokens(path):
         if toks[0] == "c":
             continue
         if toks[0] == "p":
+            if n is not None:
+                raise ParseError(f"{path}:{lineno}: second problem line")
             if len(toks) != 4 or toks[1] != "edge":
                 raise ParseError(f"{path}:{lineno}: bad problem line {toks}")
             try:
                 n, m = int(toks[2]), int(toks[3])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad problem line {toks}") from None
+            adj = {v: [] for v in range(1, n + 1)}
         elif toks[0] == "e":
             if n is None:
                 raise ParseError(f"{path}:{lineno}: edge before problem line")
@@ -76,13 +82,15 @@ def load_dimacs(path) -> Graph:
             if e in edges:
                 raise ParseError(f"{path}:{lineno}: duplicate edge {e}")
             edges.add(e)
+            adj[u].append(v)
+            adj[v].append(u)
         else:
             raise ParseError(f"{path}:{lineno}: unknown record {toks[0]!r}")
     if n is None:
         raise ParseError(f"{path}: missing problem line")
     if m is not None and m != len(edges):
         raise ParseError(f"{path}: header says {m} edges, found {len(edges)}")
-    return Graph.from_edges(range(1, n + 1), edges)
+    return _freeze(adj)
 
 
 def load_hypergraph(path) -> Hypergraph:
@@ -114,33 +122,46 @@ def load_graph(path, fmt: str = "edgelist"):
 # generators
 
 def gen_path(n) -> Graph:
-    return Graph.from_edges(range(n), [(i, i + 1) for i in range(n - 1)])
+    ids = list(range(n))  # one int object per vertex, shared by every list
+    adj = {v: [u, w] for u, v, w in zip(ids, ids[1:], ids[2:])}
+    if n > 1:
+        adj[ids[0]], adj[ids[-1]] = [ids[1]], [ids[-2]]
+    elif n == 1:
+        adj[0] = []
+    return _freeze(adj)
 
 
 def gen_complete(n) -> Graph:
-    return Graph.from_edges(range(n),
-                            [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return _freeze({i: [*range(i), *range(i + 1, n)] for i in range(n)})
 
 
 def gen_star(n) -> Graph:
     """Star K_{1,n-1} with the center as the highest ID."""
-    return Graph.from_edges(range(n), [(i, n - 1) for i in range(n - 1)])
+    hub = n - 1
+    adj = {i: [hub] for i in range(hub)}
+    if n > 0:
+        adj[hub] = list(range(hub))
+    return _freeze(adj)
 
 
 def gen_matching(k) -> Graph:
-    return Graph.from_edges(range(2 * k), [(2 * i, 2 * i + 1) for i in range(k)])
+    return _freeze({v: [v ^ 1] for v in range(2 * k)})  # 2i <-> 2i+1
 
 
 def gen_grid(rows, cols) -> Graph:
-    edges = []
+    # appended row by row, every list is in order before _freeze sorts it
+    ids = list(range(rows * cols))  # one int object per vertex, shared by every list
+    adj = {v: [] for v in ids}
     for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j
-            if j + 1 < cols:
-                edges.append((v, v + 1))
+        end = (i + 1) * cols
+        for v in range(i * cols, end):
+            if v + 1 < end:
+                adj[v].append(ids[v + 1])
+                adj[v + 1].append(ids[v])
             if i + 1 < rows:
-                edges.append((v, v + cols))
-    return Graph.from_edges(range(rows * cols), edges)
+                adj[v].append(ids[v + cols])
+                adj[v + cols].append(ids[v])
+    return _freeze(adj)
 
 
 def gen_forest(n, delta, seed=0) -> Graph:
@@ -150,22 +171,21 @@ def gen_forest(n, delta, seed=0) -> Graph:
     if delta < min(n - 1, 2):  # a tree on n >= 3 vertices has a degree-2 vertex
         raise GraphError(f"no tree on n={n} vertices has max degree delta={delta}")
     rng = random.Random(seed)
-    edges = []
-    deg = [0] * n
-    unsaturated = [0]  # ascending: the u < v with deg[u] < delta
-    for v in range(1, n):
-        if deg[0] < delta:
+    ids = list(range(n))  # one int object per vertex, shared by every list
+    adj: dict[int, list[int]] = {v: [] for v in ids}
+    unsaturated = [0]  # ascending: the u < v with deg(u) < delta
+    for v in ids[1:]:
+        if len(adj[0]) < delta:
             u = 0  # saturate one hub so the advertised Delta is exact
         else:
             u = rng.choice(unsaturated)
-        edges.append((u, v))
-        deg[u] += 1
-        deg[v] += 1
-        if deg[u] == delta:
+        adj[u].append(v)
+        adj[v].append(u)
+        if len(adj[u]) == delta:
             del unsaturated[bisect_left(unsaturated, u)]
-        if deg[v] < delta:
+        if len(adj[v]) < delta:
             unsaturated.append(v)
-    return Graph.from_edges(range(n), edges)
+    return _freeze(adj)
 
 
 def gen_random(n, delta, seed=0) -> Graph:
@@ -173,22 +193,26 @@ def gen_random(n, delta, seed=0) -> Graph:
     if delta >= n:
         raise GraphError(f"need delta < n, got delta={delta}, n={n}")
     rng = random.Random(seed)
-    edges = set()
-    deg = [0] * n
+    ids = list(range(n))  # one int object per vertex, shared by every list
+    adj: dict[int, list[int]] = {v: [] for v in ids}
+    edges = set()  # u * n + v for each accepted edge u < v
     # saturate vertex 0 first so the target Delta is attained
     for v in rng.sample(range(1, n), delta):
-        edges.add(norm_edge(0, v))
-        deg[0] += 1
-        deg[v] += 1
+        edges.add(v)
+        adj[0].append(ids[v])
+        adj[v].append(0)
     for _ in range(20 * n):
         u, v = rng.sample(range(n), 2)
-        e = norm_edge(u, v)
-        if e in edges or deg[u] >= delta or deg[v] >= delta:
+        nu, nv = adj[u], adj[v]
+        if len(nu) >= delta or len(nv) >= delta:
+            continue
+        e = u * n + v if u < v else v * n + u
+        if e in edges:
             continue
         edges.add(e)
-        deg[u] += 1
-        deg[v] += 1
-    g = Graph.from_edges(range(n), edges)
+        nu.append(ids[v])
+        nv.append(ids[u])
+    g = _freeze(adj)
     if g.max_degree != delta:  # vertex 0 is saturated first, so never
         raise GraphError(f"generated max degree {g.max_degree}, wanted {delta}")
     return g

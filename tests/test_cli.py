@@ -46,6 +46,34 @@ def test_duplicate_edge_on_last_line(tmp_path):
         load_dimacs(p)
 
 
+def test_edgelist_comments_blank_lines_and_reversed_repeats(tmp_path):
+    p = tmp_path / "c.el"
+    p.write_text("# header\n\n5 1  # first edge\n   \n1 2\n# 2 0 is commented out\n0 1 # trailing\n")
+    g = load_edgelist(p)
+    assert list(g.adj.items()) == [(0, (1,)), (1, (0, 2, 5)), (2, (1,)), (5, (1,))]
+    p.write_text("\n# c\n0 1\n\n1 0  # the same edge reversed\n2 3\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:5: duplicate edge (0, 1)")):
+        load_edgelist(p)
+
+
+def test_dimacs_comments_blank_lines_and_reversed_repeats(tmp_path):
+    p = tmp_path / "c.col"
+    p.write_text("c a comment\n\np edge 5 3  # five vertices\n# note\ne 4 2\n\n"
+                 "c more\ne 2 3 # trailing\ne 2 1\n")
+    g = load_dimacs(p)
+    assert list(g.adj.items()) == [(1, (2,)), (2, (1, 3, 4)), (3, (2,)), (4, (2,)), (5, ())]
+    p.write_text("p edge 3 2\n\ne 1 2\nc x\ne 2 1 # reversed\ne 2 3\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:5: duplicate edge (1, 2)")):
+        load_dimacs(p)
+
+
+def test_dimacs_second_problem_line(tmp_path):
+    p = tmp_path / "two.col"
+    p.write_text("p edge 3 1\ne 1 2\n# again\np edge 3 1\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:4: second problem line")):
+        load_dimacs(p)
+
+
 def test_dimacs_k4(tmp_path):
     p = tmp_path / "k4.col"
     lines = ["c complete graph", "p edge 4 6"]
@@ -393,6 +421,15 @@ def test_non_finite_q_exits_2(tmp_path, capsys, command, q):
     for argv in (["--input", str(path)], ["--input", str(empty), "--format", "dimacs"]):
         assert main([command, *argv, "--a", "2", "--q", q]) == 2
         assert "error: q*a must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["2.49999999999999999", "2.4"])
+def test_q_below_its_floor_as_typed_exits_2(tmp_path, capsys, q):
+    # float("2.49999999999999999") is 2.5; the typed value is below it
+    path = tmp_path / "g.el"
+    path.write_text("0 1\n1 2\n0 2\n")
+    assert main(["arb-edge", "--input", str(path), "--q", q]) == 2
+    assert f"q must be at least 2.5, got {q}" in capsys.readouterr().err
 
 
 def test_q_is_taken_at_its_decimal_value(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from localcolor import io as lio
 from localcolor.graph import (Coloring, Graph, GraphError, Hypergraph, _degeneracy_order,
                               hypergraph_line_graph, induced_subgraph,
                               line_graph, norm_edge)
@@ -13,6 +14,104 @@ def test_from_edges_basics():
     assert g.degree(2) == 2 and g.max_degree == 2
     assert g.has_edge(2, 1) and not g.has_edge(1, 3)
     assert list(g.edges()) == [(1, 2), (2, 3)]
+
+
+def set_based_from_edges(vertices, edges):
+    """The set-per-vertex Graph.from_edges that the neighbor-list builder
+    replaced, kept as the reference for its output and its errors."""
+    adj = {v: set() for v in sorted(set(vertices))}
+    for u, v in edges:
+        if u not in adj or v not in adj:
+            u, v = norm_edge(u, v)
+            raise GraphError(f"edge ({u},{v}) uses unknown vertex")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph({v: tuple(sorted(ns)) for v, ns in adj.items()})
+
+
+def built(build, vertices, edges):
+    """The adjacency rows of build(vertices, edges) in key order, or the
+    text of the GraphError it raises."""
+    try:
+        return list(build(vertices, edges).adj.items())
+    except GraphError as e:
+        return str(e)
+
+
+ids = st.integers(-6, 6)
+
+
+@given(st.lists(ids), st.lists(st.tuples(ids, ids), max_size=30), st.booleans(),
+       st.sampled_from([list, set, iter]))
+def test_from_edges_matches_a_set_based_reference(vertices, pairs, valid_only, form):
+    if valid_only:
+        pairs = [(u, v) for u, v in pairs if u != v and u in vertices and v in vertices]
+    pairs += [(v, u) for u, v in pairs[::2]] + pairs[1::3]  # repeats, both orientations
+    got = built(Graph.from_edges, vertices, form(pairs))
+    assert got == built(set_based_from_edges, vertices, form(pairs))
+    if not isinstance(got, str):
+        assert all(isinstance(ns, tuple) for _, ns in got)
+
+
+def test_from_edges_error_texts():
+    # the unknown-endpoint check runs first: an unknown vertex is reported
+    # ahead of a later self-loop, and an unknown self-loop keeps the
+    # reference's text, which norm_edge gives it
+    for edges, text in [([(0, 9), (1, 1)], "edge (0,9) uses unknown vertex"),
+                        ([(9, 0)], "edge (0,9) uses unknown vertex"),
+                        ([(-7, -7)], "self-loop at vertex -7"),
+                        ([(0, 1), (1, 1), (0, 9)], "self-loop at vertex 1")]:
+        assert built(Graph.from_edges, [0, 1], edges) == text
+        assert built(set_based_from_edges, [0, 1], edges) == text
+
+
+def test_from_edges_drops_repeated_edges():
+    g = Graph.from_edges([2, 0, 1, 5], [(0, 1), (1, 0), (0, 1), (2, 1), (1, 2)])
+    assert list(g.adj.items()) == [(0, (1,)), (1, (0, 2)), (2, (1,)), (5, ())]
+    assert g.m == 2 and g.max_degree == 2
+
+
+# the edge lists the generators used to hand to Graph.from_edges
+REFERENCE_EDGES = {
+    "gen_path": lambda n: [(i, i + 1) for i in range(n - 1)],
+    "gen_complete": lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
+    "gen_star": lambda n: [(i, n - 1) for i in range(n - 1)],
+    "gen_matching": lambda k: [(2 * i, 2 * i + 1) for i in range(k)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_EDGES))
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 7])
+def test_closed_form_generators_match_their_edge_lists(name, size):
+    g = getattr(lio, name)(size)
+    n = 2 * size if name == "gen_matching" else size
+    ref = Graph.from_edges(range(n), REFERENCE_EDGES[name](size))
+    assert list(g.adj.items()) == list(ref.adj.items())
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (1, 1), (1, 7), (7, 1), (2, 2), (4, 6)])
+def test_gen_grid_matches_its_edge_list(rows, cols):
+    edges = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    ref = Graph.from_edges(range(rows * cols), edges)
+    assert list(lio.gen_grid(rows, cols).adj.items()) == list(ref.adj.items())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lio.gen_path(0), lambda: lio.gen_path(1), lambda: lio.gen_path(40),
+    lambda: lio.gen_grid(1, 1), lambda: lio.gen_grid(1, 7), lambda: lio.gen_grid(7, 1),
+    lambda: lio.gen_grid(5, 8), lambda: lio.gen_star(1), lambda: lio.gen_star(9),
+    lambda: lio.gen_matching(0), lambda: lio.gen_matching(5), lambda: lio.gen_complete(1),
+    lambda: lio.gen_complete(6), lambda: lio.gen_forest(60, 5, 3),
+    lambda: lio.gen_random(60, 7, 3), lambda: lio.gen_line_of(20, 5, 3)[0],
+])
+def test_generators_build_what_from_edges_builds(make):
+    g = make()
+    ref = Graph.from_edges(g.vertices, g.edges())
+    assert list(g.adj.items()) == list(ref.adj.items())
+    assert all(isinstance(ns, tuple) for ns in g.adj.values())
 
 
 def test_norm_edge_rejects_self_loop():
