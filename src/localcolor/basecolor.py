@@ -21,21 +21,25 @@ from .verify import is_proper_edge, is_proper_vertex
 LINIAL_CL = 16
 
 
+def _int_floor_root(m: int, r: int) -> int:
+    """Largest x with x**r <= m (m >= 0), by integer Newton steps down
+    from a power of two above the root, so it is exact for any m."""
+    if m <= 1:
+        return m
+    x = 1 << -(-m.bit_length() // r)
+    while True:
+        y = ((r - 1) * x + m // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
+
+
 def _int_ceil_root(m: int, r: int) -> int:
     """Smallest x >= 0 with x**r >= m."""
     if m <= 1:
         return max(m, 0)
-    x = int(round(m ** (1.0 / r)))
-    while x ** r >= m:
-        x -= 1
-    while x ** r < m:
-        x += 1
-    return x
-
-
-def _int_floor_root(m: int, r: int) -> int:
-    """Largest x with x**r <= m (m >= 0)."""
-    return _int_ceil_root(m + 1, r) - 1
+    x = _int_floor_root(m, r)
+    return x if x ** r == m else x + 1
 
 
 def _next_prime(n: int) -> int:
@@ -55,11 +59,14 @@ def linial_schedule(m0: int, delta: int) -> list[tuple[int, int]]:
     while True:
         best = None
         kmax = max(1, int(math.log2(max(m, 2))) + 1)
-        for k in range(1, kmax + 1):
-            q = _next_prime(max(k * delta, _int_ceil_root(m, k + 1) - 1))
-            if q ** (k + 1) < m:
-                q = _next_prime(q)
-            if best is None or q * q < best[1] ** 2:
+        # q > root, and root only grows as k falls: from the first k whose
+        # root reaches the best q on, no k can win, so no prime is sought
+        for k in range(kmax, 0, -1):
+            root = _int_ceil_root(m, k + 1) - 1
+            if best is not None and root >= best[1]:
+                break
+            q = _next_prime(max(k * delta, root))
+            if best is None or q <= best[1]:  # a tie goes to the smaller k
                 best = (k, q)
         k, q = best
         if q * q >= m:

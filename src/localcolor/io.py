@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from itertools import islice
 
 from .graph import (Graph, GraphError, Hypergraph, _freeze, hypergraph_line_graph, line_graph,
                     norm_edge)
@@ -188,8 +189,37 @@ def gen_forest(n, delta, seed=0) -> Graph:
     return _freeze(adj)
 
 
+def _pairs(rng, n):
+    """Endless ``rng.sample(range(n), 2)`` draws (n >= 2), made from the
+    same ``getrandbits`` calls as CPython's ``sample`` for a range and
+    k = 2, without its per-call set-up.  ``randbelow(m)`` there draws
+    ``m.bit_length()`` bits until the result is below m."""
+    bits = rng.getrandbits
+    k = n.bit_length()
+    if n <= 21:  # sample's pool branch: slot u now holds n-1
+        k1 = (n - 1).bit_length()
+        while True:
+            u = bits(k)
+            while u >= n:
+                u = bits(k)
+            j = bits(k1)
+            while j >= n - 1:
+                j = bits(k1)
+            yield u, (n - 1 if j == u else j)
+    while True:  # its set branch: redraw v until it differs from u
+        u = bits(k)
+        while u >= n:
+            u = bits(k)
+        v = bits(k)
+        while v >= n or v == u:
+            v = bits(k)
+        yield u, v
+
+
 def gen_random(n, delta, seed=0) -> Graph:
     """Random graph with max degree exactly delta."""
+    if n < 2:
+        raise GraphError(f"need n >= 2 for a random graph, got n={n}")
     if delta >= n:
         raise GraphError(f"need delta < n, got delta={delta}, n={n}")
     rng = random.Random(seed)
@@ -201,8 +231,7 @@ def gen_random(n, delta, seed=0) -> Graph:
         edges.add(v)
         adj[0].append(ids[v])
         adj[v].append(0)
-    for _ in range(20 * n):
-        u, v = rng.sample(range(n), 2)
+    for u, v in islice(_pairs(rng, n), 20 * n):
         nu, nv = adj[u], adj[v]
         if len(nu) >= delta or len(nv) >= delta:
             continue

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +172,83 @@ def test_next_prime_matches_a_sieve():
             above = n
     assert [basecolor._next_prime(n) for n in range(n_max)] == expected
     assert basecolor._next_prime(-5) == 2
+
+
+def float_ceil_root(m, r):
+    """The float-seeded _int_ceil_root that integer Newton steps replaced;
+    exact while m converts to a float."""
+    if m <= 1:
+        return max(m, 0)
+    x = int(round(m ** (1.0 / r)))
+    while x ** r >= m:
+        x -= 1
+    while x ** r < m:
+        x += 1
+    return x
+
+
+def reference_linial_schedule(m0, delta):
+    """The schedule search that tried every k from 1 up, seeking a prime
+    for each, kept as the reference for the pruned search."""
+    steps = []
+    m = m0
+    while True:
+        best = None
+        kmax = max(1, int(math.log2(max(m, 2))) + 1)
+        for k in range(1, kmax + 1):
+            q = basecolor._next_prime(max(k * delta, float_ceil_root(m, k + 1) - 1))
+            if q ** (k + 1) < m:
+                q = basecolor._next_prime(q)
+            if best is None or q * q < best[1] ** 2:
+                best = (k, q)
+        k, q = best
+        if q * q >= m:
+            return steps
+        steps.append((k, q))
+        m = q * q
+
+
+def test_int_roots_match_the_float_seeded_reference():
+    rng = random.Random(3)
+    ms = list(range(300)) + [rng.getrandbits(b) for b in range(1, 64) for _ in range(8)]
+    for m in ms:
+        for r in range(1, 10):
+            c = basecolor._int_ceil_root(m, r)
+            assert c == float_ceil_root(m, r)
+            assert basecolor._int_floor_root(m, r) == c - (c ** r != m)
+
+
+@pytest.mark.parametrize("m", [10 ** 400, 10 ** 400 + 1, 7 ** 500 - 1, 2 ** 1500],
+                         ids=["10**400", "10**400+1", "7**500-1", "2**1500"])
+def test_int_roots_are_exact_past_the_float_range(m):
+    for r in (1, 2, 3, 7, 64, 999):
+        c = basecolor._int_ceil_root(m, r)
+        f = basecolor._int_floor_root(m, r)
+        assert c ** r >= m > (c - 1) ** r
+        assert f ** r <= m < (f + 1) ** r
+
+
+def test_linial_schedule_matches_the_unpruned_reference():
+    rng = random.Random(8)
+    cases = [(m0, delta) for m0 in range(1, 200) for delta in (0, 1, 2, 9, 64)]
+    cases += [(rng.randrange(1, 2 ** rng.randrange(1, 41)), rng.randrange(65))
+              for _ in range(400)]
+    cases += [(2 ** 40, 1), (2 ** 40, 64), (3 ** 25, 7)]
+    for m0, delta in cases:
+        assert linial_schedule(m0, delta) == reference_linial_schedule(m0, delta)
+
+
+@pytest.mark.parametrize("m0", [10 ** 36 + 1, 10 ** 400 + 1], ids=["10**36+1", "10**400+1"])
+@pytest.mark.parametrize("delta", [1, 2, 64])
+def test_linial_schedule_of_huge_palettes_is_fast(m0, delta):
+    # no prime near the square root of m0 is sought: k = 1 cannot win
+    start = time.perf_counter()
+    steps = linial_schedule(m0, delta)
+    assert time.perf_counter() - start < 1
+    sizes = [m0] + [q * q for _, q in steps]
+    assert all(a > b for a, b in zip(sizes, sizes[1:]))
+    assert all(q > k * delta for k, q in steps)
+    assert sizes[-1] <= LINIAL_CL * max(delta, 1) ** 2
 
 
 def reference_first_free(mine, theirs, q, k):

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from localcolor import io as lio
 from localcolor.cli import main
 from localcolor.io import load_dimacs, load_edgelist, load_hypergraph, ParseError
 
@@ -443,3 +444,25 @@ def test_q_is_taken_at_its_decimal_value(tmp_path, capsys):
     report = json.loads(out)
     assert report["theory_bound"] == 6 + 251 - 1 + 4 * 251 == 1260
     assert report["params"]["q"] == 2.51
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_gen_random_below_two_vertices_exits_2(monkeypatch, capsys, n):
+    # a pair drawn from fewer than two vertices never ends: fail, not hang
+    monkeypatch.setattr(lio, "_pairs", lambda rng, n: pytest.fail("drew a pair"))
+    code = main(["gen", "--kind", "random", "--n", str(n), "--delta", "0"])
+    assert code == 2
+    assert f"error: need n >= 2 for a random graph, got n={n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cd-color", "refined"])
+@pytest.mark.parametrize("big", [10 ** 36, 10 ** 400], ids=["10**36", "10**400"])
+def test_huge_vertex_ids_color_properly(tmp_path, capsys, command, big):
+    # the IDs are Linial's initial colors: its schedule takes integer roots
+    # of max ID + 1, past the float range at 10**400
+    path = tmp_path / "huge.el"
+    path.write_text(f"0 1\n1 {big}\n")
+    code, out = run_cli(capsys, command, "--input", str(path))
+    report = json.loads(out)
+    assert code == 0 and report["ok"]
+    assert report["verdicts"]["proper"] and report["verdicts"]["violations"] == 0

@@ -4,8 +4,9 @@ Each entry pins the first 16 hex digits of the sha256 of ``repr(g.edges())``
 for one generator call.  The calls cover the benchmark's input sizes
 (``perfbench/workloads.py`` ``SIZES``, full and toy, at seeds 1 and 11),
 the quadratic-era forest ``gen_forest(8000, 64, 1)`` and a few small
-``(n, delta, seed)`` cases.  A change to a generator meant to keep its
-output, such as a faster ``gen_forest`` that draws the same random
+``(n, delta, seed)`` cases, among them the sizes where ``random.sample``
+switches branch.  A change to a generator meant to keep its output, such
+as a faster ``gen_forest`` or ``gen_random`` that draws the same random
 numbers, must leave every entry as it is; otherwise the benchmark inputs
 drift silently.
 """
@@ -52,6 +53,10 @@ GOLDEN = [
     ("gen_line_of", (12, 4, 3), "29d32bf9977d7560"),
     ("gen_grid", (1, 5), "cf0f7807ca905815"),
     ("gen_path", (2,), "4c461d4a0ab0fe42"),
+    # gen_random where random.sample switches from its pool to its set branch
+    ("gen_random", (2, 1, 0), "4c461d4a0ab0fe42"),
+    ("gen_random", (21, 4, 3), "e0a2463b6b3cfac3"),
+    ("gen_random", (22, 4, 3), "5749f72cf9a4a919"),
 ]
 
 

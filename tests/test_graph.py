@@ -1,8 +1,11 @@
+import random
+from itertools import islice
+
 import pytest
 from hypothesis import given, strategies as st
 
 from localcolor import io as lio
-from localcolor.graph import (Coloring, Graph, GraphError, Hypergraph, _degeneracy_order,
+from localcolor.graph import (Coloring, Graph, GraphError, Hypergraph, _degeneracy_order, _freeze,
                               hypergraph_line_graph, induced_subgraph,
                               line_graph, norm_edge)
 
@@ -112,6 +115,65 @@ def test_generators_build_what_from_edges_builds(make):
     ref = Graph.from_edges(g.vertices, g.edges())
     assert list(g.adj.items()) == list(ref.adj.items())
     assert all(isinstance(ns, tuple) for ns in g.adj.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 21, 22, 23, 100, 1024, 1025])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_pairs_draws_what_sample_draws(n, seed):
+    # n <= 21 takes sample's pool branch, larger n its set branch; the
+    # generator must also leave the rng where sample leaves it
+    ref, rng = random.Random(seed), random.Random(seed)
+    want = [tuple(ref.sample(range(n), 2)) for _ in range(2000)]
+    assert list(islice(lio._pairs(rng, n), 2000)) == want
+    assert rng.getstate() == ref.getstate()
+
+
+def sample_based_gen_random(n, delta, seed=0):
+    """The io.gen_random that drew each pair with rng.sample, kept as the
+    reference for the graphs of the getrandbits version."""
+    if delta >= n:
+        raise GraphError(f"need delta < n, got delta={delta}, n={n}")
+    rng = random.Random(seed)
+    ids = list(range(n))
+    adj = {v: [] for v in ids}
+    edges = set()
+    for v in rng.sample(range(1, n), delta):
+        edges.add(v)
+        adj[0].append(ids[v])
+        adj[v].append(0)
+    for _ in range(20 * n):
+        u, v = rng.sample(range(n), 2)
+        nu, nv = adj[u], adj[v]
+        if len(nu) >= delta or len(nv) >= delta:
+            continue
+        e = u * n + v if u < v else v * n + u
+        if e in edges:
+            continue
+        edges.add(e)
+        nu.append(ids[v])
+        nv.append(ids[u])
+    g = _freeze(adj)
+    if g.max_degree != delta:
+        raise GraphError(f"generated max degree {g.max_degree}, wanted {delta}")
+    return g
+
+
+@given(st.integers(2, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+       st.integers(0, 2 ** 32))
+def test_gen_random_matches_the_sample_based_reference(n_delta, seed):
+    n, delta = n_delta
+    got = lio.gen_random(n, delta, seed)
+    assert list(got.adj.items()) == list(sample_based_gen_random(n, delta, seed).adj.items())
+    assert got.max_degree == delta
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_gen_random_needs_two_vertices(monkeypatch, n):
+    # a pair needs two vertices: on fewer, drawing one would never end, so
+    # a draw here fails the test instead of hanging it
+    monkeypatch.setattr(lio, "_pairs", lambda rng, n: pytest.fail("drew a pair"))
+    with pytest.raises(GraphError, match=f"need n >= 2 for a random graph, got n={n}"):
+        lio.gen_random(n, 0)
 
 
 def test_norm_edge_rejects_self_loop():

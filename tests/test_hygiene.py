@@ -9,9 +9,16 @@ module because no linter is a dependency:
   functions, such as the ``networkx`` oracles, are fine);
 - every private module-level function or class is referenced somewhere in
   the package, so dead helpers do not linger.
+
+One more check runs the code: importing every module in a fresh
+interpreter loads neither ``networkx`` nor ``numpy``, not even through
+another module.
 """
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -93,3 +100,16 @@ def test_no_unreferenced_private_definitions():
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(trees) == []
+
+
+def test_importing_the_package_loads_no_heavy_module():
+    # set-up time in the benchmark includes every module-level import, and
+    # networkx alone takes longer than building a benchmark input
+    modules = ", ".join(f"localcolor.{p.stem}" for p in sorted(SRC.glob("*.py"))
+                        if p.stem != "__init__")
+    code = (f"import json, sys\nimport {modules}\n"
+            "print(json.dumps(sorted(m for m in ('networkx', 'numpy') if m in sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout) == []
