@@ -4,8 +4,9 @@ line graphs)."""
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate, chain, compress, count, islice
 from operator import eq
 from typing import Iterable
@@ -27,6 +28,30 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _gc_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused.  It wraps the
+    entry points that allocate O(n+m) long-lived containers (neighbor
+    lists and tuples, programs, mailboxes), where a collection would
+    re-scan them all and free nothing.  That rests on one condition: the
+    package's graphs, programs and mailboxes hold no reference cycles.
+    Cycles that a user's ``VertexProgram`` creates are not freed before
+    ``sim.run`` returns.  The collector is switched back on only if it was
+    on at entry, so nested calls, and callers that paused it themselves,
+    are respected."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_on:
+                gc.enable()
+
+    return paused
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with distinct integer vertex IDs.
@@ -39,6 +64,7 @@ class Graph:
     adj: dict[int, tuple[int, ...]]
 
     @staticmethod
+    @_gc_paused
     def from_edges(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> "Graph":
         adj: dict[int, list[int]] = {v: [] for v in sorted(set(vertices))}
         for u, v in edges:
@@ -77,12 +103,13 @@ class Graph:
 
     @cached_property
     def max_degree(self) -> int:
-        return max((len(ns) for ns in self.adj.values()), default=0)
+        return max(map(len, self.adj.values()), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj.get(u, ())
 
 
+@_gc_paused
 def _freeze(adj: dict[int, list[int]]) -> Graph:
     """The graph whose neighbor lists are adj's, each sorted in place and
     frozen to a tuple, with the vertices in ascending order.  The one
@@ -126,7 +153,7 @@ class Hypergraph:
 
 @dataclass
 class Coloring:
-    """Total map from vertices or edges to colors below ``palette_size``."""
+    """Total map from vertices or edges to int colors below ``palette_size``."""
 
     kind: str  # "vertex" | "edge"
     assignment: dict
@@ -135,10 +162,12 @@ class Coloring:
     def __post_init__(self):
         if self.kind not in ("vertex", "edge"):
             raise GraphError(f"bad coloring kind {self.kind!r}")
-        for item, c in self.assignment.items():
-            if not (0 <= c < self.palette_size):
-                raise GraphError(
-                    f"color {c} of {item} outside palette [0,{self.palette_size})")
+        colors = self.assignment.values()
+        if colors and not (0 <= min(colors) and max(colors) < self.palette_size):
+            for item, c in self.assignment.items():  # name the first bad item
+                if not (0 <= c < self.palette_size):
+                    raise GraphError(
+                        f"color {c} of {item} outside palette [0,{self.palette_size})")
 
     def colors_used(self) -> int:
         return len(set(self.assignment.values()))
@@ -175,6 +204,7 @@ def _degeneracy_order(g: Graph) -> tuple[list[int], int]:
     return order, degen
 
 
+@_gc_paused
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     keep = set(keep)
     if not keep <= g.adj.keys():
@@ -194,6 +224,7 @@ def line_graph(g: Graph):
     return hypergraph_line_graph(Hypergraph.from_lists(edges))
 
 
+@_gc_paused
 def hypergraph_line_graph(h: Hypergraph):
     """One vertex per hyperedge, adjacency iff hyperedges intersect; cover
     has one clique per original vertex (diversity <= rank)."""

@@ -11,8 +11,8 @@ import random
 from bisect import bisect_left
 from itertools import islice
 
-from .graph import (Graph, GraphError, Hypergraph, _freeze, hypergraph_line_graph, line_graph,
-                    norm_edge)
+from .graph import (Graph, GraphError, Hypergraph, _freeze, _gc_paused, hypergraph_line_graph,
+                    line_graph, norm_edge)
 
 
 class ParseError(GraphError):
@@ -27,6 +27,7 @@ def _tokens(path):
                 yield lineno, line.split()
 
 
+@_gc_paused
 def load_edgelist(path) -> Graph:
     edges = set()
     adj: dict[int, list[int]] = {}
@@ -50,6 +51,7 @@ def load_edgelist(path) -> Graph:
     return _freeze(adj)
 
 
+@_gc_paused
 def load_dimacs(path) -> Graph:
     n = m = None
     edges = set()
@@ -122,6 +124,7 @@ def load_graph(path, fmt: str = "edgelist"):
 # ---------------------------------------------------------------------------
 # generators
 
+@_gc_paused
 def gen_path(n) -> Graph:
     ids = list(range(n))  # one int object per vertex, shared by every list
     adj = {v: [u, w] for u, v, w in zip(ids, ids[1:], ids[2:])}
@@ -149,6 +152,7 @@ def gen_matching(k) -> Graph:
     return _freeze({v: [v ^ 1] for v in range(2 * k)})  # 2i <-> 2i+1
 
 
+@_gc_paused
 def gen_grid(rows, cols) -> Graph:
     # appended row by row, every list is in order before _freeze sorts it
     ids = list(range(rows * cols))  # one int object per vertex, shared by every list
@@ -165,6 +169,7 @@ def gen_grid(rows, cols) -> Graph:
     return _freeze(adj)
 
 
+@_gc_paused
 def gen_forest(n, delta, seed=0) -> Graph:
     """Random forest hitting max degree exactly delta (needs n > delta)."""
     if n <= delta:
@@ -216,12 +221,13 @@ def _pairs(rng, n):
         yield u, v
 
 
+@_gc_paused
 def gen_random(n, delta, seed=0) -> Graph:
     """Random graph with max degree exactly delta."""
     if n < 2:
         raise GraphError(f"need n >= 2 for a random graph, got n={n}")
-    if delta >= n:
-        raise GraphError(f"need delta < n, got delta={delta}, n={n}")
+    if not 0 <= delta < n:
+        raise GraphError(f"need 0 <= delta < n, got delta={delta}, n={n}")
     rng = random.Random(seed)
     ids = list(range(n))  # one int object per vertex, shared by every list
     adj: dict[int, list[int]] = {v: [] for v in ids}

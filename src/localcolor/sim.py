@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _gc_paused
 
 
 class RoundBudgetExceeded(RuntimeError):
@@ -86,6 +86,7 @@ def default_round_cap(g: Graph) -> int:
     return 10 * (max(g.n, 2).bit_length() - 1 + g.max_degree + 50)
 
 
+@_gc_paused
 def run(g: Graph, make_program, round_cap: int | None = None):
     """Run one program instance per vertex until all halt.
 
@@ -98,7 +99,9 @@ def run(g: Graph, make_program, round_cap: int | None = None):
     mailbox is handed to the program as its inbox and released by the
     engine when that step returns; the engine never reuses or mutates it.
     Returns ({vertex: output}, RoundTrace), where a vertex's output is its
-    program's ``output`` attribute once every vertex has halted.
+    program's ``output`` attribute once every vertex has halted.  Programs
+    run with the cyclic garbage collector paused, so reference cycles
+    they create are not freed before ``run`` returns.
     """
     if round_cap is None:
         round_cap = default_round_cap(g)
@@ -178,4 +181,4 @@ def run(g: Graph, make_program, round_cap: int | None = None):
             else:
                 del mail[v]
     trace.add_phase("run", rounds)
-    return {v: getattr(programs[v], "output", None) for v in g.adj}, trace
+    return {v: getattr(prog, "output", None) for v, prog in programs.items()}, trace

@@ -76,9 +76,10 @@ def is_proper_edge(g: Graph, c: Coloring) -> Verdict:
 
 
 def count_colors(c: Coloring) -> tuple[int, int]:
-    for item, col in c.assignment.items():
-        if col >= c.palette_size:
-            raise GraphError(f"color {col} of {item} beyond declared palette")
+    if max(c.assignment.values(), default=0) >= c.palette_size:
+        for item, col in c.assignment.items():  # name the first bad item
+            if col >= c.palette_size:
+                raise GraphError(f"color {col} of {item} beyond declared palette")
     return c.colors_used(), c.palette_size
 
 

@@ -466,3 +466,8 @@ def test_huge_vertex_ids_color_properly(tmp_path, capsys, command, big):
     report = json.loads(out)
     assert code == 0 and report["ok"]
     assert report["verdicts"]["proper"] and report["verdicts"]["violations"] == 0
+
+
+def test_gen_random_negative_delta_exits_2(capsys):
+    assert main(["gen", "--kind", "random", "--n", "5", "--delta", "-1"]) == 2
+    assert "error: need 0 <= delta < n, got delta=-1, n=5" in capsys.readouterr().err

@@ -1,0 +1,143 @@
+"""The cyclic garbage collector is paused while graphs are built and while
+``sim.run`` runs, and is left as the caller had it."""
+
+import gc
+
+import pytest
+
+from localcolor import io as lio
+from localcolor.basecolor import delta_plus_one
+from localcolor.graph import (Graph, GraphError, Hypergraph, _freeze, _gc_paused,
+                              hypergraph_line_graph, induced_subgraph)
+from localcolor.io import ParseError
+from localcolor.sim import RoundBudgetExceeded, VertexProgram, run
+
+from helpers import cycle, relabel
+
+
+def set_gc(on):
+    if on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture(autouse=True)
+def restore_gc():
+    was_on = gc.isenabled()
+    yield
+    set_gc(was_on)
+
+
+class Halt(VertexProgram):
+    def init(self, view):
+        return {}, True
+
+
+class Forever(VertexProgram):
+    def init(self, view):
+        return {}, False
+
+    def step(self, round_no, inbox):
+        return {}, False
+
+
+class Stray(VertexProgram):
+    def init(self, view):
+        return {view.vertex + 2: "x"}, True
+
+
+class Recorder(VertexProgram):
+    """Records whether the collector is on when it is stepped."""
+
+    def init(self, view):
+        return {}, False
+
+    def step(self, round_no, inbox):
+        self.output = gc.isenabled()
+        return {}, True
+
+
+def edge_file(tmp_path, text):
+    path = tmp_path / "g.el"
+    path.write_text(text)
+    return path
+
+
+def dimacs_file(tmp_path):
+    path = tmp_path / "g.dimacs"
+    path.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    return path
+
+
+RETURNING = {
+    "from_edges": lambda tmp: Graph.from_edges(range(3), [(0, 1), (1, 2)]),
+    "_freeze": lambda tmp: _freeze({0: [1], 1: [0]}),
+    "induced_subgraph": lambda tmp: induced_subgraph(cycle(5), [0, 1, 2]),
+    "hypergraph_line_graph": lambda tmp: hypergraph_line_graph(
+        Hypergraph.from_lists([[0, 1, 2], [2, 3]])),
+    "run": lambda tmp: run(cycle(4), lambda v: Halt()),
+    "load_edgelist": lambda tmp: lio.load_edgelist(edge_file(tmp, "0 1\n1 2\n")),
+    "load_dimacs": lambda tmp: lio.load_dimacs(dimacs_file(tmp)),
+    "gen_path": lambda tmp: lio.gen_path(5),
+    "gen_grid": lambda tmp: lio.gen_grid(2, 3),
+    "gen_random": lambda tmp: lio.gen_random(10, 3, seed=1),
+    "gen_forest": lambda tmp: lio.gen_forest(10, 3, seed=1),
+}
+
+RAISING = {
+    "from_edges self-loop": (GraphError, lambda tmp: Graph.from_edges([0, 1], [(1, 1)])),
+    "load_edgelist bad line": (ParseError, lambda tmp: lio.load_edgelist(
+        edge_file(tmp, "0 1\n1 2 3\n"))),
+    "run non-neighbor": (GraphError, lambda tmp: run(Graph.from_edges(range(4), [(0, 1)]),
+                                                     lambda v: Stray())),
+    "run round budget": (RoundBudgetExceeded, lambda tmp: run(cycle(4), lambda v: Forever(),
+                                                              round_cap=3)),
+}
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("name", sorted(RETURNING))
+def test_entry_point_leaves_the_collector_as_it_found_it(tmp_path, name, on):
+    set_gc(on)
+    RETURNING[name](tmp_path)
+    assert gc.isenabled() is on
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("name", sorted(RAISING))
+def test_entry_point_that_raises_leaves_the_collector_as_it_found_it(tmp_path, name, on):
+    error, call = RAISING[name]
+    set_gc(on)
+    with pytest.raises(error):
+        call(tmp_path)
+    assert gc.isenabled() is on
+
+
+def test_programs_step_with_the_collector_paused():
+    gc.enable()
+    outputs, _ = run(cycle(4), lambda v: Recorder())
+    assert set(outputs.values()) == {False}
+    assert gc.isenabled()
+
+
+def test_nested_run_keeps_the_outer_pause():
+    def outer():
+        run(cycle(4), lambda v: Recorder())
+        return gc.isenabled()
+
+    gc.enable()
+    assert _gc_paused(outer)() is False
+    assert gc.isenabled()
+
+
+def test_graphs_and_programs_leave_no_cycles():
+    # the condition the pause rests on: nothing the collector would free
+    # is made by the builders or the package's vertex programs
+    gc.collect()
+    gc.disable()
+    g = relabel(lio.gen_grid(12, 15), 3)
+    lio.gen_random(60, 6, seed=2)
+    lio.gen_line_of(40, 5, seed=2)
+    delta_plus_one(g)
+    assert gc.collect() == 0

@@ -176,6 +176,11 @@ def test_gen_random_needs_two_vertices(monkeypatch, n):
         lio.gen_random(n, 0)
 
 
+def test_gen_random_rejects_a_negative_delta():
+    with pytest.raises(GraphError, match=r"need 0 <= delta < n, got delta=-1, n=5$"):
+        lio.gen_random(5, -1)
+
+
 def test_norm_edge_rejects_self_loop():
     assert norm_edge(5, 2) == (2, 5)
     with pytest.raises(GraphError):
@@ -200,6 +205,14 @@ def test_coloring_validates_palette():
         Coloring("vertex", {0: 0, 1: 3}, 2)
     c = Coloring("vertex", {0: 0, 1: 1}, 2)
     assert c.colors_used() == 2
+
+
+def test_coloring_names_its_first_color_outside_the_palette():
+    # the first bad item in assignment order, not the largest or smallest color
+    with pytest.raises(GraphError, match=r"^color 4 of 1 outside palette \[0,3\)$"):
+        Coloring("vertex", {0: 1, 1: 4, 2: 7, 3: 2}, 3)
+    with pytest.raises(GraphError, match=r"^color -1 of 2 outside palette \[0,3\)$"):
+        Coloring("vertex", {0: 1, 1: 2, 2: -1, 3: -5}, 3)
 
 
 def test_line_graph_of_path():

@@ -8,7 +8,10 @@ module because no linter is a dependency:
   importing the package needs no third-party module (imports inside
   functions, such as the ``networkx`` oracles, are fine);
 - every private module-level function or class is referenced somewhere in
-  the package, so dead helpers do not linger.
+  the package, so dead helpers do not linger;
+- the collector policy has one owner: only ``graph.py``, home of the
+  pause helper, switches the ``gc`` off and on, and no module collects,
+  freezes or retunes it.
 
 One more check runs the code: importing every module in a fresh
 interpreter loads neither ``networkx`` nor ``numpy``, not even through
@@ -52,6 +55,22 @@ def third_party_imports(tree: ast.Module) -> list[str]:
     return [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
 
 
+GC_PAUSE = {"disable", "enable"}
+GC_TUNING = {"collect", "freeze", "set_threshold"}
+
+
+def gc_uses(tree: ast.AST) -> set[str]:
+    """Names of ``gc`` the module uses, as ``gc.name`` or imported from it."""
+    used = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            used.update(a.name for a in node.names)
+    return used
+
+
 def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
     """``module.name`` of each private module-level function or class that
     no module of ``trees`` names, by a bare name or an attribute."""
@@ -86,6 +105,9 @@ def test_checkers_catch_what_they_look_for():
              "b": ast.parse("from .a import _used\nimport a\n"
                             "def public():\n    return _used(), a._Kept\nclass _Kept:\n    pass\n")}
     assert unreferenced_privates(trees) == ["a._Gone", "a._dead"]
+    tree = ast.parse("import gc\nfrom gc import freeze\ngc.disable()\nif gc.isenabled():\n"
+                     "    gc.collect(2)\n")
+    assert gc_uses(tree) == {"freeze", "disable", "isenabled", "collect"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -94,6 +116,9 @@ def test_module_hygiene(path):
     assert unused_imports(tree) == []
     assert asserts(tree) == []
     assert third_party_imports(tree) == []
+    assert not gc_uses(tree) & GC_TUNING
+    if path.name != "graph.py":  # the home of the collector pause
+        assert not gc_uses(tree) & GC_PAUSE
 
 
 def test_no_unreferenced_private_definitions():

@@ -71,6 +71,13 @@ def test_count_colors():
     assert count_colors(Coloring("edge", {}, 4)) == (0, 4)
 
 
+def test_count_colors_names_the_first_color_beyond_the_palette():
+    c = Coloring("vertex", {0: 0, 1: 3, 2: 5, 3: 1}, 9)
+    c.palette_size = 2  # shrunk after the constructor's check
+    with pytest.raises(GraphError, match=r"^color 3 of 1 beyond declared palette$"):
+        count_colors(c)
+
+
 def test_greedy_baselines():
     g = gen_random(50, 8, seed=1)
     vc = greedy_vertex_baseline(g)
