@@ -297,9 +297,8 @@ def _connector_walk(arcs, in_split: int, out_split: int, bipartite: bool):
     order, so an arc's out-chunk and in-chunk are running counts divided
     by the split.  A repeated arc keeps its first copy's in-chunk, as a
     rank among the sorted tails would give it."""
-    stride = len(arcs) + 1  # above every chunk index
-    out_side = 1 if bipartite else 0
-    ids: dict[int, int] = {}  # (vertex * stride + index) << 1 | side -> id
+    in_side, out_side = ("in", "out") if bipartite else ("shared", "shared")
+    ids: dict[tuple[int, str, int], int] = {}  # (vertex, side, index) -> id
     in_rank: dict[int, int] = {}
     conn = []
     append = conn.append
@@ -310,7 +309,7 @@ def _connector_walk(arcs, in_split: int, out_split: int, bipartite: bool):
         if v != tail:
             tail, j = v, 0
         if not j % out_split:  # the tail's next out-chunk
-            key = (v * stride + j // out_split) << 1 | out_side
+            key = (v, out_side, j // out_split)
             a = ids.get(key)
             if a is None:
                 a = ids[key] = len(ids)
@@ -320,17 +319,12 @@ def _connector_walk(arcs, in_split: int, out_split: int, bipartite: bool):
         if arc != prev:
             i = r
         prev = arc
-        key = (w * stride + i // in_split) << 1
+        key = (w, in_side, i // in_split)
         b = ids.get(key)
         if b is None:
             b = ids[key] = len(ids)
         append((a, b) if a < b else (b, a))
-    sides = ("in", "out") if bipartite else ("shared", "shared")
-    virtuals = []
-    for key in ids:
-        v, idx = divmod(key >> 1, stride)
-        virtuals.append((v, sides[key & 1], idx))
-    return conn, virtuals
+    return conn, list(ids)
 
 
 def _class_graph(cls) -> Graph:

@@ -4,11 +4,11 @@ CD-Coloring and the refined family are one recursion.  A level builds the
 vertex connector for part size t, properly colors it (its degree is at
 most D(t-1)), checks that each class keeps at most ceil(S/t) vertices of
 any clique, and recurses on the classes; class i's color c becomes
-i*radix + c.  The families differ only in how t and the declared palette
-are chosen: CD-Coloring keeps one t and declares the product of its level
-palettes, the refined family takes t = floor(S^(1/(x+1))) per level and
-declares D^(x+1)*S, which the product of its level palettes never
-exceeds, so no level needs a color reduction.
+i*radix + c.  Both families declare the product of their level palettes
+and differ only in how t is chosen: CD-Coloring keeps one t, the refined
+family takes t = floor(S^(1/(x+1))) per level.  Each checks its declared
+palette against its theory bound, CD-Coloring's coarse envelope and the
+refined family's D^(x+1)*S.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ class LevelStats:
     max_degree: int = 0
     max_clique: int = 0  # the most vertices of one cover clique in one class
 
-    def absorb(self, other: "LevelStats") -> None:
-        self.subgraph_count += other.subgraph_count
-        self.max_degree = max(self.max_degree, other.max_degree)
-        self.max_clique = max(self.max_clique, other.max_clique)
-
 
 @dataclass
 class DecompositionReport(RoundTrace):
@@ -49,45 +44,47 @@ class DecompositionReport(RoundTrace):
 
 
 def choose_params(S: int, x: int) -> int:
-    """t = max(2, floor(S^(1/(x+1))))."""
-    if S < 2 or x < 1:
-        raise GraphError("choose_params needs S >= 2 and x >= 1")
+    """t = max(2, floor(S^(1/(x+1)))), which is 2 for S < 2."""
+    if x < 1:
+        raise GraphError(f"choose_params needs x >= 1, got x={x}")
     return max(2, _int_floor_root(S, x + 1))
 
 
 def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t,
-               palette) -> tuple[Coloring, DecompositionReport]:
-    """The recursion of both families.  A part with cliques of at most S
-    vertices and x levels to go is split with part size ``pick_t(S, x)``,
-    or colored directly with Delta+1 colors when that is None, and declares
-    ``palette(S, x)`` colors; a leaf (x = 0) declares D(S-1)+1."""
+               bound: int) -> tuple[Coloring, DecompositionReport]:
+    """The recursion of both families.  Every part at one depth has the
+    same clique bound, so the level table is built once: level j splits
+    with t_j = ``pick_t(S_j, x - j)`` into classes of clique bound
+    S_{j+1} = ceil(S_j/t_j), for up to x levels or until ``pick_t`` is
+    None, and leaves take D(S_L-1)+1 colors.  The declared palette, the
+    product of the level palettes, must not exceed ``bound``."""
     report = DecompositionReport()
     D = cover.D
-    if D == 0 or g.m == 0:
+    if D == 0 or g.m == 0:  # one color; every family's bound is at least 1
         return Coloring("vertex", {v: 0 for v in g.adj}, 1), report
+    ts, ks = [], [cover.S]
+    while len(ts) < x and (t := pick_t(ks[-1], x - len(ts))) is not None:
+        ts.append(t)
+        ks.append(-(-ks[-1] // t))  # ceil(S/t)
+    declared = [D * (ks[-1] - 1) + 1]
+    for t in reversed(ts):
+        declared.insert(0, (D * (t - 1) + 1) * declared[0])
+    if declared[0] > bound:
+        raise VerificationError(f"palette {declared[0]} exceeds the declared "
+                                f"bound {bound}")
+    report.levels = [LevelStats() for _ in ts]
 
-    def declared(S_cur: int, x_cur: int) -> int:
-        return palette(S_cur, x_cur) if x_cur else D * (S_cur - 1) + 1
-
-    def rec(sub: Graph, subcover: CliqueCover, S_cur: int, x_cur: int,
-            depth: int):
-        target = declared(S_cur, x_cur)
-        t = pick_t(S_cur, x_cur) if x_cur else None
-        if t is None:
+    def rec(sub: Graph, subcover: CliqueCover, depth: int):
+        if depth == len(ts):
             psi, trace = delta_plus_one(sub)
-            if psi.palette_size > target:
+            if psi.palette_size > declared[depth]:
                 raise VerificationError(f"part needs {psi.palette_size} colors, "
-                                        f"declared {target}")
+                                        f"declared {declared[depth]}")
             return psi.assignment, trace
         if depth:  # a class gets its parent's cover cut down to it
             subcover = subcover.restrict(sub)
+        t, k, radix = ts[depth], ks[depth + 1], declared[depth + 1]
         phi, trace = delta_plus_one(build_vertex_connector(sub, subcover, t))
-        gamma = D * (t - 1) + 1
-        k = -(-S_cur // t)  # ceil(S/t)
-        radix = declared(k, x_cur - 1)
-        if gamma * radix > target:
-            raise VerificationError(f"level palette {gamma}*{radix} exceeds the "
-                                    f"declared {target}")
 
         # the connector lemma: a part is a clique of the connector, so a
         # class meets each of a clique's ceil(|q|/t) <= k parts at most
@@ -103,28 +100,28 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t,
                     share = max(share, *Counter(cs).values())
         if share > k:
             raise VerificationError(f"class clique {share} exceeds k={k}")
-        members: list[list[int]] = [[] for _ in range(gamma)]
+        members: list[list[int]] = [[] for _ in range(D * (t - 1) + 1)]
         for v, c in color.items():
             members[c].append(v)
         classes = [(i, induced_subgraph(sub, vs))
                    for i, vs in enumerate(members) if vs]
-        stats = LevelStats(len(classes), max(cls.max_degree for _, cls in classes), share)
-        while len(report.levels) <= depth:
-            report.levels.append(LevelStats())
-        report.levels[depth].absorb(stats)
+        level = report.levels[depth]
+        level.subgraph_count += len(classes)
+        level.max_degree = max(level.max_degree, *(cls.max_degree for _, cls in classes))
+        level.max_clique = max(level.max_clique, share)
 
         assignment: dict[int, int] = {}
         traces = []
         for i, cls in classes:
-            child, ctr = rec(cls, subcover, k, x_cur - 1, depth + 1)
+            child, ctr = rec(cls, subcover, depth + 1)
             traces.append(ctr)
             for v, c in child.items():
                 assignment[v] = i * radix + c
         trace.merge_parallel(f"level-{depth}-classes", traces)
         return assignment, trace
 
-    assignment, trace = rec(g, cover, cover.S, x, 0)
-    col = Coloring("vertex", assignment, declared(cover.S, x))
+    assignment, trace = rec(g, cover, 0)
+    col = Coloring("vertex", assignment, declared[0])
     _require_proper(g, col, "clique-decomposition coloring output")
     report.extend(trace)
     return col, report
@@ -132,8 +129,9 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t,
 
 def cd_envelope(D: int, S: int, t: int, x: int) -> int:
     """CD-Coloring's coarse palette envelope (tD)^x * D(S/t^x + 2) + (tD)^x,
-    which is the integer D^(x+1)*S + (2D+1)(tD)^x."""
-    return D ** (x + 1) * S + (2 * D + 1) * (t * D) ** x
+    which is the integer D^(x+1)*S + (2D+1)(tD)^x, and at least 1, the one
+    color of an edgeless graph."""
+    return max(D ** (x + 1) * S + (2 * D + 1) * (t * D) ** x, 1)
 
 
 def cd_palette_bound(D: int, S: int, t: int, x: int) -> int:
@@ -151,19 +149,14 @@ def cd_coloring(g: Graph, cover: CliqueCover, t: int,
         raise GraphError(f"part size t must be at least 2, got {t}")
     if x < 1:
         raise GraphError(f"recursion depth x must be at least 1, got {x}")
-    D, S = cover.D, cover.S
-    col, report = _decompose(g, cover, x, lambda S_cur, x_cur: t,
-                             lambda S_cur, x_cur: cd_palette_bound(D, S_cur, t, x_cur))
-    envelope = cd_envelope(D, S, t, x)
-    if g.m and col.palette_size > envelope:
-        raise VerificationError(f"palette {col.palette_size} exceeds the "
-                                f"envelope {envelope}")
-    return col, report
+    return _decompose(g, cover, x, lambda S_cur, x_cur: t,
+                      cd_envelope(cover.D, cover.S, t, x))
 
 
 def refined_palette_bound(D: int, S: int, x: int) -> int:
-    """Declared palette of the refined family: D^(x+1)*S above the
-    small-case threshold, else the direct D(S-1)+1."""
+    """The refined family's theory bound: D^(x+1)*S above the small-case
+    threshold, else the direct D(S-1)+1.  The product of its level
+    palettes never exceeds it."""
     if D < 2 or S < REFINED_SMALL_S:
         return D * max(S - 1, 0) + 1
     return D ** (x + 1) * S
@@ -183,5 +176,4 @@ def refined_coloring(g: Graph, cover: CliqueCover,
             return None
         return choose_params(S_cur, x_cur)
 
-    return _decompose(g, cover, x, pick_t,
-                      lambda S_cur, x_cur: refined_palette_bound(D, S_cur, x_cur))
+    return _decompose(g, cover, x, pick_t, refined_palette_bound(D, cover.S, x))

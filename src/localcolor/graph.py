@@ -94,6 +94,7 @@ class Graph:
     def m(self) -> int:
         return sum(len(ns) for ns in self.adj.values()) // 2
 
+    @_gc_paused
     def edges(self) -> list[tuple[int, int]]:
         """All edges, normalized and sorted."""
         return [(u, v) for u in self.adj for v in self.adj[u] if u < v]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from localcolor import cdcolor
 from localcolor.arbedge import arb_palette_bound, little_o_palette_bound, powered_palette_bound
@@ -109,8 +109,9 @@ def test_improper_leaf_coloring_raises(monkeypatch):
 
 
 def test_refined_level_palette_within_target():
-    # a level's palette (D(t-1)+1) * radix never exceeds what the refined
-    # family declares, so no level needs a color reduction
+    # a level's palette (D(t-1)+1) times the child's theory bound never
+    # exceeds the parent's, so by induction the product of the level
+    # palettes, which the refined family declares, stays within its bound
     for D in range(2, 25):
         for S in range(REFINED_SMALL_S, 2000):
             for x in range(1, 7):
@@ -121,6 +122,7 @@ def test_refined_level_palette_within_target():
 
 
 def test_level_palette_over_declared_raises(monkeypatch):
+    # line_34 at x=1 declares (2*4+1) * (2*6+1) = 117 > 136 // 2
     real = cdcolor.refined_palette_bound
     monkeypatch.setattr(cdcolor, "refined_palette_bound",
                         lambda D, S, x: real(D, S, x) // 2)
@@ -192,3 +194,62 @@ def test_palette_bounds_are_exact_ints():
                 assert type(arb_palette_bound(delta, a, q)) is int
                 assert type(little_o_palette_bound(delta, a, q)) is int
                 assert type(powered_palette_bound(delta, a, q, 2)) is int
+
+
+def _refined_ts(cover, x):
+    """The refined family's part size per split level, from its level table."""
+    ts, k = [], cover.S
+    while len(ts) < x and cover.D >= 2 and k >= REFINED_SMALL_S:
+        ts.append(choose_params(k, x - len(ts)))
+        k = -(-k // ts[-1])
+    return ts
+
+
+def _wide_cover(kind, seed, size):
+    # clique sizes around 16..40, so the refined family splits on one or
+    # two levels
+    if kind == "line":
+        return gen_line_of(40, size, seed=seed)
+    if kind == "hyper":
+        return gen_hyper_line(size, 3, 8 * size, seed=seed)
+    # two overlapping cliques of size at least 16: D = 2, S = their larger
+    a, b = size, 16 + seed % 25
+    lap = 1 + seed % 15
+    cliques = [range(a), range(a - lap, a - lap + b)]
+    g = Graph.from_edges(range(a - lap + b),
+                         {(u, v) for q in cliques for u in q for v in q if u < v})
+    return g, enumerate_maximal_cliques(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["line", "hyper", "intrinsic"]), st.integers(0, 1000),
+       st.integers(16, 36), st.integers(1, 3))
+def test_refined_is_cd_when_its_level_table_repeats_one_t(kind, seed, size, x):
+    g, cover = _wide_cover(kind, seed, size)
+    ts = _refined_ts(cover, x)
+    assume(ts and len(set(ts)) == 1)
+    col, report = refined_coloring(g, cover, x)
+    cd_col, cd_report = cd_coloring(g, cover, ts[0], len(ts))
+    assert col.assignment == cd_col.assignment
+    assert col.palette_size == cd_col.palette_size <= refined_palette_bound(cover.D, cover.S, x)
+    assert report.rounds == cd_report.rounds
+    assert report.leaf_count() == cd_report.leaf_count()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["line", "hyper", "intrinsic"]), st.integers(0, 1000),
+       st.integers(2, 4), st.integers(1, 3))
+def test_declared_palette_is_the_product_of_the_level_palettes(kind, seed, t, x):
+    g, cover = _cover(kind, seed)
+    D, S = cover.D, cover.S
+    col, report = cd_coloring(g, cover, t, x)
+    assert col.palette_size == cd_palette_bound(D, S, t, x)
+    assert len(report.levels) == x
+    col, report = refined_coloring(g, cover, x)
+    ts = _refined_ts(cover, x)
+    k, product = S, 1
+    for t in ts:
+        k = -(-k // t)
+        product *= D * (t - 1) + 1
+    assert col.palette_size == product * (D * (k - 1) + 1) <= refined_palette_bound(D, S, x)
+    assert len(report.levels) == len(ts)

@@ -471,3 +471,39 @@ def test_huge_vertex_ids_color_properly(tmp_path, capsys, command, big):
 def test_gen_random_negative_delta_exits_2(capsys):
     assert main(["gen", "--kind", "random", "--n", "5", "--delta", "-1"]) == 2
     assert "error: need 0 <= delta < n, got delta=-1, n=5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,body,argv", [
+    ("e.col", "p edge 5 0\n", ["--format", "dimacs"]),
+    ("two.hg", "0 1\n2 3\n", ["--format", "hyper"]),
+    ("empty.el", "", ["--t", "2"]),
+], ids=["dimacs", "hyper", "empty-t2"])
+def test_cd_color_on_an_edgeless_graph(tmp_path, capsys, name, body, argv):
+    # S < 2 still picks t = 2, and the envelope is at least the one color
+    path = tmp_path / name
+    path.write_text(body)
+    code, out = run_cli(capsys, "cd-color", "--input", str(path), *argv)
+    report = json.loads(out)
+    assert code == 0 and report["ok"]
+    assert report["declared_bound"] == 1 <= report["theory_bound"]
+
+
+def test_cd_color_depth_zero_names_x(tmp_path, capsys):
+    path = tmp_path / "g.el"
+    path.write_text("0 1\n1 2\n")
+    assert main(["cd-color", "--input", str(path), "--x", "0"]) == 2
+    assert "error: choose_params needs x >= 1, got x=0" in capsys.readouterr().err
+
+
+def test_refined_declares_the_product_of_its_level_palettes(tmp_path, capsys):
+    # S = 20 >= 16 splits once at x = 2 (t = 2, then ceil(20/2) = 10 < 16):
+    # (2*1+1) * (2*9+1) = 57 colors declared, within D^(x+1)*S = 160
+    path = tmp_path / "g.el"
+    code, _ = run_cli(capsys, "gen", "--kind", "random", "--n", "80", "--delta", "20",
+                      "--seed", "5", "--out", str(path))
+    assert code == 0
+    code, out = run_cli(capsys, "refined", "--input", str(path), "--cover", "line", "--x", "2")
+    report = json.loads(out)
+    assert code == 0 and report["ok"]
+    assert (report["declared_bound"], report["theory_bound"]) == (57, 160)
+    assert (report["colors_used"], report["rounds"]["total"]) == (41, 791)

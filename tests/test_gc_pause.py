@@ -73,6 +73,7 @@ def dimacs_file(tmp_path):
 RETURNING = {
     "from_edges": lambda tmp: Graph.from_edges(range(3), [(0, 1), (1, 2)]),
     "_freeze": lambda tmp: _freeze({0: [1], 1: [0]}),
+    "edges": lambda tmp: cycle(5).edges(),
     "induced_subgraph": lambda tmp: induced_subgraph(cycle(5), [0, 1, 2]),
     "hypergraph_line_graph": lambda tmp: hypergraph_line_graph(
         Hypergraph.from_lists([[0, 1, 2], [2, 3]])),
@@ -129,6 +130,27 @@ def test_nested_run_keeps_the_outer_pause():
     gc.enable()
     assert _gc_paused(outer)() is False
     assert gc.isenabled()
+
+
+def test_edges_starts_no_collection():
+    # m fresh tuples would otherwise start a collection every 700 of them,
+    # the default gen-0 threshold
+    g = lio.gen_path(2 * 10 ** 5)
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        edges = g.edges()
+    finally:
+        gc.callbacks.remove(hook)
+    assert len(edges) == 2 * 10 ** 5 - 1
+    assert starts == []
 
 
 def test_graphs_and_programs_leave_no_cycles():

@@ -29,20 +29,23 @@ ALGORITHMS = {
     "refined_x3": lambda g, cover: refined_coloring(g, cover, 3),
 }
 
-# (graph, algorithm) -> (sha256 of sorted assignment, rounds, palette, leaf_count)
+# (graph, algorithm) -> (sha256 of sorted assignment, rounds, palette, leaf_count).
+# On both graphs refined_x2 splits once with t = 3 and refined_x3 twice with
+# t = 2, so they build the level tables of cd_t3_x1 and cd_t2_x2 and agree
+# with them entry for entry.
 GOLDEN = {
     ("line_34", "cd_t2_x1"): ("afcf554447d0e26e905ca6f7a6f67ab4a916ed5431d5317d3a7a20061a5325f0", 507, 99, 3),
     ("line_34", "cd_t2_x2"): ("dbad213ca2e74d88ca7a92c017d6310cdff381b3b9d18583861e3d70c9b39678", 541, 153, 9),
     ("line_34", "cd_t3_x1"): ("802b3adce62eacc8f44bb365c0fdea9e4804e2ba9168f58a2a3b0a5cef0d2eea", 606, 115, 5),
-    ("line_34", "refined_x1"): ("aea73126d73337cc6823cae0fde4c1836feb8c761f4f3a01e6930325ecbf016f", 775, 136, 9),
-    ("line_34", "refined_x2"): ("802b3adce62eacc8f44bb365c0fdea9e4804e2ba9168f58a2a3b0a5cef0d2eea", 606, 272, 5),
-    ("line_34", "refined_x3"): ("021498db259b1df6bdff8d346dbe0a7af0bcfa3f583cbb7a3790128c197f155e", 541, 544, 9),
+    ("line_34", "refined_x1"): ("aea73126d73337cc6823cae0fde4c1836feb8c761f4f3a01e6930325ecbf016f", 775, 117, 9),
+    ("line_34", "refined_x2"): ("802b3adce62eacc8f44bb365c0fdea9e4804e2ba9168f58a2a3b0a5cef0d2eea", 606, 115, 5),
+    ("line_34", "refined_x3"): ("dbad213ca2e74d88ca7a92c017d6310cdff381b3b9d18583861e3d70c9b39678", 541, 153, 9),
     ("hyper_35", "cd_t2_x1"): ("12ae49d354a0c1f25f38ba1a1313825cd8af86c0a9d6bd230bac714442e346c4", 331, 208, 4),
     ("hyper_35", "cd_t2_x2"): ("0f1b14fe6d5fe9d4dff9b3e66ff612a7d86196ba60f2c1ae07b8eaff69557def", 380, 400, 16),
     ("hyper_35", "cd_t3_x1"): ("7e83525c5582b73bbbe550bbdae7128212c3d52645f0bbb0b2e3a4ee2d6f2922", 444, 238, 7),
-    ("hyper_35", "refined_x1"): ("75808b126665c9ecda0e9551d0ee6cad66cce09951969c53578866154169d692", 572, 315, 13),
-    ("hyper_35", "refined_x2"): ("7e83525c5582b73bbbe550bbdae7128212c3d52645f0bbb0b2e3a4ee2d6f2922", 444, 945, 7),
-    ("hyper_35", "refined_x3"): ("800773cde546355fd1a14cc4cd35aee3da9bf198a96ce56bd196a29be9ef4c75", 380, 2835, 16),
+    ("hyper_35", "refined_x1"): ("75808b126665c9ecda0e9551d0ee6cad66cce09951969c53578866154169d692", 572, 247, 13),
+    ("hyper_35", "refined_x2"): ("7e83525c5582b73bbbe550bbdae7128212c3d52645f0bbb0b2e3a4ee2d6f2922", 444, 238, 7),
+    ("hyper_35", "refined_x3"): ("0f1b14fe6d5fe9d4dff9b3e66ff612a7d86196ba60f2c1ae07b8eaff69557def", 380, 400, 16),
 }
 
 
