@@ -20,7 +20,7 @@ from .basecolor import _int_ceil_root, _require_proper
 from .graph import (Coloring, Graph, GraphError, VerificationError, _degeneracy_order,
                     induced_subgraph, norm_edge)
 from .sim import RoundTrace
-from .staredge import _greedy_edges, _star_edge_coloring
+from .staredge import _greedy_edges, _recurse, _star_edge_coloring
 from .verify import is_proper_edge
 
 EPSILON_DEFAULT = 0.5
@@ -125,7 +125,10 @@ def estimate_arboricity(g: Graph) -> int:
 
 def _q_times_a(q: float, a: int) -> Fraction:
     """q*a exactly, with q taken at its decimal value (2.51 is 251/100,
-    not the nearest binary float): q*a must be finite and q at least 2.5."""
+    not the nearest binary float).  The one check of a and q: a must be at
+    least 1, q*a finite and q at least 2.5."""
+    if a < 1:
+        raise GraphError(f"a must be at least 1, got {a}")
     if not math.isfinite(q * a):  # NaN, inf, or q*a past the float range
         raise GraphError(f"q*a must be finite, got q={q}, a={a}")
     exact = Fraction(str(q))
@@ -136,8 +139,6 @@ def _q_times_a(q: float, a: int) -> Fraction:
 
 def h_partition(g: Graph, a: int, q: float = DEFAULT_Q) -> HPartition:
     """Peel vertices of remaining degree <= floor(q*a), one set per phase."""
-    if a < 1:
-        raise GraphError("a must be at least 1")
     d = math.floor(_q_times_a(q, a))
     # deg[v]: v's neighbors not yet peeled.  Every vertex left after a
     # phase has deg > d, so the next phase peels exactly the vertices
@@ -255,11 +256,11 @@ def _arb_edge_coloring(g: Graph, a: int, q: float) -> tuple[Coloring, RoundTrace
     """arb_edge_coloring without its properness check, for callers that
     check their own whole output."""
     trace = RoundTrace()
+    d = math.floor(_q_times_a(q, a))  # checked also where no edge needs it
     delta = g.max_degree
     if delta < 1:
         return Coloring("edge", {}, 1), trace
     hp = h_partition(g, a, q)
-    d = hp.d
     low = max(delta + d - 1, 1)
 
     # The H-sets share no vertex: one star-scheme run on all internal edges
@@ -353,17 +354,20 @@ def _connector_graph(conn, virtuals, cap: int) -> Graph:
     return derived
 
 
+def _little_o_split(delta: int, d: int) -> tuple[int, int, int]:
+    """Little-o's splits for Delta >= 2 and d = floor(q*a): k = ceil(sqrt(Delta)),
+    rt_d = ceil(sqrt(d)) and the in-split ceil(Delta/k)."""
+    k = math.isqrt(delta - 1) + 1
+    rt_d = math.isqrt(d - 1) + 1 if d > 1 else 1
+    return k, rt_d, -(-delta // k)
+
+
 def little_o_palette_bound(delta: int, a: int, q: float = DEFAULT_Q) -> int:
     d = math.floor(_q_times_a(q, a))
     if delta < 2:
         return max(2 * delta - 1, 1)
-    k = math.isqrt(delta - 1) + 1  # ceil(sqrt(delta))
-    rt_d = math.isqrt(d - 1) + 1 if d > 1 else 1
-    in_split = -(-delta // k)
-    conn_delta = in_split + rt_d
-    phi = arb_palette_bound(conn_delta, rt_d, q)
-    psi = arb_palette_bound(k + rt_d, rt_d, q)
-    return phi * psi
+    k, rt_d, in_split = _little_o_split(delta, d)
+    return arb_palette_bound(in_split + rt_d, rt_d, q) * arb_palette_bound(k + rt_d, rt_d, q)
 
 
 def delta_plus_little_o(g: Graph, a: int,
@@ -373,47 +377,38 @@ def delta_plus_little_o(g: Graph, a: int,
     palette is little_o_palette_bound(Delta, a, q) = Delta + O(sqrt(Delta*a))
     + O(a)."""
     trace = RoundTrace()
-    delta = g.max_degree
     _q_times_a(q, a)
+    delta = g.max_degree
     if delta < 2:  # a matching: one color
         return Coloring("edge", dict.fromkeys(g.edges(), 0), 1), trace
     hp = h_partition(g, a, q)
     arcs = sorted(acyclic_orientation(g, hp).oriented_edges())
-    d = hp.d
-    k = math.isqrt(delta - 1) + 1
-    rt_d = math.isqrt(d - 1) + 1 if d > 1 else 1
-    in_split = -(-delta // k)
+    k, rt_d, in_split = _little_o_split(delta, hp.d)
     conn, virtuals = _connector_walk(arcs, in_split, rt_d, bipartite=False)
 
     phi, phi_trace = _arb_edge_coloring(_connector_graph(conn, virtuals, in_split + rt_d),
                                         rt_d, q)
     trace.extend(phi_trace, "phi:")
-
-    psi_palette = arb_palette_bound(k + rt_d, rt_d, q)
-    # base edges grouped by the color of their connector edge
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(phi.palette_size)]
-    for (v, w), ce in zip(arcs, conn):
-        classes[phi.assignment[ce]].append((v, w) if v < w else (w, v))
-    assign = {}
     class_traces = []
-    for i, cls in enumerate(classes):
-        if not cls:
-            continue
+
+    def split(part, depth: int):  # base edges grouped by their connector edge's color
+        classes: list[list[tuple[int, int]]] = [[] for _ in range(phi.palette_size)]
+        for (v, w), ce in zip(part, conn):
+            classes[phi.assignment[ce]].append((v, w) if v < w else (w, v))
+        return classes
+
+    def leaf(cls):
         sub = _class_graph(cls)
         if sub.max_degree > k + rt_d:
-            raise VerificationError(f"class {i} has degree {sub.max_degree} > "
-                                    f"{k + rt_d}")
+            raise VerificationError(f"class has degree {sub.max_degree} > {k + rt_d}")
         psi, sub_trace = _arb_edge_coloring(sub, rt_d, q)
         class_traces.append(sub_trace)
-        for e in cls:
-            assign[e] = i * psi_palette + psi.assignment[e]
-    trace.merge_parallel("psi-classes", class_traces)
+        # keyed by cls's own edge tuples, so psi's copies are freed with psi
+        return zip(cls, map(psi.assignment.__getitem__, cls))
 
-    col = Coloring("edge", assign, phi.palette_size * psi_palette)
-    bound = little_o_palette_bound(delta, a, q)
-    if col.palette_size > bound:
-        raise VerificationError(f"palette {col.palette_size} exceeds "
-                                f"little_o_palette_bound = {bound}")
+    col = _recurse(arcs, [phi.palette_size, arb_palette_bound(k + rt_d, rt_d, q)], split,
+                   leaf, little_o_palette_bound(delta, a, q), "little_o_palette_bound")
+    trace.merge_parallel("psi-classes", class_traces)
     _require_proper(g, col, "delta_plus_little_o output")
     return col, trace
 
@@ -476,57 +471,42 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
     if x < 1:
         raise GraphError("x must be at least 1")
     trace = RoundTrace()
+    a_hat = math.ceil(_q_times_a(q, a))
     delta = g.max_degree
     if delta < 1:
         return Coloring("edge", {}, 1), trace
-    a_hat = math.ceil(_q_times_a(q, a))
     hp = h_partition(g, a, q)
     orient = acyclic_orientation(g, hp)
 
     gin = _int_ceil_root(delta, x) + 1
     gout = _int_ceil_root(a_hat, x) + 1
-    level_palette = gin + gout - 1
 
     # degree / out-degree bounds per level
-    dbound = [delta]
-    obound = [min(hp.d, delta)]
+    dbound, obound = [delta], [min(hp.d, delta)]
     for _ in range(x - 1):
         dbound.append(-(-dbound[-1] // gin) + -(-obound[-1] // gout))
         obound.append(-(-obound[-1] // gout))
-    leaf_radix = max(dbound[x - 1] + obound[x - 1] - 1, 1)
+    # greedy needs deg(a)+deg(b)-1 <= gin+gout-1 colors on a bipartite
+    # connector, not the generic 2*Delta-1
+    palettes = [gin + gout - 1] * (x - 1) + [max(dbound[-1] + obound[-1] - 1, 1)]
 
-    assign: dict[tuple[int, int], int] = {}
-
-    def rec(arcs, depth: int, base: int) -> None:
-        """Color a depth-``depth`` class, given as its sorted (tail, head)
-        arcs, into ``assign``, offset by ``base``."""
+    def check(arcs, depth: int) -> None:
         top = max(Counter(chain.from_iterable(arcs)).values())
         top_out = max(Counter(map(itemgetter(0), arcs)).values())
         if top > dbound[depth] or top_out > obound[depth]:
             raise VerificationError(
                 f"level {depth} class has degree {top} and out-degree "
                 f"{top_out}, above {dbound[depth]} and {obound[depth]}")
-        if depth == x - 1:
-            for e, c in _oriented_sweep(arcs, leaf_radix).items():
-                assign[e] = base + c
-            return
-        classes = _bipartite_level(arcs, gin, gout)
-        # greedy needs deg(a)+deg(b)-1 <= gin+gout-1 colors on a bipartite
-        # connector, not the generic 2*Delta-1
-        if len(classes) > level_palette:
-            raise VerificationError(f"level {depth} connector needs more than "
-                                    f"{level_palette} colors")
-        radix = leaf_radix * level_palette ** (x - depth - 2)
-        for i, cls in enumerate(classes):
-            if cls:
-                rec(cls, depth + 1, base + i * radix)
 
-    rec(sorted(orient.oriented_edges()), 0, 0)
-    col = Coloring("edge", assign, leaf_radix * level_palette ** (x - 1))
-    bound = powered_palette_bound(delta, a, q, x)
-    if col.palette_size > bound:
-        raise VerificationError(f"palette {col.palette_size} exceeds "
-                                f"powered_palette_bound = {bound}")
+    def split(arcs, depth: int):
+        check(arcs, depth)
+        return _bipartite_level(arcs, gin, gout)
+
+    def leaf(arcs):
+        check(arcs, x - 1)
+        return _oriented_sweep(arcs, palettes[-1]).items()
+
+    col = _recurse(sorted(orient.oriented_edges()), palettes, split, leaf,
+                   powered_palette_bound(delta, a, q, x), "powered_palette_bound")
     _require_proper(g, col, "powered_edge_coloring output")
     return col, trace
-

@@ -5,14 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localcolor import arbedge
+from localcolor import arbedge, staredge
 from localcolor.arbedge import (_bipartite_level, _connector_graph, _connector_walk,
                                 arb_edge_coloring, arb_palette_bound,
                                 acyclic_orientation, delta_plus_little_o,
                                 estimate_arboricity, h_partition,
                                 little_o_palette_bound, merge_cross_coloring,
                                 powered_edge_coloring, powered_palette_bound)
-from localcolor.graph import Coloring, Graph, GraphError, induced_subgraph, norm_edge
+from localcolor.graph import (Coloring, Graph, GraphError, VerificationError, induced_subgraph,
+                              norm_edge)
 from localcolor.io import gen_complete, gen_forest, gen_grid, gen_matching, gen_path, gen_random, gen_star
 from localcolor.verify import count_colors, greedy_edge_baseline, is_proper_edge
 
@@ -305,3 +306,63 @@ def test_orientation_connector_rejects_an_overfull_virtual(bipartite):
             _bipartite_level(arcs, 1, 1)
         else:
             _connector_graph(*_connector_walk(arcs, 1, 1, bipartite=False), 2)
+
+
+# the three entry points that take an arboricity a, with x=2 for powered
+A_AND_Q_ENTRY_POINTS = {
+    "arb": arb_edge_coloring,
+    "little_o": delta_plus_little_o,
+    "powered": lambda g, a, q: powered_edge_coloring(g, a, q, 2),
+}
+
+
+@pytest.mark.parametrize("a, q, message", [(0, arbedge.DEFAULT_Q, "a must be at least 1"),
+                                           (1, math.nan, "q")], ids=["a=0", "q=nan"])
+@pytest.mark.parametrize("graph", [Graph.from_edges(range(3), []), gen_matching(3)],
+                         ids=["edgeless", "matching"])
+@pytest.mark.parametrize("entry", sorted(A_AND_Q_ENTRY_POINTS))
+def test_entry_points_check_a_and_q_before_the_degree_shortcut(entry, graph, a, q, message):
+    # a graph of max degree 0 or 1 is colored without an H-partition; a and
+    # q are still checked first
+    with pytest.raises(GraphError, match=message):
+        A_AND_Q_ENTRY_POINTS[entry](graph, a, q)
+
+
+def test_bounds_reject_a_below_one():
+    for bound in (lambda: arb_palette_bound(5, -3), lambda: little_o_palette_bound(5, 0),
+                  lambda: powered_palette_bound(5, 0, arbedge.DEFAULT_Q, 2)):
+        with pytest.raises(GraphError, match="a must be at least 1"):
+            bound()
+
+
+@pytest.mark.parametrize("module, bound, run", [
+    (staredge, "star_palette_bound", lambda g, a: staredge.recursive_star_edge_coloring(g, 2)),
+    (arbedge, "powered_palette_bound",
+     lambda g, a: powered_edge_coloring(g, a, arbedge.DEFAULT_Q, 2)),
+    (arbedge, "little_o_palette_bound", lambda g, a: delta_plus_little_o(g, a)),
+], ids=["star", "powered", "little_o"])
+def test_declared_palette_above_its_bound_raises(monkeypatch, module, bound, run):
+    # each entry point's declared palette goes through the one bound check
+    # of the edge recursion, which raises before any class is colored
+    g = gen_random(120, 9, seed=1)
+    a = estimate_arboricity(g)
+    declared = run(g, a)[0].palette_size
+    monkeypatch.setattr(module, bound, lambda *args: declared - 1)
+    with pytest.raises(VerificationError,
+                       match=rf"^palette {declared} exceeds {bound} = {declared - 1}$"):
+        run(g, a)
+
+
+def test_powered_class_count_above_level_palette_raises(monkeypatch):
+    # a connector level with more classes than its gin+gout-1 colors is a
+    # failed post-condition (CLI exit 1), not a bad input (exit 2)
+    real = arbedge._bipartite_level
+
+    def one_class_too_many(arcs, gin, gout):
+        classes = real(arcs, gin, gout)
+        return classes + [[] for _ in range(gin + gout - len(classes))]
+
+    monkeypatch.setattr(arbedge, "_bipartite_level", one_class_too_many)
+    g = gen_random(120, 9, seed=1)
+    with pytest.raises(VerificationError, match="split into"):
+        powered_edge_coloring(g, estimate_arboricity(g), arbedge.DEFAULT_Q, 2)

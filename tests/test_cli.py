@@ -424,6 +424,19 @@ def test_non_finite_q_exits_2(tmp_path, capsys, command, q):
         assert "error: q*a must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["arb-edge", "delta-little-o", "powered"])
+def test_a_below_one_exits_2(tmp_path, capsys, command):
+    # a matching and an edgeless graph are colored without an H-partition,
+    # but a is checked first
+    path = tmp_path / "m.el"
+    path.write_text("0 1\n2 3\n4 5\n")
+    empty = tmp_path / "e.col"
+    empty.write_text("p edge 3 0\n")
+    for argv in (["--input", str(path)], ["--input", str(empty), "--format", "dimacs"]):
+        assert main([command, *argv, "--a", "0"]) == 2
+        assert "error: a must be at least 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("q", ["2.49999999999999999", "2.4"])
 def test_q_below_its_floor_as_typed_exits_2(tmp_path, capsys, q):
     # float("2.49999999999999999") is 2.5; the typed value is below it
