@@ -18,9 +18,9 @@ from operator import itemgetter
 
 from .basecolor import _int_ceil_root, _require_proper
 from .graph import (Coloring, Graph, GraphError, VerificationError, _degeneracy_order,
-                    induced_subgraph, norm_edge)
+                    _recurse, induced_subgraph, norm_edge)
 from .sim import RoundTrace
-from .staredge import _greedy_edges, _recurse, _star_edge_coloring
+from .staredge import _greedy_edges, _star_edge_coloring
 from .verify import is_proper_edge
 
 EPSILON_DEFAULT = 0.5
@@ -389,26 +389,25 @@ def delta_plus_little_o(g: Graph, a: int,
     phi, phi_trace = _arb_edge_coloring(_connector_graph(conn, virtuals, in_split + rt_d),
                                         rt_d, q)
     trace.extend(phi_trace, "phi:")
-    class_traces = []
 
     def split(part, depth: int):  # base edges grouped by their connector edge's color
         classes: list[list[tuple[int, int]]] = [[] for _ in range(phi.palette_size)]
         for (v, w), ce in zip(part, conn):
             classes[phi.assignment[ce]].append((v, w) if v < w else (w, v))
-        return classes
+        return classes, 0
 
     def leaf(cls):
         sub = _class_graph(cls)
         if sub.max_degree > k + rt_d:
             raise VerificationError(f"class has degree {sub.max_degree} > {k + rt_d}")
         psi, sub_trace = _arb_edge_coloring(sub, rt_d, q)
-        class_traces.append(sub_trace)
         # keyed by cls's own edge tuples, so psi's copies are freed with psi
-        return zip(cls, map(psi.assignment.__getitem__, cls))
+        return zip(cls, map(psi.assignment.__getitem__, cls)), sub_trace.rounds
 
-    col = _recurse(arcs, [phi.palette_size, arb_palette_bound(k + rt_d, rt_d, q)], split,
-                   leaf, little_o_palette_bound(delta, a, q), "little_o_palette_bound")
-    trace.merge_parallel("psi-classes", class_traces)
+    palettes = [phi.palette_size, arb_palette_bound(k + rt_d, rt_d, q)]
+    col, rounds = _recurse("edge", arcs, palettes, split, leaf,
+                           little_o_palette_bound(delta, a, q), "little_o_palette_bound")
+    trace.add_phase("psi-classes", rounds)
     _require_proper(g, col, "delta_plus_little_o output")
     return col, trace
 
@@ -500,13 +499,13 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
 
     def split(arcs, depth: int):
         check(arcs, depth)
-        return _bipartite_level(arcs, gin, gout)
+        return _bipartite_level(arcs, gin, gout), 0
 
     def leaf(arcs):
         check(arcs, x - 1)
-        return _oriented_sweep(arcs, palettes[-1]).items()
+        return _oriented_sweep(arcs, palettes[-1]).items(), 0
 
-    col = _recurse(sorted(orient.oriented_edges()), palettes, split, leaf,
-                   powered_palette_bound(delta, a, q, x), "powered_palette_bound")
+    col, _ = _recurse("edge", sorted(orient.oriented_edges()), palettes, split, leaf,
+                      powered_palette_bound(delta, a, q, x), "powered_palette_bound")
     _require_proper(g, col, "powered_edge_coloring output")
     return col, trace

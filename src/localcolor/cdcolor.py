@@ -1,14 +1,15 @@
 """Recursive clique-decomposition coloring.
 
-CD-Coloring and the refined family are one recursion.  A level builds the
-vertex connector for part size t, properly colors it (its degree is at
-most D(t-1)), checks that each class keeps at most ceil(S/t) vertices of
-any clique, and recurses on the classes; class i's color c becomes
-i*radix + c.  Both families declare the product of their level palettes
-and differ only in how t is chosen: CD-Coloring keeps one t, the refined
-family takes t = floor(S^(1/(x+1))) per level.  Each checks its declared
-palette against its theory bound, CD-Coloring's coarse envelope and the
-refined family's D^(x+1)*S.
+CD-Coloring and the refined family run on ``graph._recurse``, the
+recursion the edge family shares.  A level builds the vertex connector for
+part size t, properly colors it (its degree is at most D(t-1)), checks
+that each class keeps at most ceil(S/t) vertices of any clique, and splits
+the part into the classes; class i's color c becomes i*radix + c.  Both
+families declare the product of their level palettes and differ only in
+how t is chosen: CD-Coloring keeps one t, the refined family takes
+t = floor(S^(1/(x+1))) per level.  Each checks its declared palette against
+its theory bound, CD-Coloring's coarse envelope and the refined family's
+D^(x+1)*S.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .basecolor import _int_floor_root, _require_proper, delta_plus_one
 from .cliques import CliqueCover, build_vertex_connector
-from .graph import Coloring, Graph, GraphError, VerificationError, induced_subgraph
+from .graph import Coloring, Graph, GraphError, VerificationError, _recurse, induced_subgraph
 from .sim import RoundTrace
 
 # below this clique size the refined family's arithmetic loses to the
@@ -50,14 +51,14 @@ def choose_params(S: int, x: int) -> int:
     return max(2, _int_floor_root(S, x + 1))
 
 
-def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t,
-               bound: int) -> tuple[Coloring, DecompositionReport]:
-    """The recursion of both families.  Every part at one depth has the
-    same clique bound, so the level table is built once: level j splits
-    with t_j = ``pick_t(S_j, x - j)`` into classes of clique bound
+def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, bound: int,
+               name: str) -> tuple[Coloring, DecompositionReport]:
+    """Both families on the shared recursion.  Every part at one depth has
+    the same clique bound, so the level table is built once: level j
+    splits with t_j = ``pick_t(S_j, x - j)`` into classes of clique bound
     S_{j+1} = ceil(S_j/t_j), for up to x levels or until ``pick_t`` is
-    None, and leaves take D(S_L-1)+1 colors.  The declared palette, the
-    product of the level palettes, must not exceed ``bound``."""
+    None, and leaves take D(S_L-1)+1 colors.  ``bound``, named ``name``,
+    caps the declared palette.  A part is a (graph, parent cover) pair."""
     report = DecompositionReport()
     D = cover.D
     if D == 0 or g.m == 0:  # one color; every family's bound is at least 1
@@ -66,25 +67,16 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t,
     while len(ts) < x and (t := pick_t(ks[-1], x - len(ts))) is not None:
         ts.append(t)
         ks.append(-(-ks[-1] // t))  # ceil(S/t)
-    declared = [D * (ks[-1] - 1) + 1]
-    for t in reversed(ts):
-        declared.insert(0, (D * (t - 1) + 1) * declared[0])
-    if declared[0] > bound:
-        raise VerificationError(f"palette {declared[0]} exceeds the declared "
-                                f"bound {bound}")
     report.levels = [LevelStats() for _ in ts]
 
-    def rec(sub: Graph, subcover: CliqueCover, depth: int):
-        if depth == len(ts):
-            psi, trace = delta_plus_one(sub)
-            if psi.palette_size > declared[depth]:
-                raise VerificationError(f"part needs {psi.palette_size} colors, "
-                                        f"declared {declared[depth]}")
-            return psi.assignment, trace
+    def split(part, depth: int):
+        sub, subcover = part
         if depth:  # a class gets its parent's cover cut down to it
             subcover = subcover.restrict(sub)
-        t, k, radix = ts[depth], ks[depth + 1], declared[depth + 1]
+        t, k = ts[depth], ks[depth + 1]
         phi, trace = delta_plus_one(build_vertex_connector(sub, subcover, t))
+        if not depth:  # the top connector's phases open the run's trace
+            report.extend(trace)
 
         # the connector lemma: a part is a clique of the connector, so a
         # class meets each of a clique's ceil(|q|/t) <= k parts at most
@@ -103,27 +95,25 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t,
         members: list[list[int]] = [[] for _ in range(D * (t - 1) + 1)]
         for v, c in color.items():
             members[c].append(v)
-        classes = [(i, induced_subgraph(sub, vs))
-                   for i, vs in enumerate(members) if vs]
+        classes = [vs and (induced_subgraph(sub, vs), subcover) for vs in members]
+        graphs = [cls for cls, _ in filter(None, classes)]
         level = report.levels[depth]
-        level.subgraph_count += len(classes)
-        level.max_degree = max(level.max_degree, *(cls.max_degree for _, cls in classes))
+        level.subgraph_count += len(graphs)
+        level.max_degree = max(level.max_degree, *(cls.max_degree for cls in graphs))
         level.max_clique = max(level.max_clique, share)
+        return classes, trace.rounds
 
-        assignment: dict[int, int] = {}
-        traces = []
-        for i, cls in classes:
-            child, ctr = rec(cls, subcover, depth + 1)
-            traces.append(ctr)
-            for v, c in child.items():
-                assignment[v] = i * radix + c
-        trace.merge_parallel(f"level-{depth}-classes", traces)
-        return assignment, trace
+    def leaf(part):
+        psi, trace = delta_plus_one(part[0])
+        if not ts:  # the root is the leaf, so its phases are the run's
+            report.extend(trace)
+        return psi.assignment.items(), trace.rounds
 
-    assignment, trace = rec(g, cover, 0)
-    col = Coloring("vertex", assignment, declared[0])
+    palettes = [D * (t - 1) + 1 for t in ts] + [D * (ks[-1] - 1) + 1]
+    col, rounds = _recurse("vertex", (g, cover), palettes, split, leaf, bound, name)
+    if ts:
+        report.add_phase("level-0-classes", rounds - report.rounds)
     _require_proper(g, col, "clique-decomposition coloring output")
-    report.extend(trace)
     return col, report
 
 
@@ -150,7 +140,7 @@ def cd_coloring(g: Graph, cover: CliqueCover, t: int,
     if x < 1:
         raise GraphError(f"recursion depth x must be at least 1, got {x}")
     return _decompose(g, cover, x, lambda S_cur, x_cur: t,
-                      cd_envelope(cover.D, cover.S, t, x))
+                      cd_envelope(cover.D, cover.S, t, x), "cd_envelope")
 
 
 def refined_palette_bound(D: int, S: int, x: int) -> int:
@@ -176,4 +166,5 @@ def refined_coloring(g: Graph, cover: CliqueCover,
             return None
         return choose_params(S_cur, x_cur)
 
-    return _decompose(g, cover, x, pick_t, refined_palette_bound(D, cover.S, x))
+    return _decompose(g, cover, x, pick_t, refined_palette_bound(D, cover.S, x),
+                      "refined_palette_bound")

@@ -5,6 +5,7 @@ line graphs)."""
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import accumulate, chain, compress, count, islice
@@ -172,6 +173,45 @@ class Coloring:
 
     def colors_used(self) -> int:
         return len(set(self.assignment.values()))
+
+
+def _recurse(kind: str, root, palettes: list[int], split, leaf, bound: int,
+             name: str) -> tuple[Coloring, int]:
+    """The one recursion of the vertex and edge families.  Level j cuts a
+    part into at most ``palettes[j]`` classes, ``split(part, j)`` ->
+    (classes, rounds); class i's colors are offset by i * radix[j], the
+    product of the palettes below, and a falsy class is empty.
+    ``leaf(part)`` -> ((item, color) pairs, rounds) uses colors below the
+    last palette.  The declared palette, the product of all, must not
+    exceed ``bound`` (named ``name``).  Classes run in parallel, so the
+    rounds are the most along a root-to-leaf path.  A stack walks the
+    parts: a self-calling closure would be a cycle, alive until gc."""
+    radix = [math.prod(palettes[j + 1:]) for j in range(len(palettes))]
+    declared = palettes[0] * radix[0]
+    if declared > bound:
+        raise VerificationError(f"palette {declared} exceeds {name} = {bound}")
+    top = palettes[-1]
+    assign: dict = {}
+    rounds = 0
+    stack = [(root, 0, 0, 0)]  # (part, depth, base, rounds above), the next part on top
+    while stack:
+        part, depth, base, above = stack.pop()
+        if depth == len(radix) - 1:
+            pairs, r = leaf(part)
+            for item, c in pairs:
+                if not 0 <= c < top:
+                    raise VerificationError(f"leaf color {c} of {item} outside "
+                                            f"the leaf palette {top}")
+                assign[item] = base + c
+        else:
+            classes, r = split(part, depth)
+            if len(classes) > palettes[depth]:
+                raise VerificationError(f"level {depth} split into {len(classes)} classes, "
+                                        f"more than its palette {palettes[depth]}")
+            stack.extend((classes[i], depth + 1, base + i * radix[depth], above + r)
+                         for i in range(len(classes) - 1, -1, -1) if classes[i])
+        rounds = max(rounds, above + r)
+    return Coloring(kind, assign, declared), rounds
 
 
 def _degeneracy_order(g: Graph) -> tuple[list[int], int]:

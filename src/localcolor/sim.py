@@ -42,10 +42,6 @@ class RoundTrace:
         for label, r in other.phase_breakdown:
             self.add_phase(prefix + label, r)
 
-    def merge_parallel(self, label: str, traces: list["RoundTrace"]) -> None:
-        """Parallel composition: the round cost is the max over branches."""
-        self.add_phase(label, max((t.rounds for t in traces), default=0))
-
 
 @dataclass
 class LocalView:

@@ -5,8 +5,8 @@ Each vertex splits its incident edges into groups of size at most t and
 hands each group to a virtual vertex, so the connector has degree at most
 t.  A proper edge coloring of the connector pulls back to an edge partition
 of the base graph whose per-vertex stars have size at most ceil(Delta/t);
-_recurse, the one recursion of the edge family, splits and combines them
-into the 4*Delta and 2^(x+1)*Delta schemes.
+``graph._recurse``, the recursion shared with the vertex family, splits
+and combines them into the 4*Delta and 2^(x+1)*Delta schemes.
 Every level works on a sorted list of normalized edges: it colors its
 connector in one pass over the list, never building the connector or a
 per-class graph, and hands each class on as a sorted sublist.
@@ -14,13 +14,12 @@ per-class graph, and hands each class on as a sorted sublist.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
 from .basecolor import _int_floor_root, _require_proper
-from .graph import Coloring, Graph, GraphError, VerificationError
+from .graph import Coloring, Graph, GraphError, VerificationError, _recurse
 from .sim import RoundTrace
 
 
@@ -124,34 +123,6 @@ def recursive_star_edge_coloring(g: Graph,
     return col, report
 
 
-def _recurse(edges, palettes: list[int], split, leaf, bound: int, name: str) -> Coloring:
-    """The edge family's one recursion.  Level j cuts a part into at most
-    ``palettes[j]`` classes, ``split(part, j)``, offsetting class i's colors
-    by i * radix[j], the product of the palettes below; ``leaf(part)`` gives
-    a leaf's (edge, color) pairs.  The declared palette, the product of all,
-    must not exceed ``bound`` (named ``name``).  A stack walks the parts, as
-    a self-calling closure would be a cycle keeping them alive until gc."""
-    radix = [math.prod(palettes[j + 1:]) for j in range(len(palettes))]
-    declared = palettes[0] * radix[0]
-    if declared > bound:
-        raise VerificationError(f"palette {declared} exceeds {name} = {bound}")
-    assign: dict[tuple[int, int], int] = {}
-    stack = [(edges, 0, 0)]  # (part, depth, base), the next part on top
-    while stack:
-        part, depth, base = stack.pop()
-        if depth == len(radix) - 1:
-            for e, c in leaf(part):
-                assign[e] = base + c
-            continue
-        classes = split(part, depth)
-        if len(classes) > palettes[depth]:
-            raise VerificationError(f"level {depth} split into {len(classes)} classes, "
-                                    f"more than its palette {palettes[depth]}")
-        stack.extend((classes[i], depth + 1, base + i * radix[depth])
-                     for i in range(len(classes) - 1, -1, -1) if classes[i])
-    return Coloring("edge", assign, declared)
-
-
 def _star_edge_coloring(edges, x: int) -> tuple[Coloring, StarPartitionReport]:
     """recursive_star_edge_coloring of the graph of the sorted normalized
     ``edges``, without its properness check, for callers that check their
@@ -184,14 +155,14 @@ def _star_edge_coloring(edges, x: int) -> tuple[Coloring, StarPartitionReport]:
         check_star(star, depth)
         if depth == 0:
             report.class_count = sum(1 for c in classes if c)
-        return classes
+        return classes, 0
 
     def leaf(part):  # star <= bounds[x] keeps greedy within the leaf palette
         mask = dict.fromkeys(chain.from_iterable(part), 0)
         colors = _greedy_edges(part, mask)
         check_star(max(map(int.bit_count, mask.values())), x)
-        return zip(part, colors)
+        return zip(part, colors), 0
 
-    col = _recurse(edges, [2 * t - 1] * x + [max(2 * bounds[x] - 1, 1)], split, leaf,
-                   star_palette_bound(delta, x), "star_palette_bound")
+    col, _ = _recurse("edge", edges, [2 * t - 1] * x + [max(2 * bounds[x] - 1, 1)], split,
+                      leaf, star_palette_bound(delta, x), "star_palette_bound")
     return col, report

@@ -127,7 +127,8 @@ def test_level_palette_over_declared_raises(monkeypatch):
     monkeypatch.setattr(cdcolor, "refined_palette_bound",
                         lambda D, S, x: real(D, S, x) // 2)
     g, cover = gen_line_of(40, 34, seed=3)
-    with pytest.raises(GraphError, match="exceeds the declared"):
+    with pytest.raises(VerificationError,
+                       match="^palette 117 exceeds refined_palette_bound = 68$"):
         refined_coloring(g, cover, 1)
 
 

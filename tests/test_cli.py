@@ -123,6 +123,34 @@ def test_failed_post_condition_exits_1(tmp_path, capsys, monkeypatch):
     assert "improper" in capsys.readouterr().err
 
 
+def test_failed_leaf_check_exits_1(tmp_path, capsys, monkeypatch):
+    # the recursion checks every leaf color against the leaf palette; at
+    # x=1 the first delta_plus_one call colors the root connector and every
+    # later one a leaf, whose colors are pushed past the palette here
+    from localcolor import cdcolor
+    from localcolor.graph import Coloring
+    path = tmp_path / "g.el"
+    code, _ = run_cli(capsys, "gen", "--kind", "random", "--n", "60", "--delta", "6",
+                      "--seed", "1", "--out", str(path))
+    assert code == 0
+    real, calls = cdcolor.delta_plus_one, []
+
+    def leaves_past_the_palette(g):
+        col, trace = real(g)
+        calls.append(g)
+        if len(calls) == 1:
+            return col, trace
+        big = 10 ** 6
+        shifted = {v: c + big for v, c in col.assignment.items()}
+        return Coloring("vertex", shifted, col.palette_size + big), trace
+
+    monkeypatch.setattr(cdcolor, "delta_plus_one", leaves_past_the_palette)
+    code = main(["cd-color", "--input", str(path), "--x", "1"])
+    assert code == 1
+    assert "outside the leaf palette" in capsys.readouterr().err
+    assert len(calls) > 1
+
+
 def test_subcommands_run_clean(tmp_path, capsys):
     path = tmp_path / "g.el"
     run_cli(capsys, "gen", "--kind", "random", "--n", "40", "--delta", "9",

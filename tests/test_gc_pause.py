@@ -1,16 +1,23 @@
 """The cyclic garbage collector is paused while graphs are built and while
-``sim.run`` runs, and is left as the caller had it."""
+``sim.run`` runs, and is left as the caller had it; the builders, the
+package's vertex programs and the colorings leave no reference cycles."""
 
 import gc
+from types import SimpleNamespace
 
 import pytest
 
 from localcolor import io as lio
+from localcolor.arbedge import (DEFAULT_Q, arb_edge_coloring, delta_plus_little_o,
+                                estimate_arboricity, powered_edge_coloring)
 from localcolor.basecolor import delta_plus_one
+from localcolor.cdcolor import cd_coloring, refined_coloring
+from localcolor.cliques import enumerate_maximal_cliques
 from localcolor.graph import (Graph, GraphError, Hypergraph, _freeze, _gc_paused,
                               hypergraph_line_graph, induced_subgraph)
 from localcolor.io import ParseError
 from localcolor.sim import RoundBudgetExceeded, VertexProgram, run
+from localcolor.staredge import recursive_star_edge_coloring
 
 from helpers import cycle, relabel
 
@@ -162,4 +169,34 @@ def test_graphs_and_programs_leave_no_cycles():
     lio.gen_random(60, 6, seed=2)
     lio.gen_line_of(40, 5, seed=2)
     delta_plus_one(g)
+    assert gc.collect() == 0
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    """Graphs big enough that every recursion below runs at least one split."""
+    g = lio.gen_random(60, 8, seed=2)
+    lg, lcover = lio.gen_line_of(40, 34, seed=3)
+    return SimpleNamespace(g=g, cover=enumerate_maximal_cliques(g), lg=lg, lcover=lcover,
+                           a=estimate_arboricity(g))
+
+
+COLORINGS = {
+    "cd_coloring": lambda i: cd_coloring(i.g, i.cover, 2, 2),
+    "refined_coloring": lambda i: refined_coloring(i.lg, i.lcover, 1),
+    "recursive_star_edge_coloring": lambda i: recursive_star_edge_coloring(i.g, 2),
+    "arb_edge_coloring": lambda i: arb_edge_coloring(i.g, i.a),
+    "delta_plus_little_o": lambda i: delta_plus_little_o(i.g, i.a),
+    "powered_edge_coloring": lambda i: powered_edge_coloring(i.g, i.a, DEFAULT_Q, 2),
+    "delta_plus_one": lambda i: delta_plus_one(i.g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLORINGS))
+def test_colorings_leave_no_cycles(inputs, name):
+    # the same condition for the colorings: a result, once dropped, is
+    # freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    COLORINGS[name](inputs)
     assert gc.collect() == 0

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from localcolor import io as lio
-from localcolor.graph import (Coloring, Graph, GraphError, Hypergraph, _degeneracy_order, _freeze,
-                              hypergraph_line_graph, induced_subgraph,
-                              line_graph, norm_edge)
+from localcolor.graph import (Coloring, Graph, GraphError, Hypergraph, VerificationError,
+                              _degeneracy_order, _freeze, _recurse, hypergraph_line_graph,
+                              induced_subgraph, line_graph, norm_edge)
 
 
 def test_from_edges_basics():
@@ -273,3 +273,38 @@ def test_degeneracy_order_is_smallest_last(n, pairs):
     nxg = networkx.Graph(g.edges())
     nxg.add_nodes_from(g.adj)
     assert degen == max(networkx.core_number(nxg).values(), default=0)
+
+
+# A toy tree for the recursion, palettes [3, 2, 4] (radixes 8, 4, 1):
+# r splits into a, an empty class and b; a into a0 and a1; b into b0.
+TOY_SPLITS = {"r": (["a", [], "b"], 5), "a": (["a0", "a1"], 1), "b": (["b0"], 7)}
+TOY_LEAVES = {"a0": ([("p", 3)], 10), "a1": ([("q", 0)], 2), "b0": ([("s", 1), ("u", 2)], 0)}
+
+
+def toy_recurse(bound=24, splits=TOY_SPLITS, leaves=TOY_LEAVES):
+    return _recurse("vertex", "r", [3, 2, 4], lambda part, depth: splits[part],
+                    leaves.__getitem__, bound, "toy_bound")
+
+
+def test_recursion_combines_colors_and_takes_the_longest_path():
+    col, rounds = toy_recurse()
+    # the paths cost 5+1+10, 5+1+2 and 5+7+0; a sum of the level maxima
+    # would read 5+7+10
+    assert rounds == 16
+    assert col.kind == "vertex" and col.palette_size == 3 * 2 * 4
+    assert col.assignment == {"p": 0 * 8 + 0 * 4 + 3, "q": 0 * 8 + 1 * 4 + 0,
+                              "s": 2 * 8 + 0 * 4 + 1, "u": 2 * 8 + 0 * 4 + 2}
+    assert list(col.assignment) == ["p", "q", "s", "u"]  # depth first, in class order
+
+
+def test_recursion_checks_declared_palette_class_count_and_leaf_colors():
+    with pytest.raises(VerificationError, match="^palette 24 exceeds toy_bound = 23$"):
+        toy_recurse(bound=23)
+    four = dict(TOY_SPLITS, r=(["a", [], "b", "c"], 5))
+    with pytest.raises(VerificationError,
+                       match="^level 0 split into 4 classes, more than its palette 3$"):
+        toy_recurse(splits=four)
+    for c in (4, -1):
+        with pytest.raises(VerificationError,
+                           match=f"^leaf color {c} of q outside the leaf palette 4$"):
+            toy_recurse(leaves=dict(TOY_LEAVES, a1=([("q", c)], 2)))

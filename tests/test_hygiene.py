@@ -12,6 +12,10 @@ module because no linter is a dependency:
 - the collector policy has one owner: only ``graph.py``, home of the
   pause helper, switches the ``gc`` off and on, and no module collects,
   freezes or retunes it.
+- no nested function names itself: its closure would then hold it, a
+  reference cycle that keeps every call's locals alive until the
+  collector runs, which the pause may postpone.  ``verify.py``'s test
+  oracles are exempt.
 
 One more check runs the code: importing every module in a fresh
 interpreter loads neither ``networkx`` nor ``numpy``, not even through
@@ -71,6 +75,21 @@ def gc_uses(tree: ast.AST) -> set[str]:
     return used
 
 
+def self_naming_closures(tree: ast.AST) -> list[str]:
+    """``outer.inner`` for each function nested in a function that names
+    itself in its own body."""
+    found = []
+    for outer in ast.walk(tree):
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(outer):
+                if (inner is not outer
+                        and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and any(isinstance(n, ast.Name) and n.id == inner.name
+                                for n in ast.walk(inner))):
+                    found.append(f"{outer.name}.{inner.name}")
+    return found
+
+
 def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
     """``module.name`` of each private module-level function or class that
     no module of ``trees`` names, by a bare name or an attribute."""
@@ -108,6 +127,10 @@ def test_checkers_catch_what_they_look_for():
     tree = ast.parse("import gc\nfrom gc import freeze\ngc.disable()\nif gc.isenabled():\n"
                      "    gc.collect(2)\n")
     assert gc_uses(tree) == {"freeze", "disable", "isenabled", "collect"}
+    tree = ast.parse("def rec(n):\n    return rec(n - 1) if n else 0\n"
+                     "def outer(xs):\n    def walk(x):\n        return [walk(y) for y in x]\n"
+                     "    def flat(x):\n        return x\n    return walk(xs), flat\n")
+    assert self_naming_closures(tree) == ["outer.walk"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -119,6 +142,8 @@ def test_module_hygiene(path):
     assert not gc_uses(tree) & GC_TUNING
     if path.name != "graph.py":  # the home of the collector pause
         assert not gc_uses(tree) & GC_PAUSE
+    if path.name != "verify.py":  # its oracles run outside the collector pause
+        assert self_naming_closures(tree) == []
 
 
 def test_no_unreferenced_private_definitions():

@@ -80,12 +80,8 @@ def test_trace_composition():
     sub = RoundTrace()
     sub.add_phase("b", 2)
     t.extend(sub, "pre:")
-    branches = [RoundTrace(), RoundTrace()]
-    branches[0].add_phase("x", 7)
-    branches[1].add_phase("y", 4)
-    t.merge_parallel("par", branches)
-    assert t.rounds == 3 + 2 + 7
-    assert t.phase_breakdown == [("a", 3), ("pre:b", 2), ("par", 7)]
+    assert t.rounds == 3 + 2
+    assert t.phase_breakdown == [("a", 3), ("pre:b", 2)]
 
 
 def test_halted_at_init_still_delivers_outbox():
