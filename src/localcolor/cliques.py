@@ -1,10 +1,9 @@
-"""Maximal-clique machinery: covers, diversity and vertex connectors."""
+"""Maximal-clique machinery: clique covers, whose cliques are sorted tuples,
+diversity and vertex connectors."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from .graph import Graph, GraphError, _degeneracy_order
 
@@ -19,41 +18,43 @@ class CliqueCapExceeded(GraphError):
 class CliqueCover:
     """A consistent set of cliques covering every edge of the graph: its
     maximal cliques, or a cover given with it (line graphs, hypergraph
-    line graphs, a cover file).  Clique IDs are positions in lexicographic
-    order of the sorted vertex tuples, so they are reproducible.
+    line graphs, a cover file).  Each clique is a strictly increasing tuple
+    of vertex IDs, and the list is in lexicographic order, so a clique's ID,
+    its position, is reproducible.  D is the most cliques at one vertex (the
+    diversity) and S the size of the largest clique.
     """
 
-    cliques: list[frozenset[int]]
+    cliques: list[tuple[int, ...]]
     D: int
     S: int
 
     @staticmethod
     def from_cliques(g: Graph, cliques) -> "CliqueCover":
         uniq = sorted({tuple(sorted(set(q))) for q in cliques})
-        count = Counter(chain.from_iterable(uniq))  # cliques per vertex
-        if not count.keys() <= g.adj.keys():
-            raise GraphError(next(_violations(g, uniq)))
+        at: dict[int, list[tuple[int, ...]]] = {v: [] for v in g.adj}  # cliques per vertex
+        for q in uniq:
+            for v in q:
+                if v not in at:
+                    raise GraphError(next(_violations(g, uniq)))
+                at[v].append(q)
         # Every clique at v lies in v's closed neighborhood N[v] iff each
         # is a clique, and together they reach all of N(v) iff every edge
         # at v is covered: the cover is valid iff their union is N[v].
-        reach = {v: {v} for v in g.adj}
-        for q in uniq:
-            for v in q:
-                reach[v].update(q)
+        # Each union lives only while its vertex is checked.
         for v, ns in g.adj.items():
-            r = reach[v]
+            r = {v}.union(*at[v])
             if len(r) != len(ns) + 1 or not r.issuperset(ns):
                 raise GraphError(next(_violations(g, uniq)))
-        D = max(count.values(), default=0)
-        S = max((len(q) for q in uniq), default=0)
-        return CliqueCover([frozenset(q) for q in uniq], D, S)
+        D = max(map(len, at.values()), default=0)
+        S = max(map(len, uniq), default=0)
+        return CliqueCover(uniq, D, S)
 
     def restrict(self, g_sub: Graph) -> "CliqueCover":
-        """Cover of an induced subgraph: intersect every clique with the
-        subgraph's vertex set.  Keeps the cover property (every surviving
-        edge lay in some clique) and never increases D or S."""
-        keep = set(g_sub.adj)
-        parts = [q & keep for q in self.cliques]
+        """Cover of an induced subgraph: keep each clique's members that
+        are in the subgraph, in order.  Keeps the cover property (every
+        surviving edge lay in some clique) and never increases D or S."""
+        keep = g_sub.adj.__contains__
+        parts = [tuple(filter(keep, q)) for q in self.cliques]
         return CliqueCover.from_cliques(g_sub, [p for p in parts if p])
 
 
@@ -97,36 +98,51 @@ def _bron_kerbosch(adj: dict[int, set[int]], order: list[int],
                    cap: int) -> list[tuple[int, ...]]:
     """Maximal cliques as sorted tuples, by Bron–Kerbosch on an explicit
     stack of calls (R, P, X, vertices to branch on), so a big clique needs
-    no deep recursion.  The outer call branches on the vertices in a
-    degeneracy order, which gives vertex v the subproblem P = its later
-    neighbors, X = its earlier ones (Eppstein, Löffler and Strash 2010);
-    every inner call branches on P minus the neighbors of Tomita's pivot,
-    and no call is made whose P lies in the neighborhood of a vertex of X."""
+    no deep recursion.  The outer loop walks the vertices in a degeneracy
+    order, which gives vertex v the subproblem P = its later neighbors,
+    X = its earlier ones (Eppstein, Löffler and Strash 2010).  A later
+    neighbor u with no neighbor in common with v makes (v, u) a maximal
+    clique, which is emitted without a call; the remaining later neighbors
+    start v's stack.  Every call branches on P minus the neighbors of
+    Tomita's pivot, and no call is made whose P lies in the neighborhood
+    of a vertex of X.  v's stack is emptied before the next vertex starts."""
     out: list[tuple[int, ...]] = []
-    stack = [((), set(adj), set(), order)]
-    while stack:
-        r, p, x, branch = stack.pop()
-        for v in branch:
-            nv = adj[v]
-            pv, xv = p & nv, x & nv
-            if pv:
-                rest = pv - adj[_tomita_pivot(pv, xv, adj)]
-                if rest:  # empty iff the pivot is a vertex of X that covers P
-                    stack.append((r + (v,), pv, xv, rest))
-            elif not xv:
-                out.append(tuple(sorted(r + (v,))))
-                if len(out) > cap:
-                    raise CliqueCapExceeded(
-                        f"more than {cap} maximal cliques; aborting enumeration")
-            p.remove(v)
-            x.add(v)
+    later = set(adj)
+    for v in order:
+        nv = adj[v]
+        later.remove(v)
+        pv = nv & later
+        for u in [u for u in pv if nv.isdisjoint(adj[u])]:  # a triangle-free edge
+            pv.remove(u)
+            out.append((v, u) if v < u else (u, v))
+        xv = nv - later
+        stack = [((v,), pv, xv, pv - adj[_tomita_pivot(pv, xv, adj)])] if pv else []
+        if not nv:
+            out.append((v,))
+        while stack and len(out) <= cap:
+            r, p, x, branch = stack.pop()
+            for w in branch:
+                nw = adj[w]
+                pw, xw = p & nw, x & nw
+                if pw:
+                    rest = pw - adj[_tomita_pivot(pw, xw, adj)]
+                    if rest:  # empty iff the pivot is a vertex of X that covers P
+                        stack.append((r + (w,), pw, xw, rest))
+                elif not xw:
+                    out.append(tuple(sorted(r + (w,))))
+                p.remove(w)
+                x.add(w)
+        if len(out) > cap:
+            raise CliqueCapExceeded(f"more than {cap} maximal cliques; aborting enumeration")
     return out
 
 
 def enumerate_maximal_cliques(g: Graph, cap: int = CLIQUE_CAP) -> CliqueCover:
-    adj = {v: set(ns) for v, ns in g.adj.items()}
     order, _ = _degeneracy_order(g)
-    return CliqueCover.from_cliques(g, _bron_kerbosch(adj, order, cap))
+    # the adjacency sets are built in the call, so they are freed before
+    # the cover is checked
+    cliques = _bron_kerbosch({v: set(ns) for v, ns in g.adj.items()}, order, cap)
+    return CliqueCover.from_cliques(g, cliques)
 
 
 def build_vertex_connector(g: Graph, cover: CliqueCover, t: int) -> Graph:
@@ -136,9 +152,8 @@ def build_vertex_connector(g: Graph, cover: CliqueCover, t: int) -> Graph:
         raise GraphError(f"connector part size t must exceed 1, got {t}")
     adj = {v: set() for v in sorted(g.adj)}
     for q in cover.cliques:
-        members = sorted(q)
-        for start in range(0, len(members), t):
-            part = members[start:start + t]
+        for start in range(0, len(q), t):
+            part = q[start:start + t]
             for v in part:
                 if v not in adj:
                     raise GraphError(f"connector vertex {v} not in graph")

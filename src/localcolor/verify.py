@@ -111,24 +111,28 @@ def brute_force_maximal_cliques(g: Graph) -> set[frozenset[int]]:
 
 
 def _k_colorable(vertices, neighbors, k: int) -> bool:
-    """Backtracking k-colorability on an explicit adjacency map."""
+    """Backtracking k-colorability on an explicit adjacency map.  The
+    search runs on a stack holding, for each vertex colored so far, the
+    next color to try there, so it needs no recursion."""
     order = sorted(vertices, key=lambda v: -len(neighbors[v]))
     assign: dict = {}
-
-    def bt(i: int) -> bool:
+    tried = [0]
+    while tried:
+        i = len(tried) - 1
         if i == len(order):
             return True
         v = order[i]
+        assign.pop(v, None)
         used = {assign[w] for w in neighbors[v] if w in assign}
-        for c in range(min(k, i + 1)):  # symmetry break: first use of color c
-            if c not in used:
-                assign[v] = c
-                if bt(i + 1):
-                    return True
-                del assign[v]
-        return False
-
-    return bt(0)
+        # symmetry break: first use of color c
+        c = next((c for c in range(tried[i], min(k, i + 1)) if c not in used), None)
+        if c is None:
+            tried.pop()
+        else:
+            assign[v] = c
+            tried[i] = c + 1
+            tried.append(0)
+    return False
 
 
 def brute_force_chromatic(g: Graph) -> int:

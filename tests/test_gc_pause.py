@@ -1,6 +1,7 @@
 """The cyclic garbage collector is paused while graphs are built and while
 ``sim.run`` runs, and is left as the caller had it; the builders, the
-package's vertex programs and the colorings leave no reference cycles."""
+package's vertex programs, the colorings and the chromatic oracle leave no
+reference cycles."""
 
 import gc
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ from localcolor.graph import (Graph, GraphError, Hypergraph, _freeze, _gc_paused
 from localcolor.io import ParseError
 from localcolor.sim import RoundBudgetExceeded, VertexProgram, run
 from localcolor.staredge import recursive_star_edge_coloring
+from localcolor.verify import brute_force_chromatic
 
 from helpers import cycle, relabel
 
@@ -178,7 +180,7 @@ def inputs():
     g = lio.gen_random(60, 8, seed=2)
     lg, lcover = lio.gen_line_of(40, 34, seed=3)
     return SimpleNamespace(g=g, cover=enumerate_maximal_cliques(g), lg=lg, lcover=lcover,
-                           a=estimate_arboricity(g))
+                           a=estimate_arboricity(g), small=lio.gen_random(10, 4, seed=1))
 
 
 COLORINGS = {
@@ -189,6 +191,7 @@ COLORINGS = {
     "delta_plus_little_o": lambda i: delta_plus_little_o(i.g, i.a),
     "powered_edge_coloring": lambda i: powered_edge_coloring(i.g, i.a, DEFAULT_Q, 2),
     "delta_plus_one": lambda i: delta_plus_one(i.g),
+    "brute_force_chromatic": lambda i: brute_force_chromatic(i.small),
 }
 
 

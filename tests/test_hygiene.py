@@ -14,8 +14,7 @@ module because no linter is a dependency:
   freezes or retunes it.
 - no nested function names itself: its closure would then hold it, a
   reference cycle that keeps every call's locals alive until the
-  collector runs, which the pause may postpone.  ``verify.py``'s test
-  oracles are exempt.
+  collector runs, which the pause may postpone.
 
 One more check runs the code: importing every module in a fresh
 interpreter loads neither ``networkx`` nor ``numpy``, not even through
@@ -142,8 +141,7 @@ def test_module_hygiene(path):
     assert not gc_uses(tree) & GC_TUNING
     if path.name != "graph.py":  # the home of the collector pause
         assert not gc_uses(tree) & GC_PAUSE
-    if path.name != "verify.py":  # its oracles run outside the collector pause
-        assert self_naming_closures(tree) == []
+    assert self_naming_closures(tree) == []
 
 
 def test_no_unreferenced_private_definitions():
