@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .graph import Coloring, Graph, GraphError, VerificationError
-from .sim import LocalView, RoundTrace, Sleep, VertexProgram, run
+from .sim import Done, LocalView, RoundTrace, Sleep, VertexProgram, run
 from .verify import is_proper_edge, is_proper_vertex
 
 # palette factor guaranteed by the construction ((2Delta)^2 with Bertrand slack)
@@ -171,49 +171,35 @@ def _require_proper(g: Graph, col: Coloring, what: str) -> None:
 
 
 class _ReduceProgram(VertexProgram):
-    """Color class ``palette - r`` recolors in round r.  A vertex sleeps
-    except at its own turn and in the last round.  Only colors below the
-    target can block a choice, so only a vertex colored below it announces
-    its color at init; a recoloring vertex sends its new color to the
+    """Color class ``palette - r`` recolors in round r, and each vertex is
+    stepped at most once.  Only colors below the target can block a choice,
+    so a vertex colored below it announces its color at init and is done.
+    Any other vertex sleeps until its turn and recolors from the one inbox
+    it is then handed: the held mail holds the initial announcements and
+    every earlier turn's new color.  It sends its new color to the
     neighbors it has not heard from, which are exactly those whose turn is
-    still to come.  An edge thus carries 2 messages if both ends start
+    still to come, and is done.  Every vertex asks the run to last until
+    the last turn, ``done``, one instance shared by the run, so the round
+    count is fixed.  An edge thus carries 2 messages if both ends start
     below the target, else 1."""
 
-    def __init__(self, palette: int, target: int):
-        self.palette = palette
+    def __init__(self, palette: int, target: int, color: int, done: Done):
         self.target = target
-        self.color = 0
-        self.output = 0
-        self.neighbor_colors: dict[int, int] = {}
+        self.turn = palette - color
+        self.output = color
+        self.done = done
 
     def init(self, view: LocalView):
-        self.color = self.output = self._my_color
-        self.total_rounds = self.palette - self.target
-        if self.total_rounds == 0:
-            return {}, True
+        if self.output < self.target:
+            return dict.fromkeys(view.neighbors, self.output), self.done
         self.neighbors = view.neighbors
-        out = dict.fromkeys(view.neighbors, self.color) if self.color < self.target else {}
-        return out, self._sleep(0)
-
-    def _sleep(self, round_no: int) -> Sleep:
-        turn = self.palette - self.color
-        if self.color >= self.target and turn > round_no:
-            return Sleep(turn)
-        # everyone stays for the full schedule so the round count is fixed
-        return Sleep(self.total_rounds)
+        return {}, Sleep(self.turn)
 
     def step(self, round_no: int, inbox: dict):
-        self.neighbor_colors.update(inbox)
-        outbox = {}
-        if self.color >= self.target and self.palette - self.color == round_no:
-            used = set(self.neighbor_colors.values())
-            self.color = next(c for c in range(self.target) if c not in used)
-            self.output = self.color
-            heard = self.neighbor_colors
-            outbox = {w: self.color for w in self.neighbors if w not in heard}
-        if round_no == self.total_rounds:
-            return outbox, True
-        return outbox, self._sleep(round_no)
+        used = set(inbox.values())
+        self.output = next(c for c in range(self.target) if c not in used)
+        outbox = {w: self.output for w in self.neighbors if w not in inbox}
+        return outbox, True if round_no == self.done.until else self.done
 
 
 def reduce_colors(g: Graph, c: Coloring) -> tuple[Coloring, RoundTrace]:
@@ -227,12 +213,12 @@ def reduce_colors(g: Graph, c: Coloring) -> tuple[Coloring, RoundTrace]:
     if target >= c.palette_size:
         return Coloring(c.kind, dict(c.assignment), c.palette_size), RoundTrace()
 
-    def make(v):
-        prog = _ReduceProgram(c.palette_size, target)
-        prog._my_color = c.assignment[v]
-        return prog
+    done = Done(c.palette_size - target)
 
-    outputs, trace = run(g, make, round_cap=c.palette_size - target + 1)
+    def make(v):
+        return _ReduceProgram(c.palette_size, target, c.assignment[v], done)
+
+    outputs, trace = run(g, make, round_cap=done.until + 1)
     out = Coloring("vertex", outputs, target)
     _require_proper(g, out, "reduce_colors output")
     return out, trace

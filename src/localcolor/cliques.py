@@ -4,8 +4,10 @@ diversity and vertex connectors."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter, lt
 
-from .graph import Graph, GraphError, _degeneracy_order
+from .graph import Graph, GraphError, _degeneracy_order, _gc_paused
 
 CLIQUE_CAP = 10 ** 6
 
@@ -30,7 +32,19 @@ class CliqueCover:
 
     @staticmethod
     def from_cliques(g: Graph, cliques) -> "CliqueCover":
-        uniq = sorted({tuple(sorted(set(q))) for q in cliques})
+        """The cover of g by ``cliques``, each any collection of vertex IDs
+        (repeats and order do not matter), checked to be a clique cover.
+        Cliques that are already strictly increasing tuples, as enumeration
+        and :meth:`restrict` give them, are only deduplicated and sorted;
+        any other input is normalized clique by clique."""
+        if iter(cliques) is cliques:  # an iterator: it may be read twice
+            cliques = list(cliques)
+        try:
+            uniq = sorted(set(cliques))
+        except TypeError:  # unhashable cliques, or ones that do not compare
+            uniq = None
+        if uniq is None or not _increasing(uniq):
+            uniq = sorted({tuple(sorted(set(q))) for q in cliques})
         at: dict[int, list[tuple[int, ...]]] = {v: [] for v in g.adj}  # cliques per vertex
         for q in uniq:
             for v in q:
@@ -56,6 +70,17 @@ class CliqueCover:
         keep = g_sub.adj.__contains__
         parts = [tuple(filter(keep, q)) for q in self.cliques]
         return CliqueCover.from_cliques(g_sub, [p for p in parts if p])
+
+
+def _increasing(rows: list) -> bool:
+    """Whether every row is a tuple whose entries increase strictly.  One
+    pass over the rows laid end to end: each row's entries but its last
+    meet the entries after them, so no pair spans two rows."""
+    if not set(map(type, rows)) <= {tuple}:
+        return False
+    heads = chain.from_iterable(map(itemgetter(slice(None, -1)), rows))
+    tails = chain.from_iterable(map(itemgetter(slice(1, None)), rows))
+    return all(map(lt, heads, tails))
 
 
 def _violations(g: Graph, cliques: list[tuple[int, ...]]):
@@ -138,6 +163,13 @@ def _bron_kerbosch(adj: dict[int, set[int]], order: list[int],
 
 
 def enumerate_maximal_cliques(g: Graph, cap: int = CLIQUE_CAP) -> CliqueCover:
+    return _maximal_clique_cover(g, cap)
+
+
+@_gc_paused
+def _maximal_clique_cover(g: Graph, cap: int) -> CliqueCover:
+    """enumerate_maximal_cliques with the collector paused: the cliques are
+    long-lived tuples, and collections would only re-scan them."""
     order, _ = _degeneracy_order(g)
     # the adjacency sets are built in the call, so they are freed before
     # the cover is checked

@@ -7,14 +7,17 @@ unrestricted; the engine only counts rounds and enforces the locality
 contract (messages go to neighbors only).
 
 A program reports after every call whether it is done: ``True`` halts it
-for good, ``False`` has it stepped again next round, and ``Sleep(until)``
-has it stepped next at round ``until``.  Mail that arrives while a vertex
-sleeps does not wake it; the engine holds it, latest message per sender,
-and hands it over at ``until``.  Mail to a halted vertex is dropped.  Each
-round therefore costs time in the vertices stepped and messages sent, not
-in the size of the graph.  Rounds in which no vertex is due are skipped
-but still counted, so the round count is the same as if every sleeping
-vertex had been stepped every round and had only stored its mail.
+for good, ``False`` has it stepped again next round, ``Sleep(until)`` has
+it stepped next at round ``until``, and ``Done(until)`` halts it for good
+but has the run last until round ``until``.  Mail that arrives while a
+vertex sleeps does not wake it; the engine holds it, latest message per
+sender, and hands it over at ``until``.  Mail to a halted vertex is
+dropped.  Each round therefore costs time in the vertices stepped and
+messages sent, not in the size of the graph.  Rounds in which no vertex is
+due are skipped but still counted, so the round count is the same as if
+every sleeping vertex had been stepped every round and had only stored its
+mail, and every ``Done(until)`` vertex had slept until ``until`` and then
+halted there.
 """
 
 from __future__ import annotations
@@ -61,14 +64,25 @@ class Sleep:
     until: int
 
 
+@dataclass(frozen=True)
+class Done:
+    """Returned in place of ``halted``: halted now, never stepped again and
+    sent no more mail, but the run lasts at least until round ``until``
+    (later than the current round, and within the round cap), as if the
+    vertex slept until then and halted without a step."""
+
+    until: int
+
+
 class VertexProgram:
     """Per-vertex local program.  Subclasses override init/step.
 
     init(view) and step(round_no, inbox) both return (outbox, halted) where
-    outbox maps neighbor id -> message and halted is True, False or a
-    :class:`Sleep`.  A halted vertex is never stepped again and sends
-    nothing further.  Programs keep an instance ``__dict__`` (no
-    ``__slots__``): ``perfbench/tracer.py`` rebinds init/step per instance.
+    outbox maps neighbor id -> message and halted is True, False, a
+    :class:`Sleep` or a :class:`Done`.  A halted vertex is never stepped
+    again and sends nothing further.  Programs keep an instance
+    ``__dict__`` (no ``__slots__``): ``perfbench/tracer.py`` rebinds
+    init/step per instance.
     """
 
     def init(self, view: LocalView):
@@ -95,9 +109,11 @@ def run(g: Graph, make_program, round_cap: int | None = None):
     mailbox is handed to the program as its inbox and released by the
     engine when that step returns; the engine never reuses or mutates it.
     Returns ({vertex: output}, RoundTrace), where a vertex's output is its
-    program's ``output`` attribute once every vertex has halted.  Programs
-    run with the cyclic garbage collector paused, so reference cycles
-    they create are not freed before ``run`` returns.
+    program's ``output`` attribute once every vertex has halted, and the
+    rounds are the last round a vertex was stepped in or the latest
+    ``Done.until``, whichever is later.  Programs run with the cyclic
+    garbage collector paused, so reference cycles they create are not
+    freed before ``run`` returns.
     """
     if round_cap is None:
         round_cap = default_round_cap(g)
@@ -111,16 +127,29 @@ def run(g: Graph, make_program, round_cap: int | None = None):
     # re-adding mailboxes each round raised peak memory on wide graphs).
     mail: dict[int, dict] = {v: {} for v in adj}
 
-    def sleep(v: int, until: int, round_no: int) -> None:
-        if until <= round_no:
-            raise GraphError(f"vertex {v} asked in round {round_no} "
-                             f"to sleep until round {until}")
-        due = calendar.get(until)
-        if due is None:
-            calendar[until] = [v]
-            heapq.heappush(wake_rounds, until)
-        else:
-            due.append(v)
+    last = 0  # the latest round a Done asked the run to last until
+
+    def settle(v: int, h, round_no: int) -> None:
+        """File a return other than False and True: a Sleep, a Done, or
+        another true value, which halts."""
+        nonlocal last
+        if isinstance(h, Sleep):
+            if h.until <= round_no:
+                raise GraphError(f"vertex {v} asked in round {round_no} "
+                                 f"to sleep until round {h.until}")
+            due = calendar.get(h.until)
+            if due is None:
+                calendar[h.until] = [v]
+                heapq.heappush(wake_rounds, h.until)
+            else:
+                due.append(v)
+            return
+        del mail[v]
+        if isinstance(h, Done):
+            if h.until <= round_no:
+                raise GraphError(f"vertex {v} asked in round {round_no} "
+                                 f"to be done until round {h.until}")
+            last = max(last, h.until)
 
     def deliver(v: int, out: dict) -> None:
         nbrs = adj[v]
@@ -140,10 +169,10 @@ def run(g: Graph, make_program, round_cap: int | None = None):
             deliver(v, out)
         if not h:
             awake.append(v)
-        elif isinstance(h, Sleep):
-            sleep(v, h.until, 0)
-        else:
+        elif h is True:
             del mail[v]
+        else:
+            settle(v, h, 0)
 
     trace = RoundTrace()
     rounds = 0
@@ -172,9 +201,13 @@ def run(g: Graph, make_program, round_cap: int | None = None):
                 deliver(v, out)
             if not h:
                 awake.append(v)
-            elif isinstance(h, Sleep):
-                sleep(v, h.until, round_no)
-            else:
+            elif h is True:
                 del mail[v]
+            else:
+                settle(v, h, round_no)
+    if last > rounds:  # the rounds a Done asked for, in which nothing is due
+        if last > round_cap:
+            raise RoundBudgetExceeded(f"round budget {round_cap} exceeded; 0 vertices active")
+        rounds = last
     trace.add_phase("run", rounds)
     return {v: getattr(prog, "output", None) for v, prog in programs.items()}, trace

@@ -85,8 +85,9 @@ def test_reduce_colors_steps_only_due_vertices(monkeypatch):
     assert trace.rounds == g.n - target
     assert is_proper_vertex(g, out).ok
     steps = [(r, v, to) for r, v, to in log if r > 0]
-    # each vertex is stepped at its turn and in the last round
-    assert len(steps) <= 2 * g.n
+    # each vertex colored at or above the target is stepped once, at its
+    # turn (round g.n - v), and no other vertex is stepped
+    assert [(r, v) for r, v, _ in steps] == sorted((g.n - v, v) for v in g.adj if v >= target)
     # only colors below the target are announced at init, to every neighbor
     for r, v, to in log:
         if r == 0:

@@ -1,7 +1,7 @@
-"""The cyclic garbage collector is paused while graphs are built and while
-``sim.run`` runs, and is left as the caller had it; the builders, the
-package's vertex programs, the colorings and the chromatic oracle leave no
-reference cycles."""
+"""The cyclic garbage collector is paused while graphs are built, while
+maximal cliques are enumerated and while ``sim.run`` runs, and is left as
+the caller had it; the builders, the package's vertex programs, the
+colorings and the chromatic oracle leave no reference cycles."""
 
 import gc
 from types import SimpleNamespace
@@ -13,7 +13,7 @@ from localcolor.arbedge import (DEFAULT_Q, arb_edge_coloring, delta_plus_little_
                                 estimate_arboricity, powered_edge_coloring)
 from localcolor.basecolor import delta_plus_one
 from localcolor.cdcolor import cd_coloring, refined_coloring
-from localcolor.cliques import enumerate_maximal_cliques
+from localcolor.cliques import CliqueCapExceeded, enumerate_maximal_cliques
 from localcolor.graph import (Graph, GraphError, Hypergraph, _freeze, _gc_paused,
                               hypergraph_line_graph, induced_subgraph)
 from localcolor.io import ParseError
@@ -87,6 +87,7 @@ RETURNING = {
     "hypergraph_line_graph": lambda tmp: hypergraph_line_graph(
         Hypergraph.from_lists([[0, 1, 2], [2, 3]])),
     "run": lambda tmp: run(cycle(4), lambda v: Halt()),
+    "enumerate_maximal_cliques": lambda tmp: enumerate_maximal_cliques(cycle(5)),
     "load_edgelist": lambda tmp: lio.load_edgelist(edge_file(tmp, "0 1\n1 2\n")),
     "load_dimacs": lambda tmp: lio.load_dimacs(dimacs_file(tmp)),
     "gen_path": lambda tmp: lio.gen_path(5),
@@ -103,6 +104,8 @@ RAISING = {
                                                      lambda v: Stray())),
     "run round budget": (RoundBudgetExceeded, lambda tmp: run(cycle(4), lambda v: Forever(),
                                                               round_cap=3)),
+    "enumerate_maximal_cliques cap": (CliqueCapExceeded, lambda tmp: enumerate_maximal_cliques(
+        lio.gen_path(40), cap=10)),
 }
 
 

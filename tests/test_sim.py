@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcolor.graph import Graph, GraphError
-from localcolor.sim import (LocalView, RoundBudgetExceeded, RoundTrace, Sleep, VertexProgram,
-                            default_round_cap, run)
+from localcolor.sim import (Done, LocalView, RoundBudgetExceeded, RoundTrace, Sleep,
+                            VertexProgram, default_round_cap, run)
 from helpers import cycle
 
 
@@ -229,6 +229,52 @@ def test_mail_to_a_halted_vertex_neither_wakes_it_nor_extends_the_run():
     assert trace.rounds == 2
 
 
+def test_done_later_than_the_last_step_sets_the_rounds():
+    # 0 is done at init until round 9, 2 in round 1 until round 6; 1 is
+    # last stepped in round 3
+    g = Graph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
+    plans = {0: {0: ({}, Done(9))},
+             1: {0: ({}, Sleep(3))},
+             2: {0: ({}, False), 1: ({1: "x"}, Done(6))}}
+    log, trace = run_scripted(g, plans)
+    assert log == [(1, 2, {}), (3, 1, {2: "x"})]
+    assert trace.rounds == 9
+    # a Done until before the last stepped round leaves the rounds alone
+    plans[0] = {0: ({}, Done(2))}
+    _, trace = run_scripted(g, plans)
+    assert trace.rounds == 6
+
+
+def test_mail_to_a_done_vertex_is_dropped_and_does_not_extend_the_run():
+    # 0 is done until round 3; 1 writes to it in rounds 1-4, and 0 is
+    # never stepped
+    g = Graph.from_edges([0, 1], [(0, 1)])
+    plans = {0: {0: ({1: "bye"}, Done(3))},
+             1: {0: ({}, False), 1: ({0: 1}, False), 2: ({0: 2}, False),
+                 3: ({0: 3}, False), 4: ({0: 4}, True)}}
+    log, trace = run_scripted(g, plans)
+    assert log == [(1, 1, {0: "bye"}), (2, 1, {}), (3, 1, {}), (4, 1, {})]
+    assert trace.rounds == 4
+
+
+@pytest.mark.parametrize("round_no, until", [(0, 0), (0, -1), (2, 2), (2, 1)])
+def test_done_must_last_past_the_current_round(round_no, until):
+    g = Graph.from_edges([0, 1], [(0, 1)])
+    plan = {0: ({}, Done(until))} if round_no == 0 else \
+        {0: ({}, False), 1: ({}, False), 2: ({}, Done(until))}
+    with pytest.raises(GraphError, match=f"round {round_no} to be done until round {until}"):
+        run_scripted(g, {0: plan, 1: {0: ({}, True)}})
+
+
+def test_done_past_the_round_cap_exceeds_the_budget():
+    g = Graph.from_edges([0, 1], [(0, 1)])
+    plans = {0: {0: ({}, False), 1: ({}, Done(8))}, 1: {0: ({}, True)}}
+    with pytest.raises(RoundBudgetExceeded, match="round budget 7 exceeded"):
+        run_scripted(g, plans, round_cap=7)
+    _, trace = run_scripted(g, plans, round_cap=8)
+    assert trace.rounds == 8
+
+
 class Hoard(VertexProgram):
     """Broadcast the round number for ``rounds`` rounds, keeping every
     inbox handed over next to a copy taken at its step."""
@@ -276,9 +322,12 @@ def test_default_round_cap_uses_exact_integer_log():
 def reference_run(g, make_program, round_cap):
     """The contract of ``run`` spelled out one round at a time: every round
     looks at every live vertex, and mail sent in a round is posted after
-    it, to the vertices still live, latest message per sender."""
+    it, to the vertices still live, latest message per sender.  A vertex
+    done until round t is not live, but round t counts as one in which
+    something is due."""
     programs = {}
     next_step = {}  # live vertex -> round it is stepped next
+    lasting = {}    # done vertex -> round the run lasts until
     held = {v: {} for v in g.adj}
     sent = []
 
@@ -296,6 +345,11 @@ def reference_run(g, make_program, round_cap):
             next_step[v] = h.until
         else:
             next_step.pop(v, None)
+            if isinstance(h, Done):
+                if h.until <= r:
+                    raise GraphError(f"vertex {v} asked in round {r} "
+                                     f"to be done until round {h.until}")
+                lasting[v] = h.until
 
     def post():
         for v, w, msg in sent:
@@ -309,10 +363,10 @@ def reference_run(g, make_program, round_cap):
         settle(v, out, h, 0)
     post()
     rounds = r = 0
-    while next_step:
+    while next_step or max(lasting.values(), default=0) > r:
         r += 1
         due = sorted(v for v, t in next_step.items() if t == r)
-        if not due:
+        if not due and r not in lasting.values():
             continue
         if r > round_cap:
             raise RoundBudgetExceeded(f"round budget {round_cap} exceeded; "
@@ -343,7 +397,8 @@ HORIZON = 6
 def scripted_runs(draw):
     """A small graph, a plan per vertex for rounds 0..HORIZON (a round a
     plan leaves out halts the vertex) and a round cap.  Outboxes mostly
-    address neighbors and sleeps mostly end later, so most runs finish."""
+    address neighbors, and sleeps and dones mostly end later, so most runs
+    finish."""
     n = draw(st.integers(1, 5))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e in pairs if draw(st.integers(0, 3))]
@@ -359,15 +414,17 @@ def scripted_runs(draw):
             if not draw(st.integers(0, 39)):
                 targets.append((v + 1) % n)  # not a neighbor, or v itself
             out = {w: f"{v}@{r}" for w in targets}
-            kind = draw(st.integers(0, 39))
+            kind = draw(st.integers(0, 47))
             if kind < 4:
                 h = True
             elif kind < 18:
                 h = False
-            elif kind < 39:
+            elif kind < 36:
                 h = Sleep(draw(st.integers(r + 1, HORIZON + 2)))
-            else:
-                h = Sleep(draw(st.integers(r - 1, r)))  # not in a later round
+            elif kind < 46:
+                h = Done(draw(st.integers(r + 1, HORIZON + 2)))
+            else:  # not in a later round
+                h = (Sleep if kind == 46 else Done)(draw(st.integers(r - 1, r)))
             plan[r] = (out, h)
         plans[v] = plan
     cap = draw(st.one_of(st.none(), st.integers(1, HORIZON + 2)))
