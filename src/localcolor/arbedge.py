@@ -20,7 +20,7 @@ from .basecolor import _int_ceil_root, _require_proper
 from .graph import (Coloring, Graph, GraphError, VerificationError, _degeneracy_order,
                     _recurse, induced_subgraph, norm_edge)
 from .sim import RoundTrace
-from .staredge import _greedy_edges, _star_edge_coloring
+from .staredge import _connector_level, _greedy_edges, _star_edge_coloring
 from .verify import is_proper_edge
 
 EPSILON_DEFAULT = 0.5
@@ -287,19 +287,19 @@ def _arb_edge_coloring(g: Graph, a: int, q: float) -> tuple[Coloring, RoundTrace
     return col, trace
 
 
-def _connector_walk(arcs, in_split: int, out_split: int, bipartite: bool):
-    """The orientation connector of ``arcs``, (tail, head) pairs in sorted
-    order, in one pass: each arc's connector edge, normalized, between int
-    virtual ids numbered by first appearance, and each virtual's
-    (vertex, side, index), listed by id.
+def _connector_walk(arcs, in_split: int, out_split: int):
+    """Little-o's orientation connector of ``arcs``, (tail, head) pairs in
+    sorted order, in one pass: each arc's connector edge, normalized,
+    between int virtual ids numbered by first appearance, and each
+    virtual's (vertex, index), listed by id.  The virtual (v, i) holds v's
+    i-th out-chunk and its i-th in-chunk.
 
     In sorted order a tail's out-arcs are consecutive and come in
     ascending head order, and a head's in-arcs come in ascending tail
     order, so an arc's out-chunk and in-chunk are running counts divided
     by the split.  A repeated arc keeps its first copy's in-chunk, as a
     rank among the sorted tails would give it."""
-    in_side, out_side = ("in", "out") if bipartite else ("shared", "shared")
-    ids: dict[tuple[int, str, int], int] = {}  # (vertex, side, index) -> id
+    ids: dict[tuple[int, int], int] = {}  # (vertex, index) -> id
     in_rank: dict[int, int] = {}
     conn = []
     append = conn.append
@@ -310,7 +310,7 @@ def _connector_walk(arcs, in_split: int, out_split: int, bipartite: bool):
         if v != tail:
             tail, j = v, 0
         if not j % out_split:  # the tail's next out-chunk
-            key = (v, out_side, j // out_split)
+            key = (v, j // out_split)
             a = ids.get(key)
             if a is None:
                 a = ids[key] = len(ids)
@@ -320,7 +320,7 @@ def _connector_walk(arcs, in_split: int, out_split: int, bipartite: bool):
         if arc != prev:
             i = r
         prev = arc
-        key = (w, in_side, i // in_split)
+        key = (w, i // in_split)
         b = ids.get(key)
         if b is None:
             b = ids[key] = len(ids)
@@ -384,7 +384,7 @@ def delta_plus_little_o(g: Graph, a: int,
     hp = h_partition(g, a, q)
     arcs = sorted(acyclic_orientation(g, hp).oriented_edges())
     k, rt_d, in_split = _little_o_split(delta, hp.d)
-    conn, virtuals = _connector_walk(arcs, in_split, rt_d, bipartite=False)
+    conn, virtuals = _connector_walk(arcs, in_split, rt_d)
 
     phi, phi_trace = _arb_edge_coloring(_connector_graph(conn, virtuals, in_split + rt_d),
                                         rt_d, q)
@@ -425,35 +425,6 @@ def _oriented_sweep(arcs, palette: int) -> dict:
                        for w in out.get(v, ())], dict.fromkeys(order, 0), palette)
 
 
-def _bipartite_level(arcs, gin: int, gout: int) -> list[list[tuple[int, int]]]:
-    """One level of the powered scheme: the sorted (tail, head) ``arcs``
-    grouped by their color in the greedy coloring of the bipartite
-    orientation connector (in-chunks of gin, out-chunks of gout), one
-    class per color up to the largest used, each a sorted sublist.  The
-    connector is colored from its sorted edge list, never built as a
-    graph; its degree caps are checked from the mask popcounts."""
-    conn, virtuals = _connector_walk(arcs, gin, gout, bipartite=True)
-    n = len(virtuals)
-    keys = [lo * n + hi for lo, hi in conn]
-    if len(set(keys)) != len(keys):
-        raise GraphError("two base edges share a connector edge")
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    mask = [0] * n
-    colors = _greedy_edges([conn[k] for k in order], mask)
-    for i, key in enumerate(virtuals):  # first-fit: a popcount is a degree
-        cap = gin if key[1] == "in" else gout
-        if mask[i].bit_count() > cap:
-            raise GraphError(f"connector vertex {key} has degree "
-                             f"{mask[i].bit_count()} > {cap}")
-    color_of = [0] * len(arcs)
-    for k, c in zip(order, colors):
-        color_of[k] = c
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(max(colors, default=-1) + 1)]
-    for arc, c in zip(arcs, color_of):
-        classes[c].append(arc)
-    return classes
-
-
 def powered_palette_bound(delta: int, a: int, q: float, x: int) -> int:
     """(ceil(Delta^(1/x)) + ceil(a_hat^(1/x)) + 3)^x with exact integer
     roots: an integer r has r^x >= a_hat exactly when r^x >= ceil(a_hat)."""
@@ -463,9 +434,9 @@ def powered_palette_bound(delta: int, a: int, q: float, x: int) -> int:
 
 def powered_edge_coloring(g: Graph, a: int, q: float,
                           x: int) -> tuple[Coloring, RoundTrace]:
-    """x-1 levels of bipartite orientation-connector coloring with
-    gin+gout-1 colors each, then an oriented greedy sweep on the leaf
-    classes.  Total palette stays within
+    """x-1 levels that first-fit the bipartite orientation connector in
+    sorted (tail, head) order with gin+gout-1 colors each, then an
+    oriented greedy sweep on the leaf classes.  Total palette stays within
     (ceil(Delta^(1/x)) + ceil(a_hat^(1/x)) + 3)^x."""
     if x < 1:
         raise GraphError("x must be at least 1")
@@ -497,9 +468,9 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
                 f"level {depth} class has degree {top} and out-degree "
                 f"{top_out}, above {dbound[depth]} and {obound[depth]}")
 
-    def split(arcs, depth: int):
+    def split(arcs, depth: int):  # out-arcs in chunks of gout, in-arcs in chunks of gin
         check(arcs, depth)
-        return _bipartite_level(arcs, gin, gout), 0
+        return _connector_level(arcs, gout, gin, bipartite=True)[0], 0
 
     def leaf(arcs):
         check(arcs, x - 1)

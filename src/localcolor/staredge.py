@@ -7,9 +7,11 @@ t.  A proper edge coloring of the connector pulls back to an edge partition
 of the base graph whose per-vertex stars have size at most ceil(Delta/t);
 ``graph._recurse``, the recursion shared with the vertex family, splits
 and combines them into the 4*Delta and 2^(x+1)*Delta schemes.
-Every level works on a sorted list of normalized edges: it colors its
-connector in one pass over the list, never building the connector or a
-per-class graph, and hands each class on as a sorted sublist.
+Every level works on a sorted list of normalized edges.  _connector_level
+colors its connector first-fit in one pass over the list, never building
+the connector or a per-class graph, and hands each class on as a sorted
+sublist; the powered scheme's bipartite orientation-connector levels run
+through it too.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ class StarPartitionReport(RoundTrace):
 def _greedy_edges(edges, mask) -> list[int]:
     """The first-fit colors of ``edges``, colored in the given order: each
     edge takes the lowest bit clear in both endpoint masks.  ``mask`` maps
-    every endpoint to its colors so far (a dict, or a list for ids
-    0..n-1) and is updated in place.  First-fit colors at a vertex are
-    distinct, so afterwards a vertex's popcount is its degree."""
+    every endpoint to its colors so far and is updated in place.
+    First-fit colors at a vertex are distinct, so afterwards a vertex's
+    popcount is its degree."""
     colors = []
     append = colors.append
     for u, v in edges:
@@ -49,46 +51,48 @@ def _greedy_edges(edges, mask) -> list[int]:
     return colors
 
 
-def _star_level(edges, t: int) -> tuple[list[list[tuple[int, int]]], int]:
-    """One star-partition level: the sorted normalized ``edges`` grouped by
-    their color in the greedy coloring of the degree-t edge-connector,
-    plus the largest degree among them, in one pass without building the
-    connector.
+def _connector_level(pairs, t_tail: int, t_head: int, bipartite: bool):
+    """One connector level in one pass over ``pairs``, without building the
+    connector: the pairs grouped by their first-fit color on it, colored
+    in list order, plus each tail's and each head's pair count.
 
-    The virtual (v, r // t) holds v's edges of rank r, where an edge's
-    rank at v is the number of v's edges before it in the list.  In
-    sorted order that is v's index in its ascending neighbor tuple, and
-    the connector edges come in the order greedy colors them.  A vertex's
-    virtuals fill one after another, so only the mask of its current one
-    (the colors on that virtual's connector edges) is kept.  A connector
-    of degree at most t needs at most 2t-1 colors, so the result has 2t-1
-    classes, each a sorted sublist."""
-    if t <= 1:
-        raise GraphError(f"edge connector needs t >= 2, got {t}")
-    palette = 2 * t - 1
+    A pair's rank at an endpoint is the number of that endpoint's pairs
+    before it in the list, and the virtual (v, rank // t) holds it.  The
+    star connector ranks a vertex's pairs at both ends in one sequence
+    (t_tail = t_head = t); the bipartite orientation connector ranks a
+    tail's out-arcs apart from a head's in-arcs, so the two rank maps
+    differ.  A vertex's virtuals fill one after another, so only the mask
+    of its current one (the colors on its connector edges) is kept.  A
+    virtual holds at most its t pairs, so first fit needs at most
+    t_tail + t_head - 1 colors, and that many classes are returned, each
+    a sublist in list order."""
+    if min(t_tail, t_head) < 2:
+        raise GraphError(f"connector needs t >= 2, got {t_tail} and {t_head}")
+    palette = t_tail + t_head - 1
     classes: list[list[tuple[int, int]]] = [[] for _ in range(palette)]
-    rank: dict[int, int] = {}
-    mask: dict[int, int] = {}
-    for e in edges:
-        u, v = e
-        ru, rv = rank.get(u, 0), rank.get(v, 0)
-        rank[u], rank[v] = ru + 1, rv + 1
-        mu = mask[u] if ru % t else 0  # rank 0 mod t opens a new virtual
-        mv = mask[v] if rv % t else 0
+    tail_rank: dict[int, int] = {}
+    tail_mask: dict[int, int] = {}
+    head_rank, head_mask = ({}, {}) if bipartite else (tail_rank, tail_mask)
+    for p in pairs:
+        u, v = p
+        ru, rv = tail_rank.get(u, 0), head_rank.get(v, 0)
+        tail_rank[u], head_rank[v] = ru + 1, rv + 1
+        mu = tail_mask[u] if ru % t_tail else 0  # rank 0 mod t opens a new virtual
+        mv = head_mask[v] if rv % t_head else 0
         used = mu | mv
         bit = ~used & (used + 1)
         c = bit.bit_length() - 1
-        if c >= palette:  # a virtual already had t edges
-            raise GraphError(f"edge connector degree "
-                             f"{max(mu.bit_count(), mv.bit_count()) + 1} exceeds t={t}")
-        mask[u], mask[v] = mu | bit, mv | bit
-        classes[c].append(e)
+        if c >= palette:
+            raise GraphError(f"connector color {c} of {p} outside its palette {palette}")
+        tail_mask[u], head_mask[v] = mu | bit, mv | bit
+        classes[c].append(p)
     # a virtual's popcount is its degree; every virtual but a vertex's last
-    # was closed at exactly t edges
-    worst = max(map(int.bit_count, mask.values()), default=0)
-    if worst > t:
-        raise GraphError(f"edge connector degree {worst} exceeds t={t}")
-    return classes, max(rank.values(), default=0)
+    # was closed at exactly t pairs
+    for mask, t in ((tail_mask, t_tail), (head_mask, t_head)):
+        worst = max(map(int.bit_count, mask.values()), default=0)
+        if worst > t:
+            raise GraphError(f"connector degree {worst} exceeds t={t}")
+    return classes, tail_rank, head_rank
 
 
 def _star_depth(delta: int, x: int) -> int:
@@ -151,8 +155,8 @@ def _star_edge_coloring(edges, x: int) -> tuple[Coloring, StarPartitionReport]:
             report.max_star = max(report.max_star, star)
 
     def split(part, depth: int):
-        classes, star = _star_level(part, t)
-        check_star(star, depth)
+        classes, rank, _ = _connector_level(part, t, t, bipartite=False)
+        check_star(max(rank.values()), depth)
         if depth == 0:
             report.class_count = sum(1 for c in classes if c)
         return classes, 0

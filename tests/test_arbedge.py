@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcolor import arbedge, staredge
-from localcolor.arbedge import (_bipartite_level, _connector_graph, _connector_walk,
+from localcolor.arbedge import (_connector_graph, _connector_walk,
                                 arb_edge_coloring, arb_palette_bound,
                                 acyclic_orientation, delta_plus_little_o,
                                 estimate_arboricity, h_partition,
@@ -123,11 +123,20 @@ def test_merge_lemma_random_instances():
 
 
 def test_merge_precondition_rejected():
-    g = gen_star(5)  # center 4 has degree 4
-    with pytest.raises(GraphError):
+    g = gen_star(5)  # center 4 has degree 4, one above d
+    with pytest.raises(GraphError, match=r"^vertex 4 in A has degree 4 > d=3$"):
         merge_cross_coloring(g, [4], [0, 1, 2, 3],
                              Coloring("edge", {}, 1),
-                             Coloring("edge", {}, 1), d=2)
+                             Coloring("edge", {}, 1), d=3)
+
+
+def test_orientation_above_d_raises():
+    g = gen_random(120, 10, seed=7)
+    hp = h_partition(g, estimate_arboricity(g))
+    top = acyclic_orientation(g, hp).max_out_degree
+    assert top == 10
+    with pytest.raises(VerificationError, match=r"^out-degree 10 exceeds d=9$"):
+        acyclic_orientation(g, dataclasses.replace(hp, d=top - 1))
 
 
 def test_arb_edge_closed_form():
@@ -149,10 +158,10 @@ def test_arb_edge_closed_form():
 def test_orientation_connector_star_example():
     star = gen_star(10)
     o = acyclic_orientation(star, h_partition(star, 1))
-    conn, virtuals = _connector_walk(sorted(o.oriented_edges()), 3, 1, bipartite=False)
+    conn, virtuals = _connector_walk(sorted(o.oriented_edges()), 3, 1)
     derived = _connector_graph(conn, virtuals, 3 + 1)
     # center has 9 incoming edges in 3 groups of 3; leaves one out-virtual
-    center_virtuals = [i for i, (v, _, _) in enumerate(virtuals) if v == 9]
+    center_virtuals = [i for i, (v, _) in enumerate(virtuals) if v == 9]
     assert len(center_virtuals) == 3
     assert all(derived.degree(i) == 3 for i in center_virtuals)
     assert derived.m == 9
@@ -161,9 +170,13 @@ def test_orientation_connector_star_example():
 def test_orientation_connector_sink_has_no_out_groups():
     star = gen_star(4)
     o = acyclic_orientation(star, h_partition(star, 1))
-    _, virtuals = _connector_walk(sorted(o.oriented_edges()), 2, 2, bipartite=True)
-    sides = {side for v, side, _ in virtuals if v == 3}
-    assert sides == {"in"}  # the sink center only has in-virtuals
+    conn, virtuals = _connector_walk(sorted(o.oriented_edges()), 2, 2)
+    derived = _connector_graph(conn, virtuals, 2 + 2)
+    # the sink center has no out-arcs, so its virtuals are its two
+    # in-chunks: (3, 0) with two arcs and (3, 1) with one
+    center = [i for i, (v, _) in enumerate(virtuals) if v == 3]
+    assert [virtuals[i] for i in center] == [(3, 0), (3, 1)]
+    assert [derived.degree(i) for i in center] == [2, 1]
 
 
 def test_little_o_regime():
@@ -296,16 +309,12 @@ def test_hpartition_validate_raises():
         dataclasses.replace(hp, sets=[(0, 1, 2)]).validate(g)
 
 
-@pytest.mark.parametrize("bipartite", [False, True])
-def test_orientation_connector_rejects_an_overfull_virtual(bipartite):
+def test_orientation_connector_rejects_an_overfull_virtual():
     # the arc 0->1 listed three times puts three connector edges on the
     # one in-chunk of vertex 1
     arcs = [(0, 1)] * 3
     with pytest.raises(GraphError, match="has degree 3"):
-        if bipartite:
-            _bipartite_level(arcs, 1, 1)
-        else:
-            _connector_graph(*_connector_walk(arcs, 1, 1, bipartite=False), 2)
+        _connector_graph(*_connector_walk(arcs, 1, 1), 2)
 
 
 # the three entry points that take an arboricity a, with x=2 for powered
@@ -353,16 +362,28 @@ def test_declared_palette_above_its_bound_raises(monkeypatch, module, bound, run
         run(g, a)
 
 
+@pytest.mark.parametrize("g, message", [
+    (gen_star(4), "degree 3 and out-degree 1, above 2 and 1"),
+    (Graph.from_edges(range(3), [(0, 1), (0, 2)]), "degree 2 and out-degree 2, above 2 and 1"),
+], ids=["degree", "out-degree"])
+def test_powered_class_above_its_level_bounds_raises(monkeypatch, g, message):
+    # a level that keeps every arc in one class hands the leaf a class one
+    # above its degree or its out-degree bound (a=1: d=2, gout=3, gin=3)
+    monkeypatch.setattr(arbedge, "_connector_level", lambda arcs, *_, **__: ([arcs], {}, {}))
+    with pytest.raises(VerificationError, match=f"^level 1 class has {message}$"):
+        powered_edge_coloring(g, 1, arbedge.DEFAULT_Q, 2)
+
+
 def test_powered_class_count_above_level_palette_raises(monkeypatch):
     # a connector level with more classes than its gin+gout-1 colors is a
     # failed post-condition (CLI exit 1), not a bad input (exit 2)
-    real = arbedge._bipartite_level
+    real = arbedge._connector_level
 
-    def one_class_too_many(arcs, gin, gout):
-        classes = real(arcs, gin, gout)
-        return classes + [[] for _ in range(gin + gout - len(classes))]
+    def one_class_too_many(arcs, *args, **kwargs):
+        classes, *ranks = real(arcs, *args, **kwargs)
+        return classes + [[]], *ranks
 
-    monkeypatch.setattr(arbedge, "_bipartite_level", one_class_too_many)
+    monkeypatch.setattr(arbedge, "_connector_level", one_class_too_many)
     g = gen_random(120, 9, seed=1)
     with pytest.raises(VerificationError, match="split into"):
         powered_edge_coloring(g, estimate_arboricity(g), arbedge.DEFAULT_Q, 2)

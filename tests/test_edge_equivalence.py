@@ -1,15 +1,16 @@
 """The edge layer's linear-time pieces against reference copies of the
 simpler code they replaced, on small random graphs."""
 
+from collections import Counter
 from itertools import chain
 
 from hypothesis import given, settings, strategies as st
 
 from localcolor import arbedge
-from localcolor.arbedge import (_bipartite_level, _class_graph, _connector_graph,
-                                _connector_walk, acyclic_orientation, h_partition)
+from localcolor.arbedge import (_class_graph, _connector_graph, _connector_walk,
+                                acyclic_orientation, h_partition)
 from localcolor.graph import Graph, GraphError, norm_edge
-from localcolor.staredge import _greedy_edges, _star_level
+from localcolor.staredge import _connector_level, _greedy_edges
 from localcolor.verify import greedy_edge_baseline
 
 
@@ -32,6 +33,19 @@ def ref_greedy(g):
     return assign
 
 
+def ref_first_fit(conn_edges):
+    """First fit of the connector edges in the given order, from color sets."""
+    seen = {}
+    colors = []
+    for a, b in conn_edges:
+        used = seen.get(a, set()) | seen.get(b, set())
+        c = next(c for c in range(len(used) + 1) if c not in used)
+        seen.setdefault(a, set()).add(c)
+        seen.setdefault(b, set()).add(c)
+        colors.append(c)
+    return colors
+
+
 def ref_edge_connector(g, t):
     virtuals = {}
     for v in g.adj:
@@ -47,13 +61,16 @@ def ref_edge_connector(g, t):
 
 
 def ref_orientation_connector(g, orient, in_split, out_split, bipartite):
+    """The orientation connector, keyed by arc: bipartite keeps a tail's
+    out-chunk virtual (v, "out", j) apart from a head's in-chunk virtual
+    (w, "in", i); shared joins them as (v, i)."""
     incoming = {v: [] for v in g.adj}
     for v, w in orient.oriented_edges():
         incoming[w].append(v)
     virtuals = {}
 
     def vid(v, side, idx):
-        key = (v, side, idx) if bipartite else (v, "shared", idx)
+        key = (v, side, idx) if bipartite else (v, idx)
         if key not in virtuals:
             virtuals[key] = len(virtuals)
         return virtuals[key]
@@ -64,7 +81,7 @@ def ref_orientation_connector(g, orient, in_split, out_split, bipartite):
         j = orient.out[v].index(w) // out_split
         a = vid(v, "out", j)
         b = vid(w, "in", i)
-        edge_map[norm_edge(v, w)] = norm_edge(a, b)
+        edge_map[(v, w)] = norm_edge(a, b)
     return edge_map, {i: k for k, i in virtuals.items()}
 
 
@@ -105,7 +122,8 @@ def test_star_classes_match_greedy_on_connector(g, t):
     expected = [[] for _ in range(2 * t - 1)]
     for e, ce in edge_map.items():
         expected[phi[ce]].append(e)
-    assert _star_level(sorted(g.edges()), t) == (expected, g.max_degree)
+    classes, rank, _ = _connector_level(sorted(g.edges()), t, t, bipartite=False)
+    assert (classes, max(rank.values(), default=0)) == (expected, g.max_degree)
 
 
 @settings(max_examples=150, deadline=None)
@@ -120,20 +138,32 @@ def test_list_greedy_matches_greedy_edge_coloring(g, rnd):
     assert {v: m.bit_count() for v, m in mask.items()} == {v: sub.degree(v) for v in sub.adj}
 
 
-@settings(max_examples=150, deadline=None)
-@given(graphs(), st.integers(1, 4), st.integers(1, 4))
-def test_bipartite_level_matches_greedy_on_derived_connector(g, gin, gout):
-    hp = h_partition(g, arbedge.estimate_arboricity(g))
-    orient = acyclic_orientation(g, hp)
-    arcs = sorted(orient.oriented_edges())
-    classes = _bipartite_level(arcs, gin, gout)
-    edge_map, virtual_of = ref_orientation_connector(g, orient, gin, gout, bipartite=True)
-    phi = ref_greedy(Graph.from_edges(virtual_of, edge_map.values()))
-    expected = [[] for _ in range(max(phi.values(), default=-1) + 1)]
-    for e, ce in edge_map.items():
-        expected[phi[ce]].append(e)
-    assert [[norm_edge(*arc) for arc in cls] for cls in classes] == expected
-    assert all(cls == sorted(cls) for cls in classes)
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.integers(2, 5), st.integers(2, 5), st.booleans())
+def test_connector_level_matches_first_fit_on_the_built_connector(g, t_tail, t_head,
+                                                                  bipartite):
+    # the star connector (a vertex's edges ranked at both ends in one
+    # sequence, one t) or the bipartite orientation connector (a tail's
+    # out-arcs in chunks of t_tail, a head's in-arcs in chunks of t_head),
+    # built explicitly and first-fit in the order of the pair list
+    if bipartite:
+        orient = acyclic_orientation(g, h_partition(g, arbedge.estimate_arboricity(g)))
+        pairs = sorted(orient.oriented_edges())
+        edge_map, _ = ref_orientation_connector(g, orient, t_head, t_tail, bipartite=True)
+        tails = Counter(v for v, _ in pairs)
+        heads = Counter(w for _, w in pairs)
+    else:
+        t_head = t_tail
+        pairs = sorted(g.edges())
+        edge_map, _ = ref_edge_connector(g, t_tail)
+        tails = heads = Counter(chain.from_iterable(pairs))
+    colors = ref_first_fit([edge_map[p] for p in pairs])
+    expected = [[] for _ in range(t_tail + t_head - 1)]
+    for p, c in zip(pairs, colors):
+        expected[c].append(p)
+    classes, tail_rank, head_rank = _connector_level(pairs, t_tail, t_head, bipartite)
+    assert classes == expected
+    assert (tail_rank, head_rank) == (tails, heads)
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,19 +177,19 @@ def test_class_graph_matches_from_edges(g, rnd):
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs(), st.integers(1, 4), st.integers(1, 4), st.booleans())
-def test_orientation_connector_matches_index_ranks(g, in_split, out_split, bipartite):
+@given(graphs(), st.integers(1, 4), st.integers(1, 4))
+def test_orientation_connector_matches_index_ranks(g, in_split, out_split):
     hp = h_partition(g, arbedge.estimate_arboricity(g))
     orient = acyclic_orientation(g, hp)
     arcs = sorted(orient.oriented_edges())
-    conn, virtuals = _connector_walk(arcs, in_split, out_split, bipartite)
+    conn, virtuals = _connector_walk(arcs, in_split, out_split)
     edge_map, virtual_of = ref_orientation_connector(g, orient, in_split, out_split,
-                                                     bipartite)
-    assert [(norm_edge(*arc), ce) for arc, ce in zip(arcs, conn)] == list(edge_map.items())
+                                                     bipartite=False)
+    assert list(zip(arcs, conn)) == list(edge_map.items())
     assert dict(enumerate(virtuals)) == virtual_of
-    if not bipartite:  # little-o's checks pass on a well-formed connector
-        derived = _connector_graph(conn, virtuals, in_split + out_split)
-        assert sorted(derived.edges()) == sorted(conn)
+    # little-o's checks pass on a well-formed connector
+    derived = _connector_graph(conn, virtuals, in_split + out_split)
+    assert sorted(derived.edges()) == sorted(conn)
 
 
 @settings(max_examples=200, deadline=None)

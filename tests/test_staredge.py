@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from localcolor import staredge
 from localcolor.basecolor import _int_floor_root
-from localcolor.graph import Graph, GraphError, line_graph
+from localcolor.graph import Graph, GraphError, VerificationError, line_graph
 from localcolor.io import gen_matching, gen_path, gen_random, gen_star
 from localcolor.arbedge import _first_fit
-from localcolor.staredge import (_star_level, recursive_star_edge_coloring,
+from localcolor.staredge import (_connector_level, recursive_star_edge_coloring,
                                  star_edge_coloring_4delta)
 from localcolor.verify import (check_star_partition, greedy_edge_baseline, is_proper_edge,
                                is_proper_vertex)
@@ -19,14 +19,15 @@ def test_connector_degree_and_bijection():
     # holds every edge exactly once
     g = gen_random(60, 10, seed=1)
     t = 3
-    classes, star = _star_level(sorted(g.edges()), t)
-    assert star == g.max_degree
+    classes, rank, _ = _connector_level(sorted(g.edges()), t, t, bipartite=False)
+    assert max(rank.values()) == g.max_degree
     assert len(classes) == 2 * t - 1
     assert sum(len(c) for c in classes) == g.m
     assert all(c == sorted(c) for c in classes)
     assert check_star_partition(g, classes, 2 * t - 1, -(-g.max_degree // t))
-    with pytest.raises(GraphError, match="t >= 2"):
-        _star_level(sorted(g.edges()), 1)
+    for t_tail, t_head, bipartite in [(1, 1, False), (2, 1, True), (1, 2, True)]:
+        with pytest.raises(GraphError, match="t >= 2"):
+            _connector_level(sorted(g.edges()), t_tail, t_head, bipartite)
 
 
 def test_4delta_bound_over_target_deltas():
@@ -114,6 +115,20 @@ def test_improper_leaf_coloring_raises(monkeypatch):
         recursive_star_edge_coloring(gen_random(60, 9, seed=1), 1)
 
 
+def test_class_star_above_its_level_bound_raises(monkeypatch):
+    # a level that keeps every edge in one class hands the leaf a star of
+    # Delta = 3, one above the bound ceil(3/t) = 2 for t = 2
+    real = staredge._connector_level
+
+    def one_class(pairs, *args, **kwargs):
+        _, *ranks = real(pairs, *args, **kwargs)
+        return [pairs], *ranks
+
+    monkeypatch.setattr(staredge, "_connector_level", one_class)
+    with pytest.raises(VerificationError, match="^class star 3 at level 1 exceeds 2$"):
+        recursive_star_edge_coloring(gen_star(4), 1)
+
+
 def test_palette_within_bound_without_a_trim_on_stars():
     # x is capped at the largest value with 2^(x+1) <= Delta, so the
     # combined palette never exceeds 2^(x+1)*Delta and no phase is added
@@ -176,6 +191,6 @@ def test_star_level_ranks_come_from_the_edge_list():
     g = Graph({1: (9,), 2: (9,), 3: (9,), 4: (9,), 9: (1,)})
     edges = sorted(g.edges())
     assert edges == [(1, 9), (2, 9), (3, 9), (4, 9)]
-    classes, star = _star_level(edges, 2)
-    assert star == 4
+    classes, rank, _ = _connector_level(edges, 2, 2, bipartite=False)
+    assert rank[9] == 4
     assert classes == [[(1, 9), (3, 9)], [(2, 9), (4, 9)], []]
