@@ -79,8 +79,25 @@ class Orientation:
                 yield (v, w)
 
     def topo_order(self):
-        """Kahn's algorithm; raises if the orientation has a cycle."""
-        return _topo_order(self.graph.adj, self.out)
+        """Kahn's algorithm: the zero in-degree vertices start sorted, and
+        the last one found is taken first.  Raises if the orientation has
+        a cycle."""
+        indeg = dict.fromkeys(self.graph.adj, 0)
+        for heads in self.out.values():
+            for w in heads:
+                indeg[w] += 1
+        queue = sorted(v for v, k in indeg.items() if k == 0)
+        order = []
+        while queue:
+            v = queue.pop()
+            order.append(v)
+            for w in self.out.get(v, ()):
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    queue.append(w)
+        if len(order) != len(indeg):
+            raise GraphError("orientation contains a cycle")
+        return order
 
     def restrict(self, sub: Graph) -> "Orientation":
         out = {}
@@ -88,29 +105,6 @@ class Orientation:
             keep = set(ns)
             out[v] = tuple(w for w in self.out.get(v, ()) if w in keep)
         return Orientation(sub, out)
-
-
-def _topo_order(vertices, out: dict) -> list:
-    """Kahn's algorithm over ``vertices`` with out-neighbor lists ``out``
-    (a vertex may be missing from ``out``): the zero in-degree vertices
-    start sorted, and the last one found is taken first.  Raises if the
-    orientation has a cycle."""
-    indeg = dict.fromkeys(vertices, 0)
-    for heads in out.values():
-        for w in heads:
-            indeg[w] += 1
-    queue = sorted(v for v, k in indeg.items() if k == 0)
-    order = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for w in out.get(v, ()):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(order) != len(indeg):
-        raise GraphError("orientation contains a cycle")
-    return order
 
 
 def estimate_arboricity(g: Graph) -> int:
@@ -287,45 +281,37 @@ def _arb_edge_coloring(g: Graph, a: int, q: float) -> tuple[Coloring, RoundTrace
     return col, trace
 
 
-def _connector_walk(arcs, in_split: int, out_split: int):
+def _connector_walk(arcs, in_split: int, out_split: int, delta: int) -> list:
     """Little-o's orientation connector of ``arcs``, (tail, head) pairs in
-    sorted order, in one pass: each arc's connector edge, normalized,
-    between int virtual ids numbered by first appearance, and each
-    virtual's (vertex, index), listed by id.  The virtual (v, i) holds v's
-    i-th out-chunk and its i-th in-chunk.
+    sorted order, in one pass: each arc's connector edge, normalized.  The
+    virtual (v, i) holds v's i-th out-chunk and its i-th in-chunk, and its
+    host names it v*delta + i, which is unique since a chunk index is below
+    v's degree, at most ``delta``.
 
     In sorted order a tail's out-arcs are consecutive and come in
     ascending head order, and a head's in-arcs come in ascending tail
     order, so an arc's out-chunk and in-chunk are running counts divided
     by the split.  A repeated arc keeps its first copy's in-chunk, as a
     rank among the sorted tails would give it."""
-    ids: dict[tuple[int, int], int] = {}  # (vertex, index) -> id
     in_rank: dict[int, int] = {}
     conn = []
     append = conn.append
-    tail = prev = i = a = None
+    tail = prev = i = None
     j = 0  # the arc's rank among its tail's out-arcs
     for arc in arcs:
         v, w = arc
         if v != tail:
             tail, j = v, 0
-        if not j % out_split:  # the tail's next out-chunk
-            key = (v, j // out_split)
-            a = ids.get(key)
-            if a is None:
-                a = ids[key] = len(ids)
+        a = v * delta + j // out_split
         j += 1
         r = in_rank.get(w, 0)
         in_rank[w] = r + 1
         if arc != prev:
             i = r
         prev = arc
-        key = (w, i // in_split)
-        b = ids.get(key)
-        if b is None:
-            b = ids[key] = len(ids)
+        b = w * delta + i // in_split
         append((a, b) if a < b else (b, a))
-    return conn, list(ids)
+    return conn
 
 
 def _class_graph(cls) -> Graph:
@@ -340,17 +326,18 @@ def _class_graph(cls) -> Graph:
     return Graph({v: tuple(adj[v]) for v in sorted(adj)})
 
 
-def _connector_graph(conn, virtuals, cap: int) -> Graph:
-    """The graph of the shared-virtual connector edges ``conn`` from
-    _connector_walk, checked: no two base edges share a connector edge and
-    no virtual has more than ``cap`` of them."""
+def _connector_graph(conn, cap: int, delta: int) -> Graph:
+    """The graph of the connector edges ``conn`` from _connector_walk,
+    checked: no two base edges share a connector edge and no virtual has
+    more than ``cap`` of them.  An overfull virtual is named (v, i), from
+    its name v*delta + i."""
     if len(set(conn)) != len(conn):
         raise GraphError("two base edges share a connector edge")
     derived = _class_graph(conn)  # every virtual has an edge
-    for i, key in enumerate(virtuals):
-        if derived.degree(i) > cap:
-            raise GraphError(f"connector vertex {key} has degree "
-                             f"{derived.degree(i)} > {cap}")
+    for x, ns in derived.adj.items():
+        if len(ns) > cap:
+            raise GraphError(f"connector vertex {divmod(x, delta)} has degree "
+                             f"{len(ns)} > {cap}")
     return derived
 
 
@@ -384,10 +371,9 @@ def delta_plus_little_o(g: Graph, a: int,
     hp = h_partition(g, a, q)
     arcs = sorted(acyclic_orientation(g, hp).oriented_edges())
     k, rt_d, in_split = _little_o_split(delta, hp.d)
-    conn, virtuals = _connector_walk(arcs, in_split, rt_d)
+    conn = _connector_walk(arcs, in_split, rt_d, delta)
 
-    phi, phi_trace = _arb_edge_coloring(_connector_graph(conn, virtuals, in_split + rt_d),
-                                        rt_d, q)
+    phi, phi_trace = _arb_edge_coloring(_connector_graph(conn, in_split + rt_d, delta), rt_d, q)
     trace.extend(phi_trace, "phi:")
 
     def split(part, depth: int):  # base edges grouped by their connector edge's color
@@ -412,19 +398,6 @@ def delta_plus_little_o(g: Graph, a: int,
     return col, trace
 
 
-def _oriented_sweep(arcs, palette: int) -> dict:
-    """Color the sorted (tail, head) ``arcs`` by processing vertices in
-    reverse topological order; each vertex colors its out-edges.  An edge
-    sees at most (out-1) + (Delta-1) colored neighbors, so Delta + maxout
-    - 1 colors always suffice."""
-    out: dict[int, list[int]] = {}
-    for v, w in arcs:
-        out.setdefault(v, []).append(w)
-    order = _topo_order(chain.from_iterable(arcs), out)
-    return _first_fit([(v, w) if v < w else (w, v) for v in reversed(order)
-                       for w in out.get(v, ())], dict.fromkeys(order, 0), palette)
-
-
 def powered_palette_bound(delta: int, a: int, q: float, x: int) -> int:
     """(ceil(Delta^(1/x)) + ceil(a_hat^(1/x)) + 3)^x with exact integer
     roots: an integer r has r^x >= a_hat exactly when r^x >= ceil(a_hat)."""
@@ -434,10 +407,10 @@ def powered_palette_bound(delta: int, a: int, q: float, x: int) -> int:
 
 def powered_edge_coloring(g: Graph, a: int, q: float,
                           x: int) -> tuple[Coloring, RoundTrace]:
-    """x-1 levels that first-fit the bipartite orientation connector in
-    sorted (tail, head) order with gin+gout-1 colors each, then an
-    oriented greedy sweep on the leaf classes.  Total palette stays within
-    (ceil(Delta^(1/x)) + ceil(a_hat^(1/x)) + 3)^x."""
+    """x-1 levels that first-fit the bipartite orientation connector with
+    gin+gout-1 colors each, then a first fit of each leaf class, all in
+    one order of the arcs that IDs decide (see the root sort).  Total
+    palette stays within (ceil(Delta^(1/x)) + ceil(a_hat^(1/x)) + 3)^x."""
     if x < 1:
         raise GraphError("x must be at least 1")
     trace = RoundTrace()
@@ -474,9 +447,21 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
 
     def leaf(arcs):
         check(arcs, x - 1)
-        return _oriented_sweep(arcs, palettes[-1]).items(), 0
+        colors = _first_fit(arcs, dict.fromkeys(chain.from_iterable(arcs), 0), palettes[-1])
+        return (((v, w) if v < w else (w, v), c) for (v, w), c in colors.items()), 0
 
-    col, _ = _recurse("edge", sorted(orient.oriented_edges()), palettes, split, leaf,
+    # Tails go down the orientation's key (H-set, ID), each with its heads
+    # ascending (the sort is stable), and every level hands its classes on
+    # as sublists, so every leaf keeps this order.  A head is above its
+    # tail in the key, so it comes first: when a tail's arcs are colored,
+    # each head has colored its own out-arcs and no in-arc of the tail is
+    # colored yet.  An arc sees at most (out-1) + (Delta-1) colored arcs,
+    # and a leaf's first fit needs at most Delta + out - 1 colors.  The
+    # levels' first fits need gin+gout-1 colors in any order.
+    set_of = hp.set_of
+    arcs = sorted(orient.oriented_edges(), key=lambda arc: (set_of[arc[0]], arc[0]),
+                  reverse=True)
+    col, _ = _recurse("edge", arcs, palettes, split, leaf,
                       powered_palette_bound(delta, a, q, x), "powered_palette_bound")
     _require_proper(g, col, "powered_edge_coloring output")
     return col, trace

@@ -7,11 +7,12 @@ t.  A proper edge coloring of the connector pulls back to an edge partition
 of the base graph whose per-vertex stars have size at most ceil(Delta/t);
 ``graph._recurse``, the recursion shared with the vertex family, splits
 and combines them into the 4*Delta and 2^(x+1)*Delta schemes.
-Every level works on a sorted list of normalized edges.  _connector_level
-colors its connector first-fit in one pass over the list, never building
-the connector or a per-class graph, and hands each class on as a sorted
-sublist; the powered scheme's bipartite orientation-connector levels run
-through it too.
+Every star level works on a sorted list of normalized edges.
+_connector_level colors its connector first-fit in one pass over the
+list, never building the connector or a per-class graph, and hands each
+class on as a sublist in list order.  The powered scheme's bipartite
+orientation-connector levels run through it too, on (tail, head) arcs
+whose tails go down (H-set, ID), so every class keeps that order.
 """
 
 from __future__ import annotations

@@ -85,6 +85,12 @@ def test_orientation_out_degree_bound():
     o.topo_order()  # acyclicity
 
 
+def test_topo_order_rejects_a_cycle():
+    o = arbedge.Orientation(gen_complete(3), {0: (1,), 1: (2,), 2: (0,)})
+    with pytest.raises(GraphError, match="orientation contains a cycle"):
+        o.topo_order()
+
+
 def test_merge_cross_coloring_hand_example():
     g = Graph.from_edges([0, 1, 2], [(0, 1), (0, 2)])
     col, rounds = merge_cross_coloring(g, [0], [1, 2],
@@ -158,10 +164,10 @@ def test_arb_edge_closed_form():
 def test_orientation_connector_star_example():
     star = gen_star(10)
     o = acyclic_orientation(star, h_partition(star, 1))
-    conn, virtuals = _connector_walk(sorted(o.oriented_edges()), 3, 1)
-    derived = _connector_graph(conn, virtuals, 3 + 1)
+    conn = _connector_walk(sorted(o.oriented_edges()), 3, 1, 9)
+    derived = _connector_graph(conn, 3 + 1, 9)
     # center has 9 incoming edges in 3 groups of 3; leaves one out-virtual
-    center_virtuals = [i for i, (v, _) in enumerate(virtuals) if v == 9]
+    center_virtuals = [x for x in derived.adj if x // 9 == 9]
     assert len(center_virtuals) == 3
     assert all(derived.degree(i) == 3 for i in center_virtuals)
     assert derived.m == 9
@@ -170,13 +176,28 @@ def test_orientation_connector_star_example():
 def test_orientation_connector_sink_has_no_out_groups():
     star = gen_star(4)
     o = acyclic_orientation(star, h_partition(star, 1))
-    conn, virtuals = _connector_walk(sorted(o.oriented_edges()), 2, 2)
-    derived = _connector_graph(conn, virtuals, 2 + 2)
+    conn = _connector_walk(sorted(o.oriented_edges()), 2, 2, 3)
+    derived = _connector_graph(conn, 2 + 2, 3)
     # the sink center has no out-arcs, so its virtuals are its two
     # in-chunks: (3, 0) with two arcs and (3, 1) with one
-    center = [i for i, (v, _) in enumerate(virtuals) if v == 3]
-    assert [virtuals[i] for i in center] == [(3, 0), (3, 1)]
+    center = [x for x in derived.adj if x // 3 == 3]
+    assert [divmod(x, 3) for x in center] == [(3, 0), (3, 1)]
     assert [derived.degree(i) for i in center] == [2, 1]
+
+
+def test_little_o_class_degree_check_fires(monkeypatch):
+    # a one-color phi puts the whole star in one class: Delta = 6 is one
+    # over k + ceil(sqrt(d)) = 3 + 2 at a = 1
+    real = arbedge._arb_edge_coloring
+
+    def one_color_phi(g, a, q):
+        monkeypatch.setattr(arbedge, "_arb_edge_coloring", real)  # for the classes
+        col, trace = real(g, a, q)
+        return Coloring("edge", dict.fromkeys(col.assignment, 0), col.palette_size), trace
+
+    monkeypatch.setattr(arbedge, "_arb_edge_coloring", one_color_phi)
+    with pytest.raises(VerificationError, match="class has degree 6 > 5"):
+        delta_plus_little_o(gen_star(7), 1)
 
 
 def test_little_o_regime():
@@ -215,6 +236,29 @@ def test_powered_bounds():
         assert is_proper_edge(g4, col).ok
         assert col.palette_size <= powered_palette_bound(8, 4, 2.5, x)
 
+
+
+@pytest.mark.parametrize("x", [1, 2, 3])
+def test_powered_leaves_walk_tails_down_the_hset_id_key(monkeypatch, x):
+    # every leaf first-fits its (tail, head) arcs with the tails going
+    # down (H-set, ID) and each tail's heads ascending, an order IDs decide
+    g, a = gen_random(60, 9, seed=1), 3
+    hp = h_partition(g, a)
+    assert hp.ell == 8
+    out = acyclic_orientation(g, hp).out
+    first_fit, leaves = arbedge._first_fit, []
+
+    def spy(edges, mask, palette):
+        leaves.append(list(edges))
+        return first_fit(edges, mask, palette)
+
+    monkeypatch.setattr(arbedge, "_first_fit", spy)
+    powered_edge_coloring(g, a, arbedge.DEFAULT_Q, x)
+    assert sum(map(len, leaves)) == g.m
+    for arcs in leaves:
+        assert all(w in out[v] for v, w in arcs)
+        for (v, w), (v2, w2) in zip(arcs, arcs[1:]):
+            assert (hp.set_of[v], v) > (hp.set_of[v2], v2) or (v == v2 and w < w2)
 
 
 def test_powered_palette_bound_uses_exact_roots():
@@ -282,7 +326,7 @@ def test_hset_internal_edges_are_one_star_scheme_run():
 def test_improper_leaf_colorings_raise(monkeypatch):
     g = gen_random(60, 9, seed=2)
     a = estimate_arboricity(g)
-    star, sweep = arbedge._star_edge_coloring, arbedge._oriented_sweep
+    star, first_fit = arbedge._star_edge_coloring, arbedge._first_fit
 
     def clashing_star(edges, x):
         col, rep = star(edges, x)
@@ -294,8 +338,9 @@ def test_improper_leaf_colorings_raise(monkeypatch):
     with pytest.raises(GraphError, match="improper"):
         arb_edge_coloring(g, a)
     monkeypatch.undo()
-    monkeypatch.setattr(arbedge, "_oriented_sweep",
-                        lambda *args: dict.fromkeys(sweep(*args), 0))
+    # powered's leaves are its one first fit
+    monkeypatch.setattr(arbedge, "_first_fit",
+                        lambda *args: dict.fromkeys(first_fit(*args), 0))
     with pytest.raises(GraphError, match="improper"):
         powered_edge_coloring(g, a, arbedge.DEFAULT_Q, 2)
 
@@ -314,7 +359,7 @@ def test_orientation_connector_rejects_an_overfull_virtual():
     # one in-chunk of vertex 1
     arcs = [(0, 1)] * 3
     with pytest.raises(GraphError, match="has degree 3"):
-        _connector_graph(*_connector_walk(arcs, 1, 1), 2)
+        _connector_graph(_connector_walk(arcs, 1, 1, 3), 2, 3)
 
 
 # the three entry points that take an arboricity a, with x=2 for powered

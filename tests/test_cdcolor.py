@@ -141,6 +141,15 @@ def test_class_clique_check_fires(monkeypatch):
         cd_coloring(g, enumerate_maximal_cliques(g), t=3, x=1)
 
 
+def test_class_clique_check_fires_one_over_k(monkeypatch):
+    # K3 in one class at t=2 has share 3, one over k = ceil(3/2) = 2
+    monkeypatch.setattr(cdcolor, "build_vertex_connector",
+                        lambda sub, cover, t: Graph({v: () for v in sub.adj}))
+    g = gen_complete(3)
+    with pytest.raises(VerificationError, match="class clique 3 exceeds k=2"):
+        cd_coloring(g, enumerate_maximal_cliques(g), t=2, x=1)
+
+
 def _cover(kind, seed):
     # line and hyper-line covers reach S >= REFINED_SMALL_S, so the refined
     # family splits them too

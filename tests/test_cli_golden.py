@@ -20,9 +20,9 @@ GOLDEN = {
     ("arb-edge",):
         "885121a109343f7f2d10d76f7734f7d3778c987fd9fc4221296f0605ae4731cf",
     ("delta-little-o",):
-        "87db1d1fe164c610eb8e54259f76f0031e1b7b980697c79d19f5750208e9d984",
+        "a9bb77e651965da9b89595e14ec8db1e3089950b80d22cf786ae9d4c4bb60dc4",
     ("powered", "--x", "2"):
-        "87066f4cb694318aed3b9ea983e398feee65993155bc9d572c6ad091a9c284b3",
+        "c8a5901818f25988b85a6820438968315ff8a119f06e112659a8403357c4f2e4",
     ("cd-color",):
         "a62a216d0def27cfebd7cbbe194ef897da57c5f49283644dffe24ab27ba4f379",
     ("refined", "--cover", "line"):

@@ -286,6 +286,16 @@ def test_vertex_connector_rejects_an_understated_diversity():
         build_vertex_connector(g, dataclasses.replace(cover, D=1), 3)
 
 
+def test_vertex_connector_rejects_a_degree_one_over_d_t_minus_1():
+    # the path 0-1-2 has D = 2; at D = 1 and t = 2 its middle vertex's
+    # connector degree 2 is one over D(t-1) = 1
+    g = gen_path(3)
+    cover = enumerate_maximal_cliques(g)
+    assert cover.D == 2
+    with pytest.raises(GraphError, match="degree 2 exceeds D"):
+        build_vertex_connector(g, dataclasses.replace(cover, D=1), 2)
+
+
 def _digest(x) -> str:
     return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
 

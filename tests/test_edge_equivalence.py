@@ -63,7 +63,8 @@ def ref_edge_connector(g, t):
 def ref_orientation_connector(g, orient, in_split, out_split, bipartite):
     """The orientation connector, keyed by arc: bipartite keeps a tail's
     out-chunk virtual (v, "out", j) apart from a head's in-chunk virtual
-    (w, "in", i); shared joins them as (v, i)."""
+    (w, "in", i), numbered by first appearance; shared joins them as
+    (v, i), named v*Delta + i."""
     incoming = {v: [] for v in g.adj}
     for v, w in orient.oriented_edges():
         incoming[w].append(v)
@@ -72,7 +73,7 @@ def ref_orientation_connector(g, orient, in_split, out_split, bipartite):
     def vid(v, side, idx):
         key = (v, side, idx) if bipartite else (v, idx)
         if key not in virtuals:
-            virtuals[key] = len(virtuals)
+            virtuals[key] = len(virtuals) if bipartite else v * g.max_degree + idx
         return virtuals[key]
 
     edge_map = {}
@@ -83,6 +84,37 @@ def ref_orientation_connector(g, orient, in_split, out_split, bipartite):
         b = vid(w, "in", i)
         edge_map[(v, w)] = norm_edge(a, b)
     return edge_map, {i: k for k, i in virtuals.items()}
+
+
+def ref_first_appearance_walk(arcs, in_split, out_split):
+    """The connector walk that numbered virtuals by first appearance: each
+    arc's normalized connector edge, and each id's (vertex, index)."""
+    ids = {}  # (vertex, index) -> id
+    in_rank = {}
+    conn = []
+    tail = prev = i = a = None
+    j = 0
+    for arc in arcs:
+        v, w = arc
+        if v != tail:
+            tail, j = v, 0
+        if not j % out_split:
+            key = (v, j // out_split)
+            a = ids.get(key)
+            if a is None:
+                a = ids[key] = len(ids)
+        j += 1
+        r = in_rank.get(w, 0)
+        in_rank[w] = r + 1
+        if arc != prev:
+            i = r
+        prev = arc
+        key = (w, i // in_split)
+        b = ids.get(key)
+        if b is None:
+            b = ids[key] = len(ids)
+        conn.append((a, b) if a < b else (b, a))
+    return conn, list(ids)
 
 
 def ref_h_sets(g, d):
@@ -182,14 +214,26 @@ def test_orientation_connector_matches_index_ranks(g, in_split, out_split):
     hp = h_partition(g, arbedge.estimate_arboricity(g))
     orient = acyclic_orientation(g, hp)
     arcs = sorted(orient.oriented_edges())
-    conn, virtuals = _connector_walk(arcs, in_split, out_split)
+    conn = _connector_walk(arcs, in_split, out_split, g.max_degree)
     edge_map, virtual_of = ref_orientation_connector(g, orient, in_split, out_split,
                                                      bipartite=False)
     assert list(zip(arcs, conn)) == list(edge_map.items())
-    assert dict(enumerate(virtuals)) == virtual_of
     # little-o's checks pass on a well-formed connector
-    derived = _connector_graph(conn, virtuals, in_split + out_split)
+    derived = _connector_graph(conn, in_split + out_split, g.max_degree)
+    assert {x: divmod(x, g.max_degree) for x in derived.adj} == virtual_of
     assert sorted(derived.edges()) == sorted(conn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(0, 2), st.integers(1, 4), st.integers(1, 4))
+def test_connector_walk_renames_the_first_appearance_walk(g, extra, in_split, out_split):
+    # only the virtuals' names changed: the id of (v, i) became v*Delta + i
+    hp = h_partition(g, arbedge.estimate_arboricity(g) + extra)
+    arcs = sorted(acyclic_orientation(g, hp).oriented_edges())
+    old, virtuals = ref_first_appearance_walk(arcs, in_split, out_split)
+    name = [v * g.max_degree + i for v, i in virtuals]
+    assert _connector_walk(arcs, in_split, out_split, g.max_degree) == \
+        [norm_edge(name[x], name[y]) for x, y in old]
 
 
 @settings(max_examples=200, deadline=None)
