@@ -291,25 +291,20 @@ def _connector_walk(arcs, in_split: int, out_split: int, delta: int) -> list:
     In sorted order a tail's out-arcs are consecutive and come in
     ascending head order, and a head's in-arcs come in ascending tail
     order, so an arc's out-chunk and in-chunk are running counts divided
-    by the split.  A repeated arc keeps its first copy's in-chunk, as a
-    rank among the sorted tails would give it."""
+    by the split."""
     in_rank: dict[int, int] = {}
     conn = []
     append = conn.append
-    tail = prev = i = None
+    tail = None
     j = 0  # the arc's rank among its tail's out-arcs
-    for arc in arcs:
-        v, w = arc
+    for v, w in arcs:
         if v != tail:
             tail, j = v, 0
         a = v * delta + j // out_split
         j += 1
-        r = in_rank.get(w, 0)
+        r = in_rank.get(w, 0)  # the arc's rank among its head's in-arcs
         in_rank[w] = r + 1
-        if arc != prev:
-            i = r
-        prev = arc
-        b = w * delta + i // in_split
+        b = w * delta + r // in_split
         append((a, b) if a < b else (b, a))
     return conn
 

@@ -117,22 +117,20 @@ class _LinialProgram(VertexProgram):
 
     def __init__(self, schedule: list[tuple[int, int]]):
         self.schedule = schedule
-        self.color = 0
-        self.output = 0
+        self.output = 0  # the vertex's current color
 
     def init(self, view: LocalView):
-        self.color = view.vertex
-        self.output = self.color
+        self.output = view.vertex
         self.neighbors = view.neighbors
         return {}, not self.schedule
 
     def step(self, round_no: int, inbox: dict):
         k, q = self.schedule[round_no - 1]
         theirs = self.neighbors if round_no == 1 else inbox.values()
-        self.color = self.output = _first_free(self.color, theirs, q, k)
+        self.output = _first_free(self.output, theirs, q, k)
         if round_no == len(self.schedule):
             return {}, True
-        return dict.fromkeys(self.neighbors, self.color), False
+        return dict.fromkeys(self.neighbors, self.output), False
 
 
 def linial_coloring(g: Graph) -> tuple[Coloring, RoundTrace]:

@@ -12,20 +12,25 @@ it stepped next at round ``until``, and ``Done(until)`` halts it for good
 but has the run last until round ``until``.  Mail that arrives while a
 vertex sleeps does not wake it; the engine holds it, latest message per
 sender, and hands it over at ``until``.  Mail to a halted vertex is
-dropped.  Each round therefore costs time in the vertices stepped and
-messages sent, not in the size of the graph.  Rounds in which no vertex is
-due are skipped but still counted, so the round count is the same as if
-every sleeping vertex had been stepped every round and had only stored its
-mail, and every ``Done(until)`` vertex had slept until ``until`` and then
-halted there.
+dropped.  A vertex gets a mailbox only when mail arrives; until then it
+holds one shared empty sentinel.  Each round therefore costs time in the
+vertices stepped and messages sent, not in the size of the graph.  Rounds
+in which no vertex is due are skipped but still counted, so the round
+count is the same as if every sleeping vertex had been stepped every round
+and had only stored its mail, and every ``Done(until)`` vertex had slept
+until ``until`` and then halted there.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .graph import Graph, GraphError, _gc_paused
+
+
+_NO_MAIL = ()  # shared by every live vertex with no mail; falsy, unlike a mailbox
 
 
 class RoundBudgetExceeded(RuntimeError):
@@ -104,10 +109,11 @@ def run(g: Graph, make_program, round_cap: int | None = None):
     carry per-vertex state).  Due vertices are stepped in ascending id
     order.  Each outbox goes straight into its recipients' mailboxes as it
     is returned; a message to a non-neighbor raises :class:`GraphError`.
-    A vertex's mailbox keeps the latest message per sender until the
-    vertex is next stepped, and is dropped when the vertex halts.  A taken
-    mailbox is handed to the program as its inbox and released by the
-    engine when that step returns; the engine never reuses or mutates it.
+    A vertex's mailbox is made by its first message, keeps the latest
+    message per sender until the vertex is next stepped, and is dropped
+    when the vertex halts.  A taken mailbox is handed to the program as its
+    inbox, or a fresh ``{}`` if no mail came, and released by the engine
+    when that step returns; the engine never reuses or mutates it.
     Returns ({vertex: output}, RoundTrace), where a vertex's output is its
     program's ``output`` attribute once every vertex has halted, and the
     rounds are the last round a vertex was stepped in or the latest
@@ -122,10 +128,11 @@ def run(g: Graph, make_program, round_cap: int | None = None):
     awake: list[int] = []                # stepped next round, ascending
     calendar: dict[int, list[int]] = {}  # round -> vertices sleeping until it
     wake_rounds: list[int] = []          # heap of the calendar's rounds
-    # live vertex -> mail since its last step; halting deletes the entry.
-    # No key is added after this, so the dict is never resized (popping and
-    # re-adding mailboxes each round raised peak memory on wide graphs).
-    mail: dict[int, dict] = {v: {} for v in adj}
+    # live vertex -> mail since its last step, or _NO_MAIL if none came;
+    # halting deletes the entry.  No key is added after this, so the dict is
+    # never resized (popping and re-adding mailboxes each round raised peak
+    # memory on wide graphs).
+    mail: dict[int, dict | tuple] = dict.fromkeys(adj, _NO_MAIL)
 
     last = 0  # the latest round a Done asked the run to last until
 
@@ -157,9 +164,13 @@ def run(g: Graph, make_program, round_cap: int | None = None):
             if w not in nbrs:
                 raise GraphError(f"vertex {v} addressed non-neighbor {w}")
             try:
-                mail[w][v] = msg
+                box = mail[w]
             except KeyError:  # w has halted: the message is dropped
-                pass
+                continue
+            if box:
+                box[v] = msg
+            else:  # w's first mail since its last step
+                mail[w] = {v: msg}
 
     for v, nbrs in adj.items():
         prog = make_program(v)
@@ -193,9 +204,10 @@ def run(g: Graph, make_program, round_cap: int | None = None):
         # take every due mailbox first: mail sent this round waits a round.
         # Reversed, so pop() hands them out in order and frees each at its step.
         inboxes = list(map(mail.__getitem__, reversed(due)))
-        mail.update(zip(due, iter(dict, None)))  # iter(dict, None): endless new {}
+        mail.update(zip(due, repeat(_NO_MAIL)))
         for v in due:
-            out, h = programs[v].step(round_no, inboxes.pop())
+            # a mailbox is never empty, so only _NO_MAIL becomes a fresh {}
+            out, h = programs[v].step(round_no, inboxes.pop() or {})
             # a halting vertex may still flush its final messages
             if out:
                 deliver(v, out)

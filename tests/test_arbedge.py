@@ -355,11 +355,11 @@ def test_hpartition_validate_raises():
 
 
 def test_orientation_connector_rejects_an_overfull_virtual():
-    # the arc 0->1 listed three times puts three connector edges on the
-    # one in-chunk of vertex 1
-    arcs = [(0, 1)] * 3
-    with pytest.raises(GraphError, match="has degree 3"):
-        _connector_graph(_connector_walk(arcs, 1, 1, 3), 2, 3)
+    # out-split 2 puts both out-arcs of vertex 0 on its one out-chunk,
+    # the virtual (0, 0), which then has two connector edges against a cap of 1
+    arcs = [(0, 1), (0, 2)]
+    with pytest.raises(GraphError, match=r"vertex \(0, 0\) has degree 2 > 1"):
+        _connector_graph(_connector_walk(arcs, 1, 2, 3), 1, 3)
 
 
 # the three entry points that take an arboricity a, with x=2 for powered
