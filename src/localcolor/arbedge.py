@@ -165,15 +165,21 @@ def h_partition(g: Graph, a: int, q: float = DEFAULT_Q) -> HPartition:
 def acyclic_orientation(g: Graph, h: HPartition) -> Orientation:
     """Cross edges point to the higher set, intra-set edges to the higher
     ID; out-degree is at most h.d and the result is acyclic."""
+    set_of = h.set_of
     out = {v: [] for v in g.adj}
     for u, v in g.edges():
-        su, sv = h.set_of[u], h.set_of[v]
+        su, sv = set_of[u], set_of[v]
         tail, head = (u, v) if (su, u) < (sv, v) else (v, u)
         out[tail].append(head)
     orient = Orientation(g, {v: tuple(sorted(o)) for v, o in out.items()})
     if orient.max_out_degree > h.d:
         raise VerificationError(f"out-degree {orient.max_out_degree} exceeds d={h.d}")
-    orient.topo_order()
+    # acyclic: every arc goes strictly up the key (H-set, ID)
+    for v, heads in orient.out.items():
+        key = (set_of[v], v)
+        for w in heads:
+            if (set_of[w], w) <= key:
+                raise VerificationError(f"arc {(v, w)} does not go up (H-set, ID)")
     return orient
 
 
@@ -241,38 +247,46 @@ def arb_edge_coloring(g: Graph, a: int,
     into a high range of 4d, then a sequential merge sweep coloring crossing
     edges from a low range of size Delta+d-1.  Total palette is
     arb_palette_bound(Delta, a, q)."""
-    col, trace = _arb_edge_coloring(g, a, q)
+    col, trace = _arb_edge_coloring(sorted(g.edges()), g.max_degree, a, q, g)
     _require_proper(g, col, "arb_edge_coloring output")
     return col, trace
 
 
-def _arb_edge_coloring(g: Graph, a: int, q: float) -> tuple[Coloring, RoundTrace]:
-    """arb_edge_coloring without its properness check, for callers that
-    check their own whole output."""
+def _arb_edge_coloring(edges, delta: int, a: int, q: float,
+                       g: Graph | None = None) -> tuple[Coloring, RoundTrace]:
+    """arb_edge_coloring of the graph of the sorted, distinct, normalized
+    ``edges`` of largest degree ``delta``, without its properness check,
+    for callers that check their own whole output.  ``g`` is that graph if
+    the caller has it, and is built only when delta > d: h_partition peels
+    every vertex of degree <= d first, so otherwise there is one H-set,
+    every edge is internal and the merge sweep is empty."""
     trace = RoundTrace()
     d = math.floor(_q_times_a(q, a))  # checked also where no edge needs it
-    delta = g.max_degree
     if delta < 1:
         return Coloring("edge", {}, 1), trace
-    hp = h_partition(g, a, q)
     low = max(delta + d - 1, 1)
+    internal, internal_delta, sweep, mask, ell = edges, delta, [], {}, 1
+    if delta > d:
+        if g is None:
+            g = _class_graph(edges)
+        hp = h_partition(g, a, q)
+        set_of, ell = hp.set_of, hp.ell
+        internal, internal_delta = [e for e in edges if set_of[e[0]] == set_of[e[1]]], None
+        # the merge sweep, d rounds per H-set from the second-to-last down:
+        # each vertex colors its edges to later sets, in ascending order,
+        # from the colors below low, so the internal edges need no mask bits
+        sweep = [norm_edge(v, w) for i in range(ell - 2, -1, -1)
+                 for v in hp.sets[i] for w in g.adj[v] if set_of[w] > i]
+        mask = dict.fromkeys(g.adj, 0)
 
     # The H-sets share no vertex: one star-scheme run on all internal edges
     # is their parallel run, with one t.  h_partition caps an H-set's degree
     # at d, and the star scheme checks its palette against 4*Delta <= 4d.
-    set_of = hp.set_of
-    star, rep = _star_edge_coloring(
-        [e for e in sorted(g.edges()) if set_of[e[0]] == set_of[e[1]]], 1)
+    star, rep = _star_edge_coloring(internal, 1, internal_delta)
     trace.add_phase("hset-internal", rep.rounds)
     assign = {e: low + c for e, c in star.assignment.items()}
-
-    # the merge sweep, d rounds per H-set from the second-to-last down:
-    # each vertex colors its edges to later sets, in ascending order, from
-    # the colors below low, so the internal edges need no mask bits
-    assign.update(_first_fit([norm_edge(v, w) for i in range(hp.ell - 2, -1, -1)
-                              for v in sorted(hp.sets[i]) for w in g.adj[v] if set_of[w] > i],
-                             dict.fromkeys(g.adj, 0), low))
-    trace.add_phase("merge-sweep", d * max(hp.ell - 1, 0))
+    assign.update(_first_fit(sweep, mask, low))
+    trace.add_phase("merge-sweep", d * (ell - 1))
 
     col = Coloring("edge", assign, low + 4 * d)
     if col.palette_size != arb_palette_bound(delta, a, q):
@@ -321,19 +335,19 @@ def _class_graph(cls) -> Graph:
     return Graph({v: tuple(adj[v]) for v in sorted(adj)})
 
 
-def _connector_graph(conn, cap: int, delta: int) -> Graph:
-    """The graph of the connector edges ``conn`` from _connector_walk,
-    checked: no two base edges share a connector edge and no virtual has
-    more than ``cap`` of them.  An overfull virtual is named (v, i), from
-    its name v*delta + i."""
+def _connector_degree(conn, cap: int, delta: int) -> int:
+    """The largest degree of the connector edges ``conn`` from
+    _connector_walk, checked: no two base edges share a connector edge
+    and no virtual has more than ``cap`` of them.  The lowest overfull
+    virtual is named (v, i), from its name v*delta + i."""
     if len(set(conn)) != len(conn):
         raise GraphError("two base edges share a connector edge")
-    derived = _class_graph(conn)  # every virtual has an edge
-    for x, ns in derived.adj.items():
-        if len(ns) > cap:
-            raise GraphError(f"connector vertex {divmod(x, delta)} has degree "
-                             f"{len(ns)} > {cap}")
-    return derived
+    deg = Counter(chain.from_iterable(conn))
+    top = max(deg.values(), default=0)
+    if top > cap:
+        x = min(x for x, k in deg.items() if k > cap)
+        raise GraphError(f"connector vertex {divmod(x, delta)} has degree {deg[x]} > {cap}")
+    return top
 
 
 def _little_o_split(delta: int, d: int) -> tuple[int, int, int]:
@@ -368,7 +382,8 @@ def delta_plus_little_o(g: Graph, a: int,
     k, rt_d, in_split = _little_o_split(delta, hp.d)
     conn = _connector_walk(arcs, in_split, rt_d, delta)
 
-    phi, phi_trace = _arb_edge_coloring(_connector_graph(conn, in_split + rt_d, delta), rt_d, q)
+    top = _connector_degree(conn, in_split + rt_d, delta)
+    phi, phi_trace = _arb_edge_coloring(sorted(conn), top, rt_d, q)
     trace.extend(phi_trace, "phi:")
 
     def split(part, depth: int):  # base edges grouped by their connector edge's color
@@ -378,10 +393,10 @@ def delta_plus_little_o(g: Graph, a: int,
         return classes, 0
 
     def leaf(cls):
-        sub = _class_graph(cls)
-        if sub.max_degree > k + rt_d:
-            raise VerificationError(f"class has degree {sub.max_degree} > {k + rt_d}")
-        psi, sub_trace = _arb_edge_coloring(sub, rt_d, q)
+        top = max(Counter(chain.from_iterable(cls)).values())
+        if top > k + rt_d:
+            raise VerificationError(f"class has degree {top} > {k + rt_d}")
+        psi, sub_trace = _arb_edge_coloring(sorted(cls), top, rt_d, q)
         # keyed by cls's own edge tuples, so psi's copies are freed with psi
         return zip(cls, map(psi.assignment.__getitem__, cls)), sub_trace.rounds
 

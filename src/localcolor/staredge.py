@@ -123,18 +123,21 @@ def recursive_star_edge_coloring(g: Graph,
     with u = Delta/t^x >= t the ratio is at most (1+1/2u)(1-1/2t)^x < 1, and
     Delta = 2, 3 give 3 and 9 colors.  The report's max_star is the largest
     star of the top-level partition."""
-    col, report = _star_edge_coloring(sorted(g.edges()), x)
+    col, report = _star_edge_coloring(sorted(g.edges()), x, g.max_degree)
     _require_proper(g, col, "recursive_star_edge_coloring output")
     return col, report
 
 
-def _star_edge_coloring(edges, x: int) -> tuple[Coloring, StarPartitionReport]:
+def _star_edge_coloring(edges, x: int,
+                        delta: int | None = None) -> tuple[Coloring, StarPartitionReport]:
     """recursive_star_edge_coloring of the graph of the sorted normalized
-    ``edges``, without its properness check, for callers that check their
-    own whole output."""
+    ``edges``, whose largest degree is ``delta`` (counted if not given),
+    without its properness check, for callers that check their own whole
+    output."""
     if x < 1:
         raise GraphError("x must be at least 1")
-    delta = max(Counter(chain.from_iterable(edges)).values(), default=0)
+    if delta is None:
+        delta = max(Counter(chain.from_iterable(edges)).values(), default=0)
     report = StarPartitionReport()
     if delta < 2:  # a matching: one class, one color
         report.class_count = 1 if edges else 0

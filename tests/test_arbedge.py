@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcolor import arbedge, staredge
-from localcolor.arbedge import (_connector_graph, _connector_walk,
+from localcolor.arbedge import (_class_graph, _connector_degree, _connector_walk,
                                 arb_edge_coloring, arb_palette_bound,
                                 acyclic_orientation, delta_plus_little_o,
                                 estimate_arboricity, h_partition,
@@ -83,6 +85,17 @@ def test_orientation_out_degree_bound():
     o = acyclic_orientation(g, hp)
     assert o.max_out_degree <= hp.d
     o.topo_order()  # acyclicity
+
+
+def test_orientation_certificate_fires(monkeypatch):
+    # 0 -> 1 -> 2 handed over as 0 -> 1 <- 2: within d and acyclic, but
+    # the arc (2, 1) goes down the key (H-set, ID) inside one H-set
+    real = arbedge.Orientation
+    monkeypatch.setattr(arbedge, "Orientation",
+                        lambda g, out: real(g, {0: (1,), 1: (), 2: (1,)}))
+    path = gen_path(3)
+    with pytest.raises(VerificationError, match=r"arc \(2, 1\) does not go up"):
+        acyclic_orientation(path, h_partition(path, 1))
 
 
 def test_topo_order_rejects_a_cycle():
@@ -165,7 +178,8 @@ def test_orientation_connector_star_example():
     star = gen_star(10)
     o = acyclic_orientation(star, h_partition(star, 1))
     conn = _connector_walk(sorted(o.oriented_edges()), 3, 1, 9)
-    derived = _connector_graph(conn, 3 + 1, 9)
+    assert _connector_degree(conn, 3 + 1, 9) == 3
+    derived = _class_graph(conn)
     # center has 9 incoming edges in 3 groups of 3; leaves one out-virtual
     center_virtuals = [x for x in derived.adj if x // 9 == 9]
     assert len(center_virtuals) == 3
@@ -177,7 +191,8 @@ def test_orientation_connector_sink_has_no_out_groups():
     star = gen_star(4)
     o = acyclic_orientation(star, h_partition(star, 1))
     conn = _connector_walk(sorted(o.oriented_edges()), 2, 2, 3)
-    derived = _connector_graph(conn, 2 + 2, 3)
+    assert _connector_degree(conn, 2 + 2, 3) == 2
+    derived = _class_graph(conn)
     # the sink center has no out-arcs, so its virtuals are its two
     # in-chunks: (3, 0) with two arcs and (3, 1) with one
     center = [x for x in derived.adj if x // 3 == 3]
@@ -190,9 +205,9 @@ def test_little_o_class_degree_check_fires(monkeypatch):
     # over k + ceil(sqrt(d)) = 3 + 2 at a = 1
     real = arbedge._arb_edge_coloring
 
-    def one_color_phi(g, a, q):
+    def one_color_phi(edges, delta, a, q):
         monkeypatch.setattr(arbedge, "_arb_edge_coloring", real)  # for the classes
-        col, trace = real(g, a, q)
+        col, trace = real(edges, delta, a, q)
         return Coloring("edge", dict.fromkeys(col.assignment, 0), col.palette_size), trace
 
     monkeypatch.setattr(arbedge, "_arb_edge_coloring", one_color_phi)
@@ -328,8 +343,8 @@ def test_improper_leaf_colorings_raise(monkeypatch):
     a = estimate_arboricity(g)
     star, first_fit = arbedge._star_edge_coloring, arbedge._first_fit
 
-    def clashing_star(edges, x):
-        col, rep = star(edges, x)
+    def clashing_star(edges, x, delta):
+        col, rep = star(edges, x, delta)
         return Coloring("edge", dict.fromkeys(col.assignment, 0), col.palette_size), rep
 
     # the H-set colorings are not checked on their own, so
@@ -359,7 +374,49 @@ def test_orientation_connector_rejects_an_overfull_virtual():
     # the virtual (0, 0), which then has two connector edges against a cap of 1
     arcs = [(0, 1), (0, 2)]
     with pytest.raises(GraphError, match=r"vertex \(0, 0\) has degree 2 > 1"):
-        _connector_graph(_connector_walk(arcs, 1, 2, 3), 1, 3)
+        _connector_degree(_connector_walk(arcs, 1, 2, 3), 1, 3)
+
+
+def test_connector_degree_names_the_lowest_overfull_virtual():
+    # cap 1: head 5's in-chunk (5, 0) fills first, tail 2's out-chunk
+    # (2, 0) later; the message names the lower one
+    arcs = [(0, 5), (1, 5), (2, 3), (2, 4)]
+    conn = _connector_walk(arcs, 2, 2, 2)
+    assert Counter(chain.from_iterable(conn)) == {0: 1, 2: 1, 10: 2, 4: 2, 6: 1, 8: 1}
+    with pytest.raises(GraphError, match=r"vertex \(2, 0\) has degree 2 > 1"):
+        _connector_degree(conn, 1, 2)
+
+
+def test_connector_degree_rejects_a_shared_connector_edge():
+    # a repeated arc puts one connector edge on two base edges: exactly one
+    # repeat, and it is reported before the overfull virtuals it also makes
+    conn = _connector_walk([(0, 1), (0, 1)], 2, 2, 2)
+    assert conn == [(0, 2), (0, 2)]
+    for cap in (1, 2):
+        with pytest.raises(GraphError, match="two base edges share a connector edge"):
+            _connector_degree(conn, cap, 2)
+
+
+def test_arb_edge_is_one_star_run_exactly_when_delta_is_within_d(monkeypatch):
+    star = gen_star(10)  # Delta = 9
+    real, calls = arbedge.h_partition, []
+    monkeypatch.setattr(arbedge, "h_partition", lambda *args: calls.append(args) or real(*args))
+    col, trace = arb_edge_coloring(star, 1, 9)  # d = 9: one H-set, no H-partition built
+    assert calls == [] and trace.phase_breakdown == [("hset-internal", 0), ("merge-sweep", 0)]
+    assert col.palette_size == arb_palette_bound(9, 1, 9)
+    col, trace = arb_edge_coloring(star, 1, 8)  # d = 8: the center is a second H-set
+    assert len(calls) == 1 and trace.phase_breakdown == [("hset-internal", 0), ("merge-sweep", 8)]
+    assert col.palette_size == arb_palette_bound(9, 1, 8)
+
+
+def test_arb_edge_palette_check_fires(monkeypatch):
+    # a bound one above the palette, on one H-set (the path) and on two (the star)
+    real = arbedge.arb_palette_bound
+    monkeypatch.setattr(arbedge, "arb_palette_bound",
+                        lambda delta, a, q=arbedge.DEFAULT_Q: real(delta, a, q) + 1)
+    for g in (gen_path(10), gen_star(10)):
+        with pytest.raises(VerificationError, match="is not arb_palette_bound"):
+            arb_edge_coloring(g, 1)
 
 
 # the three entry points that take an arboricity a, with x=2 for powered

@@ -1,16 +1,21 @@
 """The edge layer's linear-time pieces against reference copies of the
 simpler code they replaced, on small random graphs."""
 
+import math
 from collections import Counter
 from itertools import chain
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcolor import arbedge
-from localcolor.arbedge import (_class_graph, _connector_graph, _connector_walk,
-                                acyclic_orientation, h_partition)
-from localcolor.graph import Graph, GraphError, norm_edge
-from localcolor.staredge import _connector_level, _greedy_edges
+from localcolor.arbedge import (_arb_edge_coloring, _class_graph, _connector_degree,
+                                _connector_walk, _first_fit, acyclic_orientation,
+                                arb_edge_coloring, delta_plus_little_o, h_partition)
+from localcolor.graph import Coloring, Graph, GraphError, norm_edge
+from localcolor.io import gen_complete, gen_forest, gen_random, gen_star
+from localcolor.sim import RoundTrace
+from localcolor.staredge import _connector_level, _greedy_edges, _star_edge_coloring
 from localcolor.verify import greedy_edge_baseline
 
 
@@ -117,6 +122,38 @@ def ref_first_appearance_walk(arcs, in_split, out_split):
     return conn, list(ids)
 
 
+def ref_arb_edge_coloring(g, a, q):
+    """arb-edge's Graph path, which every input took before the edge-list
+    body: the H-partition of g, one star run on the sorted internal edges
+    and the merge sweep, without the palette and properness checks."""
+    trace = RoundTrace()
+    d = math.floor(arbedge._q_times_a(q, a))
+    delta = g.max_degree
+    if delta < 1:
+        return Coloring("edge", {}, 1), trace
+    hp = h_partition(g, a, q)
+    low = max(delta + d - 1, 1)
+    set_of = hp.set_of
+    star, rep = _star_edge_coloring(
+        [e for e in sorted(g.edges()) if set_of[e[0]] == set_of[e[1]]], 1)
+    trace.add_phase("hset-internal", rep.rounds)
+    assign = {e: low + c for e, c in star.assignment.items()}
+    assign.update(_first_fit([norm_edge(v, w) for i in range(hp.ell - 2, -1, -1)
+                              for v in sorted(hp.sets[i]) for w in g.adj[v] if set_of[w] > i],
+                             dict.fromkeys(g.adj, 0), low))
+    trace.add_phase("merge-sweep", d * max(hp.ell - 1, 0))
+    return Coloring("edge", assign, low + 4 * d), trace
+
+
+def outcome(run):
+    """A coloring run's assignment in order, palette and phases, or its error."""
+    try:
+        col, trace = run()
+    except GraphError as e:
+        return type(e), str(e)
+    return list(col.assignment.items()), col.palette_size, trace.phase_breakdown
+
+
 def ref_h_sets(g, d):
     remaining = {v: set(g.adj[v]) for v in g.adj}
     sets = []
@@ -219,7 +256,8 @@ def test_orientation_connector_matches_index_ranks(g, in_split, out_split):
                                                      bipartite=False)
     assert list(zip(arcs, conn)) == list(edge_map.items())
     # little-o's checks pass on a well-formed connector
-    derived = _connector_graph(conn, in_split + out_split, g.max_degree)
+    derived = _class_graph(conn)
+    assert _connector_degree(conn, in_split + out_split, g.max_degree) == derived.max_degree
     assert {x: divmod(x, g.max_degree) for x in derived.adj} == virtual_of
     assert sorted(derived.edges()) == sorted(conn)
 
@@ -248,3 +286,49 @@ def test_h_partition_matches_set_peeling(g, a):
         return
     assert hp.sets == expected
     assert hp.set_of == {v: i for i, s in enumerate(expected) for v in s}
+
+
+BOUNDARY_GRAPHS = ([gen_random(80, 9, seed=s) for s in (1, 2, 3)]
+                   + [gen_forest(80, 12, seed=s) for s in (1, 2, 3)]
+                   + [gen_star(10), gen_complete(6), Graph.from_edges(range(4), [])])
+
+
+@pytest.mark.parametrize("g", BOUNDARY_GRAPHS)
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1, None])
+def test_edge_list_body_matches_the_graph_path(g, offset):
+    # d = floor(q*a) set to Delta + offset with a = 1 and q = Delta + offset,
+    # so both sides of the one-set boundary Delta <= d are run, Delta = d and
+    # Delta = d + 1 among them; None takes the estimated a at the default q
+    delta = g.max_degree
+    if offset is None:
+        a, q = arbedge.estimate_arboricity(g), arbedge.DEFAULT_Q
+    else:
+        a, q = 1, max(delta + offset, 3)
+    expected = outcome(lambda: ref_arb_edge_coloring(g, a, q))
+    # the edge list alone, which builds its graph only when delta > d ...
+    assert outcome(lambda: _arb_edge_coloring(sorted(g.edges()), delta, a, q)) == expected
+    # ... and with the caller's graph
+    assert outcome(lambda: arb_edge_coloring(g, a, q)) == expected
+
+
+@pytest.mark.parametrize("g, a, falls_back", [(gen_random(300, 16, seed=1), 7, False),
+                                              (gen_random(200, 24, seed=3), 10, False),
+                                              (gen_forest(300, 40, seed=1), 1, True),
+                                              (gen_forest(200, 60, seed=2), 1, True)])
+def test_little_o_inner_runs_match_the_graph_path(monkeypatch, g, a, falls_back):
+    # the connector and every class run through the Graph path give the
+    # same coloring; the random graphs' inner runs are all one-set (a is
+    # their estimated arboricity), and the forests' Delta is far above
+    # their d, so some of theirs fall back to a Graph
+    expected = outcome(lambda: delta_plus_little_o(g, a))
+    fallbacks = []
+
+    def graph_path(edges, delta, a, q):
+        sub = _class_graph(edges)
+        assert sorted(sub.edges()) == edges and sub.max_degree == delta
+        fallbacks.append(delta > math.floor(arbedge._q_times_a(q, a)))
+        return ref_arb_edge_coloring(sub, a, q)
+
+    monkeypatch.setattr(arbedge, "_arb_edge_coloring", graph_path)
+    assert outcome(lambda: delta_plus_little_o(g, a)) == expected
+    assert any(fallbacks) == falls_back and len(fallbacks) > 1
