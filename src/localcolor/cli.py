@@ -14,14 +14,11 @@ import sys
 import time
 from fractions import Fraction
 
-from . import arbedge
-from .cdcolor import (cd_coloring, cd_envelope, choose_params, refined_coloring,
-                      refined_palette_bound)
+from . import arbedge, cdcolor, staredge
 from .cliques import CliqueCover, enumerate_maximal_cliques
 from .graph import (Coloring, GraphError, VerificationError, hypergraph_line_graph, line_graph,
                     norm_edge)
 from .io import GENERATORS, ParseError, load_graph
-from .staredge import recursive_star_edge_coloring, star_palette_bound
 from .verify import count_colors, is_proper_edge, is_proper_vertex
 
 
@@ -38,34 +35,48 @@ def _q_arg(text: str) -> float:
     return q
 
 
+# the options an algorithm subcommand may read, in the order they are added
+OPTIONS = {
+    "x": {"type": int, "default": 1},
+    "cover": {"default": "intrinsic", "help": "intrinsic | line | provided:PATH"},
+    "t": {"type": int},
+    "a": {"type": int},
+    "q": {"type": _q_arg, "default": arbedge.DEFAULT_Q},
+}
+
+
+# subcommand -> (module, its coloring, its theory bound, the options it
+# reads in call order).  With "cover", the coloring takes (g, cover, *opts)
+# and the bound (D, S, *opts); otherwise (g, *opts) and (Delta, *opts).
+ALGORITHMS = {
+    "cd-color": (cdcolor, "cd_coloring", "cd_envelope", ("cover", "t", "x")),
+    "refined": (cdcolor, "refined_coloring", "refined_palette_bound", ("cover", "x")),
+    "star-edge": (staredge, "recursive_star_edge_coloring", "star_palette_bound", ("x",)),
+    "arb-edge": (arbedge, "arb_edge_coloring", "arb_palette_bound", ("a", "q")),
+    "delta-little-o": (arbedge, "delta_plus_little_o", "little_o_palette_bound", ("a", "q")),
+    "powered": (arbedge, "powered_edge_coloring", "powered_palette_bound", ("a", "q", "x")),
+}
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(prog="localcolor")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("cd-color", "refined", "star-edge", "arb-edge",
-                 "delta-little-o", "powered", "verify"):
+    for name in (*ALGORITHMS, "verify"):
         p = sub.add_parser(name)
         p.add_argument("--input", help="input graph file")
         p.add_argument("--format", default="edgelist",
                        choices=["edgelist", "dimacs", "hyper"])
         p.add_argument("--json", dest="json_path", help="also write the report here")
-        if name in ("cd-color", "refined", "star-edge", "powered"):
-            p.add_argument("--x", type=int, default=1)
-        if name in ("cd-color", "refined"):
-            p.add_argument("--cover", default="intrinsic",
-                           help="intrinsic | line | provided:PATH")
-        if name == "cd-color":
-            p.add_argument("--t", type=int, default=None)
-        if name in ("arb-edge", "delta-little-o", "powered"):
-            p.add_argument("--a", type=int, default=None)
-            p.add_argument("--q", type=_q_arg, default=arbedge.DEFAULT_Q)
         if name == "verify":
             p.add_argument("--coloring", help="JSON coloring file to check")
+            continue
+        for opt, spec in OPTIONS.items():
+            if opt in ALGORITHMS[name][3]:
+                p.add_argument(f"--{opt}", **spec)
     g = sub.add_parser("gen")
     g.add_argument("--kind", required=True, choices=sorted(GENERATORS))
-    g.add_argument("--n", type=int)
-    g.add_argument("--delta", type=int)
-    g.add_argument("--rows", type=int)
-    g.add_argument("--cols", type=int)
+    for opt in ("n", "delta", "rows", "cols"):
+        g.add_argument(f"--{opt}", type=int)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", help="output path (default stdout)")
     return ap
@@ -98,15 +109,15 @@ def _load(args):
     raise ParseError(f"unknown cover mode {cover_mode!r}")
 
 
-def _report(args, algorithm, g, a_estimate, col, trace, theory_bound, extra):
+def _report(args, g, a_estimate, col, trace, theory_bound, extra):
     """The JSON report of one run; ``trace`` is its RoundTrace and the
     declared bound is the coloring's palette."""
     declared = col.palette_size
     used, declared_palette = count_colors(col)
     verdict = (is_proper_vertex if col.kind == "vertex" else is_proper_edge)(g, col)
-    ok = verdict.ok and used <= declared and declared <= theory_bound
+    bound_ok = used <= declared <= theory_bound
     report = {
-        "algorithm": algorithm,
+        "algorithm": args.command,
         "params": {k: v for k, v in sorted(vars(args).items())
                    if k not in ("command", "json_path") and v is not None},
         "graph": {"n": g.n, "m": g.m, "delta": g.max_degree, "a_estimate": a_estimate},
@@ -115,15 +126,12 @@ def _report(args, algorithm, g, a_estimate, col, trace, theory_bound, extra):
         "declared_bound": declared,
         "theory_bound": theory_bound,
         "rounds": {"total": trace.rounds, "phases": trace.phase_breakdown},
-        "verdicts": {
-            "proper": verdict.ok,
-            "violations": len(verdict.violations),
-            "bound_ok": used <= declared <= theory_bound,
-        },
-        "ok": ok,
+        "verdicts": {"proper": verdict.ok, "violations": len(verdict.violations),
+                     "bound_ok": bound_ok},
+        "ok": verdict.ok and bound_ok,
     }
     report.update(extra)
-    return report, (0 if ok else 1)
+    return report, (0 if report["ok"] else 1)
 
 
 def _emit(report, args, wall):
@@ -198,38 +206,27 @@ def _cmd_verify(args):
 
 def _run_algorithm(args):
     start = time.monotonic()
+    module, coloring, bound, options = ALGORITHMS[args.command]
     g, cover = _load(args)
     a_estimate = arbedge.estimate_arboricity(g) if g.m else 0
-    if args.command in ("cd-color", "refined"):
-        D, S = cover.D, cover.S
-        if args.command == "cd-color":
-            t = args.t if args.t is not None else choose_params(S, args.x)
-            col, trace = cd_coloring(g, cover, t, args.x)
-            theory = cd_envelope(D, S, t, args.x)
-        else:
-            col, trace = refined_coloring(g, cover, args.x)
-            theory = refined_palette_bound(D, S, args.x)
-        extra = {"cover": {"D": D, "S": S, "cliques": len(cover.cliques)},
+    # the defaults worked out from the input stay out of args, so the
+    # report's params list only what was given
+    opts = {k: cover if k == "cover" else getattr(args, k) for k in options}
+    if opts.get("t", 0) is None:
+        opts["t"] = cdcolor.choose_params(cover.S, opts["x"])
+    if opts.get("a", 0) is None:
+        opts["a"] = max(a_estimate, 1)  # a_estimate is 0 on an edgeless graph
+    # looked up at call time: a tracer wraps a function by rebinding its module attribute
+    col, trace = getattr(module, coloring)(g, *opts.values())
+    if opts.pop("cover", None) is not None:
+        theory = getattr(module, bound)(cover.D, cover.S, *opts.values())
+        extra = {"cover": {"D": cover.D, "S": cover.S, "cliques": len(cover.cliques)},
                  "leaf_count": trace.leaf_count()}
-    elif args.command == "star-edge":
-        col, trace = recursive_star_edge_coloring(g, args.x)
-        theory = star_palette_bound(g.max_degree, args.x)
-        extra = {"class_count": trace.class_count, "max_star": trace.max_star}
     else:
-        # estimate_arboricity is at least 1, also on an edgeless graph
-        a = args.a if args.a is not None else max(a_estimate, 1)
-        delta = g.max_degree
-        if args.command == "arb-edge":
-            col, trace = arbedge.arb_edge_coloring(g, a, args.q)
-            theory = arbedge.arb_palette_bound(delta, a, args.q)
-        elif args.command == "delta-little-o":
-            col, trace = arbedge.delta_plus_little_o(g, a, args.q)
-            theory = arbedge.little_o_palette_bound(delta, a, args.q)
-        else:
-            col, trace = arbedge.powered_edge_coloring(g, a, args.q, args.x)
-            theory = arbedge.powered_palette_bound(delta, a, args.q, args.x)
-        extra = {"a": a}
-    report, code = _report(args, args.command, g, a_estimate, col, trace, theory, extra)
+        theory = getattr(module, bound)(g.max_degree, *opts.values())
+        extra = ({"a": opts["a"]} if "a" in opts
+                 else {"class_count": trace.class_count, "max_star": trace.max_star})
+    report, code = _report(args, g, a_estimate, col, trace, theory, extra)
     _emit(report, args, time.monotonic() - start)
     return code
 

@@ -258,21 +258,17 @@ def line_graph(g: Graph):
     hypergraph line graph of g's sorted normalized edges.  Line-graph vertex
     IDs are the lexicographic ranks of the edges, and the cover has one
     clique per vertex of degree >= 1 (its star), so its diversity is at
-    most 2."""
-    edges = sorted(g.edges())
-    if not edges:
-        raise GraphError("line graph of an edgeless graph")
-    return hypergraph_line_graph(Hypergraph.from_lists(edges))
+    most 2.  An edgeless graph gives the empty graph and cover."""
+    return hypergraph_line_graph(Hypergraph.from_lists(sorted(g.edges())))
 
 
 @_gc_paused
 def hypergraph_line_graph(h: Hypergraph):
     """One vertex per hyperedge, adjacency iff hyperedges intersect; cover
-    has one clique per original vertex (diversity <= rank)."""
+    has one clique per original vertex (diversity <= rank).  No hyperedges
+    give the empty graph and cover."""
     from .cliques import CliqueCover
 
-    if not h.hyperedges:
-        raise GraphError("line graph of an empty hypergraph")
     by_vertex: dict[int, list[int]] = {}
     for i, he in enumerate(h.hyperedges):
         for v in he:

@@ -18,12 +18,14 @@ module because no linter is a dependency:
 
 One more check runs the code: importing every module in a fresh
 interpreter loads neither ``networkx`` nor ``numpy``, not even through
-another module.
+another module.  And the README's sentence "`src/localcolor` has N lines"
+gives the count of ``wc -l src/localcolor/*.py``.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -161,3 +163,10 @@ def test_importing_the_package_loads_no_heavy_module():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert json.loads(done.stdout) == []
+
+
+def test_readme_states_the_package_line_count():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    stated = re.findall(r"`src/localcolor` has ([\d,]+) lines", readme)
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    assert [int(n.replace(",", "")) for n in stated] == [lines]
