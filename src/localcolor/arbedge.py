@@ -268,7 +268,7 @@ def _arb_edge_coloring(edges, delta: int, a: int, q: float,
     internal, internal_delta, sweep, mask, ell = edges, delta, [], {}, 1
     if delta > d:
         if g is None:
-            g = _class_graph(edges)
+            g = Graph.from_edges(chain.from_iterable(edges), edges)
         hp = h_partition(g, a, q)
         set_of, ell = hp.set_of, hp.ell
         internal, internal_delta = [e for e in edges if set_of[e[0]] == set_of[e[1]]], None
@@ -321,18 +321,6 @@ def _connector_walk(arcs, in_split: int, out_split: int, delta: int) -> list:
         b = w * delta + r // in_split
         append((a, b) if a < b else (b, a))
     return conn
-
-
-def _class_graph(cls) -> Graph:
-    """The graph of the distinct normalized edges in ``cls`` and their
-    endpoints only.  Appended in sorted edge order, every vertex gets its
-    lower neighbors and then its higher ones, each ascending, so no list
-    needs a sort of its own."""
-    adj: dict[int, list[int]] = {}
-    for u, v in sorted(cls):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return Graph({v: tuple(adj[v]) for v in sorted(adj)})
 
 
 def _connector_degree(conn, cap: int, delta: int) -> int:

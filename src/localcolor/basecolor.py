@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .graph import Coloring, Graph, GraphError, VerificationError
-from .sim import Done, LocalView, RoundTrace, Sleep, VertexProgram, run
+from .sim import Done, RoundTrace, Sleep, VertexProgram, run
 from .verify import is_proper_edge, is_proper_vertex
 
 # palette factor guaranteed by the construction ((2Delta)^2 with Bertrand slack)
@@ -110,18 +110,17 @@ def _first_free(mine: int, theirs, q: int, k: int) -> int:
 
 class _LinialProgram(VertexProgram):
     """One schedule step per round.  The initial colors are the IDs, so
-    round 1 reads the neighbors' colors from the view and nothing is sent
+    round 1 reads the neighbors' colors from their IDs and nothing is sent
     at init; a KT0 vertex would learn those IDs in round 1, when they are
     first used, so the round count is the same.  Later rounds read the
     colors that every neighbor sent in the round before."""
 
-    def __init__(self, schedule: list[tuple[int, int]]):
+    def __init__(self, vertex: int, schedule: list[tuple[int, int]]):
         self.schedule = schedule
-        self.output = 0  # the vertex's current color
+        self.output = vertex  # the vertex's current color
 
-    def init(self, view: LocalView):
-        self.output = view.vertex
-        self.neighbors = view.neighbors
+    def init(self, neighbors: tuple[int, ...]):
+        self.neighbors = neighbors
         return {}, not self.schedule
 
     def step(self, round_no: int, inbox: dict):
@@ -152,7 +151,7 @@ def _linial(g: Graph) -> tuple[Coloring, RoundTrace]:
     m0 = max(g.adj) + 1
     delta = g.max_degree
     schedule = linial_schedule(m0, delta)
-    outputs, trace = run(g, lambda v: _LinialProgram(schedule),
+    outputs, trace = run(g, lambda v: _LinialProgram(v, schedule),
                          round_cap=len(schedule) + 1)
     final = m0 if not schedule else schedule[-1][1] ** 2
     return Coloring("vertex", outputs, final), trace
@@ -187,10 +186,10 @@ class _ReduceProgram(VertexProgram):
         self.output = color
         self.done = done
 
-    def init(self, view: LocalView):
+    def init(self, neighbors: tuple[int, ...]):
         if self.output < self.target:
-            return dict.fromkeys(view.neighbors, self.output), self.done
-        self.neighbors = view.neighbors
+            return dict.fromkeys(neighbors, self.output), self.done
+        self.neighbors = neighbors
         return {}, Sleep(self.turn)
 
     def step(self, round_no: int, inbox: dict):

@@ -104,7 +104,7 @@ def _load(args):
     if cover_mode.startswith("provided:"):
         # one clique per line, the hypergraph format: a bad token is a
         # ParseError naming the cover file and line
-        cliques = load_graph(cover_mode.split(":", 1)[1], "hyper").hyperedges
+        cliques = load_graph(cover_mode.split(":", 1)[1], "hyper")
         return loaded, CliqueCover.from_cliques(loaded, cliques)
     raise ParseError(f"unknown cover mode {cover_mode!r}")
 

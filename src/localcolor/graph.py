@@ -131,28 +131,6 @@ def _repeats(rows) -> bool:
     return any(i not in seams for i in equal_at)
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    """Vertices plus hyperedges of size at most ``rank``."""
-
-    vertices: tuple[int, ...]
-    hyperedges: tuple[frozenset[int], ...]
-    rank: int
-
-    @staticmethod
-    def from_lists(hyperedges: Iterable[Iterable[int]]) -> "Hypergraph":
-        hes = []
-        vs: set[int] = set()
-        for he in hyperedges:
-            s = frozenset(he)
-            if not s:
-                raise GraphError("empty hyperedge")
-            hes.append(s)
-            vs |= s
-        rank = max((len(h) for h in hes), default=0)
-        return Hypergraph(tuple(sorted(vs)), tuple(hes), rank)
-
-
 @dataclass
 class Coloring:
     """Total map from vertices or edges to int colors below ``palette_size``."""
@@ -259,21 +237,27 @@ def line_graph(g: Graph):
     IDs are the lexicographic ranks of the edges, and the cover has one
     clique per vertex of degree >= 1 (its star), so its diversity is at
     most 2.  An edgeless graph gives the empty graph and cover."""
-    return hypergraph_line_graph(Hypergraph.from_lists(sorted(g.edges())))
+    return hypergraph_line_graph(sorted(g.edges()))
 
 
 @_gc_paused
-def hypergraph_line_graph(h: Hypergraph):
-    """One vertex per hyperedge, adjacency iff hyperedges intersect; cover
-    has one clique per original vertex (diversity <= rank).  No hyperedges
-    give the empty graph and cover."""
+def hypergraph_line_graph(hyperedges: Iterable[Iterable[int]]):
+    """One vertex per hyperedge, numbered in the given order, adjacency iff
+    hyperedges intersect; cover has one clique per original vertex
+    (diversity <= rank).  A vertex repeated within a hyperedge counts
+    once; an empty hyperedge is a GraphError.  No hyperedges give the
+    empty graph and cover."""
     from .cliques import CliqueCover
 
+    hyperedges = list(hyperedges)
     by_vertex: dict[int, list[int]] = {}
-    for i, he in enumerate(h.hyperedges):
+    for i, he in enumerate(hyperedges):
+        he = set(he)
+        if not he:
+            raise GraphError("empty hyperedge")
         for v in he:
             by_vertex.setdefault(v, []).append(i)
-    adj: list[set[int]] = [set() for _ in h.hyperedges]
+    adj: list[set[int]] = [set() for _ in hyperedges]
     for members in by_vertex.values():
         for i in members:
             adj[i].update(members)

@@ -11,8 +11,8 @@ import random
 from bisect import bisect_left
 from itertools import islice
 
-from .graph import (Graph, GraphError, Hypergraph, _freeze, _gc_paused, hypergraph_line_graph,
-                    line_graph, norm_edge)
+from .graph import (Graph, GraphError, _freeze, _gc_paused, hypergraph_line_graph, line_graph,
+                    norm_edge)
 
 
 class ParseError(GraphError):
@@ -62,12 +62,9 @@ def load_dimacs(path) -> Graph:
         if toks[0] == "p":
             if n is not None:
                 raise ParseError(f"{path}:{lineno}: second problem line")
-            if len(toks) != 4 or toks[1] != "edge":
+            if len(toks) != 4 or toks[1] != "edge" or not all(map(str.isdecimal, toks[2:])):
                 raise ParseError(f"{path}:{lineno}: bad problem line {toks}")
-            try:
-                n, m = int(toks[2]), int(toks[3])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad problem line {toks}") from None
+            n, m = int(toks[2]), int(toks[3])
             adj = {v: [] for v in range(1, n + 1)}
         elif toks[0] == "e":
             if n is None:
@@ -96,11 +93,11 @@ def load_dimacs(path) -> Graph:
     return _freeze(adj)
 
 
-def load_hypergraph(path) -> Hypergraph:
+def load_hypergraph(path) -> list[tuple[int, ...]]:
     hyperedges = []
     for lineno, toks in _tokens(path):
         try:
-            he = [int(t) for t in toks]
+            he = tuple(map(int, toks))
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-integer vertex id") from None
         if min(he) < 0:
@@ -108,7 +105,7 @@ def load_hypergraph(path) -> Hypergraph:
         if len(set(he)) != len(he):
             raise ParseError(f"{path}:{lineno}: repeated vertex in hyperedge")
         hyperedges.append(he)
-    return Hypergraph.from_lists(hyperedges)
+    return hyperedges
 
 
 def load_graph(path, fmt: str = "edgelist"):
@@ -124,9 +121,15 @@ def load_graph(path, fmt: str = "edgelist"):
 # ---------------------------------------------------------------------------
 # generators
 
+def _size(k: int, name: str = "n") -> int:
+    if k < 0:
+        raise GraphError(f"need {name} >= 0, got {name}={k}")
+    return k
+
+
 @_gc_paused
 def gen_path(n) -> Graph:
-    ids = list(range(n))  # one int object per vertex, shared by every list
+    ids = list(range(_size(n)))  # one int object per vertex, shared by every list
     adj = {v: [u, w] for u, v, w in zip(ids, ids[1:], ids[2:])}
     if n > 1:
         adj[ids[0]], adj[ids[-1]] = [ids[1]], [ids[-2]]
@@ -136,12 +139,12 @@ def gen_path(n) -> Graph:
 
 
 def gen_complete(n) -> Graph:
-    return _freeze({i: [*range(i), *range(i + 1, n)] for i in range(n)})
+    return _freeze({i: [*range(i), *range(i + 1, n)] for i in range(_size(n))})
 
 
 def gen_star(n) -> Graph:
     """Star K_{1,n-1} with the center as the highest ID."""
-    hub = n - 1
+    hub = _size(n) - 1
     adj = {i: [hub] for i in range(hub)}
     if n > 0:
         adj[hub] = list(range(hub))
@@ -149,12 +152,13 @@ def gen_star(n) -> Graph:
 
 
 def gen_matching(k) -> Graph:
-    return _freeze({v: [v ^ 1] for v in range(2 * k)})  # 2i <-> 2i+1
+    return _freeze({v: [v ^ 1] for v in range(2 * _size(k, "k"))})  # 2i <-> 2i+1
 
 
 @_gc_paused
 def gen_grid(rows, cols) -> Graph:
     # appended row by row, every list is in order before _freeze sorts it
+    rows, cols = _size(rows, "rows"), _size(cols, "cols")
     ids = list(range(rows * cols))  # one int object per vertex, shared by every list
     adj = {v: [] for v in ids}
     for i in range(rows):
@@ -272,8 +276,7 @@ def gen_hyper_line(n, rank, edge_count, seed=0):
             continue
         seen.add(he)
         hyperedges.append(sorted(he))
-    h = Hypergraph.from_lists(hyperedges)
-    return hypergraph_line_graph(h)
+    return hypergraph_line_graph(hyperedges)
 
 
 GENERATORS = {

@@ -51,14 +51,6 @@ class RoundTrace:
             self.add_phase(prefix + label, r)
 
 
-@dataclass
-class LocalView:
-    """What a vertex sees before round 1: itself and its immediate edges."""
-
-    vertex: int
-    neighbors: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class Sleep:
     """Returned in place of ``halted``: not halted, but step me next at
@@ -82,15 +74,15 @@ class Done:
 class VertexProgram:
     """Per-vertex local program.  Subclasses override init/step.
 
-    init(view) and step(round_no, inbox) both return (outbox, halted) where
-    outbox maps neighbor id -> message and halted is True, False, a
-    :class:`Sleep` or a :class:`Done`.  A halted vertex is never stepped
-    again and sends nothing further.  Programs keep an instance
-    ``__dict__`` (no ``__slots__``): ``perfbench/tracer.py`` rebinds
-    init/step per instance.
+    init(neighbors), handed the sorted neighbor tuple before round 1, and
+    step(round_no, inbox) both return (outbox, halted) where outbox maps
+    neighbor id -> message and halted is True, False, a :class:`Sleep` or
+    a :class:`Done`.  A halted vertex is never stepped again and sends
+    nothing further.  Programs keep an instance ``__dict__`` (no
+    ``__slots__``): ``perfbench/tracer.py`` rebinds init/step per instance.
     """
 
-    def init(self, view: LocalView):
+    def init(self, neighbors: tuple[int, ...]):
         return {}, True
 
     def step(self, round_no: int, inbox: dict):
@@ -106,7 +98,8 @@ def run(g: Graph, make_program, round_cap: int | None = None):
     """Run one program instance per vertex until all halt.
 
     ``make_program`` is a factory ``vertex_id -> VertexProgram`` (programs
-    carry per-vertex state).  Due vertices are stepped in ascending id
+    carry per-vertex state), called once per vertex; each program's init
+    is handed ``g.adj[v]`` itself.  Due vertices are stepped in ascending id
     order.  Each outbox goes straight into its recipients' mailboxes as it
     is returned; a message to a non-neighbor raises :class:`GraphError`.
     A vertex's mailbox is made by its first message, keeps the latest
@@ -174,7 +167,7 @@ def run(g: Graph, make_program, round_cap: int | None = None):
 
     for v, nbrs in adj.items():
         prog = make_program(v)
-        out, h = prog.init(LocalView(v, nbrs))
+        out, h = prog.init(nbrs)
         programs[v] = prog
         if out:
             deliver(v, out)

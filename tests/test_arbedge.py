@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcolor import arbedge, staredge
-from localcolor.arbedge import (_class_graph, _connector_degree, _connector_walk,
+from localcolor.arbedge import (_connector_degree, _connector_walk,
                                 arb_edge_coloring, arb_palette_bound,
                                 acyclic_orientation, delta_plus_little_o,
                                 estimate_arboricity, h_partition,
@@ -179,7 +179,7 @@ def test_orientation_connector_star_example():
     o = acyclic_orientation(star, h_partition(star, 1))
     conn = _connector_walk(sorted(o.oriented_edges()), 3, 1, 9)
     assert _connector_degree(conn, 3 + 1, 9) == 3
-    derived = _class_graph(conn)
+    derived = Graph.from_edges(chain.from_iterable(conn), conn)
     # center has 9 incoming edges in 3 groups of 3; leaves one out-virtual
     center_virtuals = [x for x in derived.adj if x // 9 == 9]
     assert len(center_virtuals) == 3
@@ -192,7 +192,7 @@ def test_orientation_connector_sink_has_no_out_groups():
     o = acyclic_orientation(star, h_partition(star, 1))
     conn = _connector_walk(sorted(o.oriented_edges()), 2, 2, 3)
     assert _connector_degree(conn, 2 + 2, 3) == 2
-    derived = _class_graph(conn)
+    derived = Graph.from_edges(chain.from_iterable(conn), conn)
     # the sink center has no out-arcs, so its virtuals are its two
     # in-chunks: (3, 0) with two arcs and (3, 1) with one
     center = [x for x in derived.adj if x // 3 == 3]

@@ -58,8 +58,8 @@ def _record_messages(monkeypatch):
             prog = make_program(v)
             init, step = prog.init, prog.step
 
-            def logged_init(view):
-                out, halted = init(view)
+            def logged_init(neighbors):
+                out, halted = init(neighbors)
                 log.append((0, v, tuple(out)))
                 return out, halted
 
@@ -104,7 +104,7 @@ def test_reduce_colors_steps_only_due_vertices(monkeypatch):
 @pytest.mark.parametrize("g, steps", [(relabel(gen_path(3000), 1), 2),
                                       (relabel(gen_grid(30, 30), 2), 1)])
 def test_linial_sends_nothing_at_init(monkeypatch, g, steps):
-    # round 1 reads the neighbors' IDs, their initial colors, from the view
+    # round 1 reads the neighbors' IDs, their initial colors, from init's neighbors
     log = _record_messages(monkeypatch)
     _, trace = linial_coloring(g)
     schedule = linial_schedule(g.n, g.max_degree)

@@ -75,6 +75,14 @@ def test_dimacs_second_problem_line(tmp_path):
         load_dimacs(p)
 
 
+@pytest.mark.parametrize("counts", ["-3 0", "3 -1", "+3 0"])
+def test_dimacs_signed_count(tmp_path, counts):
+    p = tmp_path / "signed.col"
+    p.write_text(f"c negative counts\np edge {counts}\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:2: bad problem line")):
+        load_dimacs(p)
+
+
 def test_dimacs_k4(tmp_path):
     p = tmp_path / "k4.col"
     lines = ["c complete graph", "p edge 4 6"]
@@ -95,7 +103,7 @@ def test_hypergraph_format(tmp_path):
     p = tmp_path / "h.hg"
     p.write_text("0 1 2\n2 3 4\n")
     h = load_hypergraph(p)
-    assert len(h.hyperedges) == 2 and h.rank == 3
+    assert len(h) == 2 and max(map(len, h)) == 3
 
 
 @pytest.mark.parametrize("fmt,body", [
@@ -512,6 +520,24 @@ def test_huge_vertex_ids_color_properly(tmp_path, capsys, command, big):
 def test_gen_random_negative_delta_exits_2(capsys):
     assert main(["gen", "--kind", "random", "--n", "5", "--delta", "-1"]) == 2
     assert "error: need 0 <= delta < n, got delta=-1, n=5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,sizes,message", [
+    ("path", ["--n", "-1"], "need n >= 0, got n=-1"),
+    ("complete", ["--n", "-2"], "need n >= 0, got n=-2"),
+    ("star", ["--n", "-1"], "need n >= 0, got n=-1"),
+    ("matching", ["--n", "-3"], "need k >= 0, got k=-3"),
+    ("grid", ["--rows", "-2", "--cols", "3"], "need rows >= 0, got rows=-2"),
+    ("grid", ["--rows", "2", "--cols", "-3"], "need cols >= 0, got cols=-3"),
+], ids=["path", "complete", "star", "matching", "grid-rows", "grid-cols"])
+def test_gen_negative_size_exits_2(capsys, kind, sizes, message):
+    assert main(["gen", "--kind", kind, *sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+    # size 0 is the empty graph
+    zero = [s if s.startswith("--") else "0" for s in sizes]
+    code, out = run_cli(capsys, "gen", "--kind", kind, *zero)
+    assert code == 0 and out == f"# generated by localcolor gen kind={kind} seed=0\n"
 
 
 @pytest.mark.parametrize("name,body,argv", [

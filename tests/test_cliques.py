@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from localcolor.cliques import (CliqueCapExceeded, CliqueCover, build_vertex_connector,
                                 enumerate_maximal_cliques)
-from localcolor.graph import (Graph, GraphError, Hypergraph, hypergraph_line_graph,
-                              induced_subgraph, line_graph, norm_edge)
+from localcolor.graph import (Graph, GraphError, hypergraph_line_graph, induced_subgraph,
+                              line_graph, norm_edge)
 from localcolor.io import gen_complete, gen_forest, gen_grid, gen_line_of, gen_path, gen_random
 from localcolor.verify import brute_force_maximal_cliques, check_clique_decomposition
 from helpers import petersen, relabel
@@ -161,7 +161,7 @@ def test_every_constructor_yields_sorted_tuples():
     _assert_canonical(given)
     assert given.cliques == [(0, 1, 2), (2, 3)]
     _assert_canonical(line_graph(g)[1])
-    _assert_canonical(hypergraph_line_graph(Hypergraph.from_lists([[5, 1, 3], [3, 2], [2, 5]]))[1])
+    _assert_canonical(hypergraph_line_graph([[5, 1, 3], [3, 2], [2, 5]])[1])
 
 
 def test_from_cliques_reads_any_form_of_a_cover():

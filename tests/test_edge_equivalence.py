@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcolor import arbedge
-from localcolor.arbedge import (_arb_edge_coloring, _class_graph, _connector_degree,
-                                _connector_walk, _first_fit, acyclic_orientation,
-                                arb_edge_coloring, delta_plus_little_o, h_partition)
+from localcolor.arbedge import (_arb_edge_coloring, _connector_degree, _connector_walk,
+                                _first_fit, acyclic_orientation, arb_edge_coloring,
+                                delta_plus_little_o, h_partition)
 from localcolor.graph import Coloring, Graph, GraphError, norm_edge
 from localcolor.io import gen_complete, gen_forest, gen_random, gen_star
 from localcolor.sim import RoundTrace
@@ -236,16 +236,6 @@ def test_connector_level_matches_first_fit_on_the_built_connector(g, t_tail, t_h
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs(), st.randoms(use_true_random=False))
-def test_class_graph_matches_from_edges(g, rnd):
-    cls = [e for e in g.edges() if rnd.random() < 0.5]
-    rnd.shuffle(cls)
-    sub = _class_graph(cls)
-    ref = Graph.from_edges(chain.from_iterable(cls), cls)
-    assert sub.adj == ref.adj and list(sub.adj) == list(ref.adj)
-
-
-@settings(max_examples=150, deadline=None)
 @given(graphs(), st.integers(1, 4), st.integers(1, 4))
 def test_orientation_connector_matches_index_ranks(g, in_split, out_split):
     hp = h_partition(g, arbedge.estimate_arboricity(g))
@@ -256,7 +246,7 @@ def test_orientation_connector_matches_index_ranks(g, in_split, out_split):
                                                      bipartite=False)
     assert list(zip(arcs, conn)) == list(edge_map.items())
     # little-o's checks pass on a well-formed connector
-    derived = _class_graph(conn)
+    derived = Graph.from_edges(chain.from_iterable(conn), conn)
     assert _connector_degree(conn, in_split + out_split, g.max_degree) == derived.max_degree
     assert {x: divmod(x, g.max_degree) for x in derived.adj} == virtual_of
     assert sorted(derived.edges()) == sorted(conn)
@@ -324,7 +314,7 @@ def test_little_o_inner_runs_match_the_graph_path(monkeypatch, g, a, falls_back)
     fallbacks = []
 
     def graph_path(edges, delta, a, q):
-        sub = _class_graph(edges)
+        sub = Graph.from_edges(chain.from_iterable(edges), edges)
         assert sorted(sub.edges()) == edges and sub.max_degree == delta
         fallbacks.append(delta > math.floor(arbedge._q_times_a(q, a)))
         return ref_arb_edge_coloring(sub, a, q)

@@ -14,8 +14,8 @@ from localcolor.arbedge import (DEFAULT_Q, arb_edge_coloring, delta_plus_little_
 from localcolor.basecolor import delta_plus_one
 from localcolor.cdcolor import cd_coloring, refined_coloring
 from localcolor.cliques import CliqueCapExceeded, enumerate_maximal_cliques
-from localcolor.graph import (Graph, GraphError, Hypergraph, _freeze, _gc_paused,
-                              hypergraph_line_graph, induced_subgraph)
+from localcolor.graph import (Graph, GraphError, _freeze, _gc_paused, hypergraph_line_graph,
+                              induced_subgraph)
 from localcolor.io import ParseError
 from localcolor.sim import RoundBudgetExceeded, VertexProgram, run
 from localcolor.staredge import recursive_star_edge_coloring
@@ -39,12 +39,12 @@ def restore_gc():
 
 
 class Halt(VertexProgram):
-    def init(self, view):
+    def init(self, neighbors):
         return {}, True
 
 
 class Forever(VertexProgram):
-    def init(self, view):
+    def init(self, neighbors):
         return {}, False
 
     def step(self, round_no, inbox):
@@ -52,14 +52,17 @@ class Forever(VertexProgram):
 
 
 class Stray(VertexProgram):
-    def init(self, view):
-        return {view.vertex + 2: "x"}, True
+    def __init__(self, v):
+        self.v = v
+
+    def init(self, neighbors):
+        return {self.v + 2: "x"}, True
 
 
 class Recorder(VertexProgram):
     """Records whether the collector is on when it is stepped."""
 
-    def init(self, view):
+    def init(self, neighbors):
         return {}, False
 
     def step(self, round_no, inbox):
@@ -84,8 +87,7 @@ RETURNING = {
     "_freeze": lambda tmp: _freeze({0: [1], 1: [0]}),
     "edges": lambda tmp: cycle(5).edges(),
     "induced_subgraph": lambda tmp: induced_subgraph(cycle(5), [0, 1, 2]),
-    "hypergraph_line_graph": lambda tmp: hypergraph_line_graph(
-        Hypergraph.from_lists([[0, 1, 2], [2, 3]])),
+    "hypergraph_line_graph": lambda tmp: hypergraph_line_graph([[0, 1, 2], [2, 3]]),
     "run": lambda tmp: run(cycle(4), lambda v: Halt()),
     "enumerate_maximal_cliques": lambda tmp: enumerate_maximal_cliques(cycle(5)),
     "load_edgelist": lambda tmp: lio.load_edgelist(edge_file(tmp, "0 1\n1 2\n")),
@@ -101,7 +103,7 @@ RAISING = {
     "load_edgelist bad line": (ParseError, lambda tmp: lio.load_edgelist(
         edge_file(tmp, "0 1\n1 2 3\n"))),
     "run non-neighbor": (GraphError, lambda tmp: run(Graph.from_edges(range(4), [(0, 1)]),
-                                                     lambda v: Stray())),
+                                                     Stray)),
     "run round budget": (RoundBudgetExceeded, lambda tmp: run(cycle(4), lambda v: Forever(),
                                                               round_cap=3)),
     "enumerate_maximal_cliques cap": (CliqueCapExceeded, lambda tmp: enumerate_maximal_cliques(

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from localcolor import io as lio
-from localcolor.graph import (Coloring, Graph, GraphError, Hypergraph, VerificationError,
-                              _degeneracy_order, _freeze, _recurse, hypergraph_line_graph,
-                              induced_subgraph, line_graph, norm_edge)
+from localcolor.graph import (Coloring, Graph, GraphError, VerificationError, _degeneracy_order,
+                              _freeze, _recurse, hypergraph_line_graph, induced_subgraph,
+                              line_graph, norm_edge)
 
 
 def test_from_edges_basics():
@@ -231,15 +231,37 @@ def test_line_graph_ids_are_lexicographic_ranks():
 
 
 def test_hypergraph_line_graph():
-    h = Hypergraph.from_lists([[0, 1, 2], [2, 3, 4], [4, 5, 0]])
-    lg, cover = hypergraph_line_graph(h)
+    lg, cover = hypergraph_line_graph([[0, 1, 2], [2, 3, 4], [4, 5, 0]])
     assert lg.n == 3 and lg.m == 3
     assert cover.D <= 3
 
 
+def test_hypergraph_line_graph_reads_a_generator_once():
+    hyperedges = [[0, 1, 2], [2, 3], [3, 4, 0], [5]]
+    read = []
+
+    def one_by_one():
+        for he in hyperedges:
+            read.append(he)
+            yield he
+
+    lg, cover = hypergraph_line_graph(one_by_one())
+    assert read == hyperedges
+    assert (lg, cover) == hypergraph_line_graph(hyperedges)
+    assert lg.adj == {0: (1, 2), 1: (0, 2), 2: (0, 1), 3: ()}
+
+
+def test_hypergraph_line_graph_counts_a_repeated_vertex_once():
+    plain = hypergraph_line_graph([(0, 1, 2), (2, 3), (3, 0)])
+    repeated = hypergraph_line_graph([(0, 1, 2, 1), (2, 3, 3), (3, 0, 3, 0)])
+    assert repeated[0].adj == plain[0].adj
+    assert repeated[1] == plain[1]
+    assert repeated[1].cliques == [(0,), (0, 1), (0, 2), (1, 2)]
+
+
 def test_hypergraph_rejects_empty_hyperedge():
-    with pytest.raises(GraphError):
-        Hypergraph.from_lists([[1, 2], []])
+    with pytest.raises(GraphError, match="empty hyperedge"):
+        hypergraph_line_graph([[1, 2], []])
 
 
 @given(st.sets(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=40))

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from localcolor.basecolor import linial_coloring
 from localcolor.graph import Graph, GraphError
 from localcolor.io import gen_path
-from localcolor.sim import (Done, LocalView, RoundBudgetExceeded, RoundTrace, Sleep,
-                            VertexProgram, default_round_cap, run)
+from localcolor.sim import (Done, RoundBudgetExceeded, RoundTrace, Sleep, VertexProgram,
+                            default_round_cap, run)
 from helpers import cycle, relabel
 
 
@@ -21,9 +21,9 @@ class Collect(VertexProgram):
         self.rounds = rounds
         self.heard = []
 
-    def init(self, view):
-        self.neighbors = view.neighbors
-        return {w: (self.vertex,) for w in view.neighbors}, self.rounds == 0
+    def init(self, neighbors):
+        self.neighbors = neighbors
+        return {w: (self.vertex,) for w in neighbors}, self.rounds == 0
 
     def step(self, round_no, inbox):
         for v, msg in sorted(inbox.items()):
@@ -55,18 +55,21 @@ def test_output_depends_only_on_local_ball():
 
 def test_messages_to_non_neighbors_rejected():
     class Bad(VertexProgram):
-        def init(self, view):
-            return {view.vertex + 2: "x"}, True
+        def __init__(self, v):
+            self.v = v
+
+        def init(self, neighbors):
+            return {self.v + 2: "x"}, True
 
     g = Graph.from_edges(range(4), [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(GraphError):
-        run(g, lambda v: Bad())
+        run(g, Bad)
 
 
 def test_round_cap_enforced():
     class Forever(VertexProgram):
-        def init(self, view):
-            self.neighbors = view.neighbors
+        def init(self, neighbors):
+            self.neighbors = neighbors
             return {}, False
 
         def step(self, round_no, inbox):
@@ -87,14 +90,36 @@ def test_trace_composition():
     assert t.phase_breakdown == [("a", 3), ("pre:b", 2)]
 
 
+def test_init_is_handed_the_adjacency_tuple_and_the_factory_the_vertex():
+    made, handed = [], {}
+
+    class Record(VertexProgram):
+        def __init__(self, v):
+            self.v = v
+
+        def init(self, neighbors):
+            handed[self.v] = neighbors
+            return {}, True
+
+    def factory(v):
+        made.append(v)
+        return Record(v)
+
+    g = relabel(gen_path(30), 5)
+    run(g, factory)
+    assert made == list(g.adj)
+    assert handed.keys() == g.adj.keys()
+    assert all(handed[v] is g.adj[v] for v in g.adj)
+
+
 def test_halted_at_init_still_delivers_outbox():
     class OneShot(VertexProgram):
         def __init__(self, v):
             self.v = v
 
-        def init(self, view):
-            self.neighbors = view.neighbors
-            return {w: self.v for w in view.neighbors}, self.v == 0
+        def init(self, neighbors):
+            self.neighbors = neighbors
+            return {w: self.v for w in neighbors}, self.v == 0
 
         def step(self, round_no, inbox):
             self.output = sorted(inbox.values())
@@ -115,7 +140,7 @@ class Scripted(VertexProgram):
         self.plan = plan
         self.log = log
 
-    def init(self, view):
+    def init(self, neighbors):
         return self.plan[0]
 
     def step(self, round_no, inbox):
@@ -286,9 +311,9 @@ class Hoard(VertexProgram):
         self.rounds = rounds
         self.kept = []
 
-    def init(self, view):
-        self.neighbors = view.neighbors
-        return dict.fromkeys(view.neighbors, 0), False
+    def init(self, neighbors):
+        self.neighbors = neighbors
+        return dict.fromkeys(neighbors, 0), False
 
     def step(self, round_no, inbox):
         self.kept.append((inbox, dict(inbox)))
@@ -322,7 +347,7 @@ class Scribble(VertexProgram):
         self.sends = sends
         self.output = []
 
-    def init(self, view):
+    def init(self, neighbors):
         return dict.fromkeys(self.sends.get(0, ()), "init"), False
 
     def step(self, round_no, inbox):
@@ -451,7 +476,7 @@ def reference_run(g, make_program, round_cap):
 
     for v, nbrs in g.adj.items():
         programs[v] = make_program(v)
-        out, h = programs[v].init(LocalView(v, nbrs))
+        out, h = programs[v].init(nbrs)
         settle(v, out, h, 0)
     post()
     rounds = r = 0
