@@ -18,7 +18,7 @@ from operator import itemgetter
 
 from .basecolor import _int_ceil_root, _require_proper
 from .graph import (Coloring, Graph, GraphError, VerificationError, _degeneracy_order,
-                    _recurse, induced_subgraph, norm_edge)
+                    _depth, _recurse, induced_subgraph, norm_edge)
 from .sim import RoundTrace
 from .staredge import _connector_level, _greedy_edges, _star_edge_coloring
 from .verify import is_proper_edge
@@ -397,8 +397,9 @@ def delta_plus_little_o(g: Graph, a: int,
 
 
 def powered_palette_bound(delta: int, a: int, q: float, x: int) -> int:
-    """(ceil(Delta^(1/x)) + ceil(a_hat^(1/x)) + 3)^x with exact integer
-    roots: an integer r has r^x >= a_hat exactly when r^x >= ceil(a_hat)."""
+    """(ceil(Delta^(1/x)) + ceil(a_hat^(1/x)) + 3)^x, x capped at Delta, with exact
+    integer roots: an integer r has r^x >= a_hat exactly when r^x >= ceil(a_hat)."""
+    x = _depth(x, delta)
     a_hat = math.ceil(_q_times_a(q, a))
     return (_int_ceil_root(delta, x) + _int_ceil_root(a_hat, x) + 3) ** x
 
@@ -408,12 +409,11 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
     """x-1 levels that first-fit the bipartite orientation connector with
     gin+gout-1 colors each, then a first fit of each leaf class, all in
     one order of the arcs that IDs decide (see the root sort).  Total
-    palette stays within (ceil(Delta^(1/x)) + ceil(a_hat^(1/x)) + 3)^x."""
-    if x < 1:
-        raise GraphError("x must be at least 1")
+    palette stays within powered_palette_bound, x capped by graph._depth."""
+    delta = g.max_degree
+    x = _depth(x, delta)
     trace = RoundTrace()
     a_hat = math.ceil(_q_times_a(q, a))
-    delta = g.max_degree
     if delta < 1:
         return Coloring("edge", {}, 1), trace
     hp = h_partition(g, a, q)

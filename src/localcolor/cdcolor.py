@@ -9,7 +9,7 @@ families declare the product of their level palettes and differ only in
 how t is chosen: CD-Coloring keeps one t, the refined family takes
 t = floor(S^(1/(x+1))) per level.  Each checks its declared palette against
 its theory bound, CD-Coloring's coarse envelope and the refined family's
-D^(x+1)*S.
+D^(x+1)*S.  Each of these functions caps x at S with ``graph._depth``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 from .basecolor import _int_floor_root, _require_proper, delta_plus_one
 from .cliques import CliqueCover, build_vertex_connector
-from .graph import Coloring, Graph, GraphError, VerificationError, _recurse, induced_subgraph
+from .graph import (Coloring, Graph, GraphError, VerificationError, _depth, _recurse,
+                    induced_subgraph)
 from .sim import RoundTrace
 
 # below this clique size the refined family's arithmetic loses to the
@@ -45,10 +46,8 @@ class DecompositionReport(RoundTrace):
 
 
 def choose_params(S: int, x: int) -> int:
-    """t = max(2, floor(S^(1/(x+1)))), which is 2 for S < 2."""
-    if x < 1:
-        raise GraphError(f"choose_params needs x >= 1, got x={x}")
-    return max(2, _int_floor_root(S, x + 1))
+    """t = max(2, floor(S^(1/(x+1)))); past x's cap the root is below 2."""
+    return max(2, _int_floor_root(S, _depth(x, S) + 1))
 
 
 def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, bound: int,
@@ -121,12 +120,14 @@ def cd_envelope(D: int, S: int, t: int, x: int) -> int:
     """CD-Coloring's coarse palette envelope (tD)^x * D(S/t^x + 2) + (tD)^x,
     which is the integer D^(x+1)*S + (2D+1)(tD)^x, and at least 1, the one
     color of an edgeless graph."""
+    x = _depth(x, S)
     return max(D ** (x + 1) * S + (2 * D + 1) * (t * D) ** x, 1)
 
 
 def cd_palette_bound(D: int, S: int, t: int, x: int) -> int:
     """CD-Coloring's declared palette, the product of its level palettes:
     (D(t-1)+1)^x * (D(ceil(S/t^x)-1)+1), as ceil(ceil(S/t)/t) = ceil(S/t^2)."""
+    x = _depth(x, S)
     return (D * (t - 1) + 1) ** x * (D * (-(-S // t ** x) - 1) + 1)
 
 
@@ -135,10 +136,9 @@ def cd_coloring(g: Graph, cover: CliqueCover, t: int,
     """CD-Coloring: x connector levels with one part size t, leaves colored
     with D(ceil(S/t^x)-1)+1 colors, colors combined as (branch index, leaf
     color) flattened with per-level padded radixes."""
+    x = _depth(x, cover.S)
     if t < 2:
         raise GraphError(f"part size t must be at least 2, got {t}")
-    if x < 1:
-        raise GraphError(f"recursion depth x must be at least 1, got {x}")
     return _decompose(g, cover, x, lambda S_cur, x_cur: t,
                       cd_envelope(cover.D, cover.S, t, x), "cd_envelope")
 
@@ -147,6 +147,7 @@ def refined_palette_bound(D: int, S: int, x: int) -> int:
     """The refined family's theory bound: D^(x+1)*S above the small-case
     threshold, else the direct D(S-1)+1.  The product of its level
     palettes never exceeds it."""
+    x = _depth(x, S)
     if D < 2 or S < REFINED_SMALL_S:
         return D * max(S - 1, 0) + 1
     return D ** (x + 1) * S
@@ -157,14 +158,11 @@ def refined_coloring(g: Graph, cover: CliqueCover,
     """The refined recursive family: per-level t = floor(S^(1/(x+1))),
     direct coloring of parts with D < 2 or S below REFINED_SMALL_S, and
     at most refined_palette_bound(D, S, x) colors."""
-    if x < 1:
-        raise GraphError("x must be at least 1")
+    x = _depth(x, cover.S)
     D = cover.D
 
     def pick_t(S_cur: int, x_cur: int) -> int | None:
-        if D < 2 or S_cur < REFINED_SMALL_S:
-            return None
-        return choose_params(S_cur, x_cur)
+        return None if D < 2 or S_cur < REFINED_SMALL_S else choose_params(S_cur, x_cur)
 
     return _decompose(g, cover, x, pick_t, refined_palette_bound(D, cover.S, x),
                       "refined_palette_bound")

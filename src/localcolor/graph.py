@@ -153,6 +153,15 @@ class Coloring:
         return len(set(self.assignment.values()))
 
 
+def _depth(x: int, bound: int) -> int:
+    """The recursion depth x, checked to be at least 1 and capped at the
+    largest value with 2^(x+1) <= ``bound`` (Delta for the edge families, S
+    for the vertex ones), or at 1.  Past it a level only multiplies the palette."""
+    if x < 1:
+        raise GraphError(f"x must be at least 1, got x={x}")
+    return min(x, max(1, bound.bit_length() - 2))
+
+
 def _recurse(kind: str, root, palettes: list[int], split, leaf, bound: int,
              name: str) -> tuple[Coloring, int]:
     """The one recursion of the vertex and edge families.  Level j cuts a

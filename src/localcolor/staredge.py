@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .basecolor import _int_floor_root, _require_proper
-from .graph import Coloring, Graph, GraphError, VerificationError, _recurse
+from .graph import Coloring, Graph, GraphError, VerificationError, _depth, _recurse
 from .sim import RoundTrace
 
 
@@ -96,15 +96,9 @@ def _connector_level(pairs, t_tail: int, t_head: int, bipartite: bool):
     return classes, tail_rank, head_rank
 
 
-def _star_depth(delta: int, x: int) -> int:
-    """The star scheme's level count: x capped at the largest value with
-    2^(x+1) <= Delta, or at 1 when Delta < 4."""
-    return min(x, max(1, delta.bit_length() - 2))
-
-
 def star_palette_bound(delta: int, x: int) -> int:
-    """The star scheme's palette bound: max(2^(x+1)*Delta, 1), x capped by _star_depth."""
-    return max(2 ** (_star_depth(delta, x) + 1) * delta, 1)
+    """The star scheme's palette bound: max(2^(x+1)*Delta, 1), x capped by graph._depth."""
+    return max(2 ** (_depth(x, delta) + 1) * delta, 1)
 
 
 def star_edge_coloring_4delta(g: Graph) -> tuple[Coloring, StarPartitionReport]:
@@ -118,9 +112,9 @@ def star_edge_coloring_4delta(g: Graph) -> tuple[Coloring, StarPartitionReport]:
 def recursive_star_edge_coloring(g: Graph,
                                  x: int) -> tuple[Coloring, StarPartitionReport]:
     """x connector levels with a single t = max(2, floor(Delta^(1/(x+1)))),
-    leaves colored greedily.  x is capped at the largest value with
+    leaves colored greedily.  graph._depth caps x at the largest value with
     2^(x+1) <= Delta (or 1), so (2*ceil(Delta/t^x)-1)(2t-1)^x <= 2^(x+1)*Delta:
-    with u = Delta/t^x >= t the ratio is at most (1+1/2u)(1-1/2t)^x < 1, and
+    with u = Delta/t^x >= t the ratio is at most (1+1/2u)(1-1/2t)^x, below 1, and
     Delta = 2, 3 give 3 and 9 colors.  The report's max_star is the largest
     star of the top-level partition."""
     col, report = _star_edge_coloring(sorted(g.edges()), x, g.max_degree)
@@ -134,16 +128,14 @@ def _star_edge_coloring(edges, x: int,
     ``edges``, whose largest degree is ``delta`` (counted if not given),
     without its properness check, for callers that check their own whole
     output."""
-    if x < 1:
-        raise GraphError("x must be at least 1")
     if delta is None:
         delta = max(Counter(chain.from_iterable(edges)).values(), default=0)
+    x = _depth(x, delta)
     report = StarPartitionReport()
     if delta < 2:  # a matching: one class, one color
         report.class_count = 1 if edges else 0
         report.max_star = delta
         return Coloring("edge", dict.fromkeys(edges, 0), 1), report
-    x = _star_depth(delta, x)
     t = max(2, _int_floor_root(delta, x + 1))
 
     # per-level star-size bounds: b[0]=Delta, b[j+1]=ceil(b[j]/t)

@@ -282,10 +282,10 @@ def test_powered_palette_bound_uses_exact_roots():
         assert powered_palette_bound(r ** 5, 1, 2.5, 5) == (r + 2 + 3) ** 5, r
         assert powered_palette_bound(r ** 5 + 1, 1, 2.5, 5) == (r + 1 + 2 + 3) ** 5, r
     # a_hat = q*a need not be an integer: an integer root reaches it exactly
-    # when it reaches ceil(a_hat)
-    assert powered_palette_bound(1, 3, 2.7, 3) == (1 + 3 + 3) ** 3  # a_hat = 8.1
-    assert powered_palette_bound(1, 2, 4.0, 3) == (1 + 2 + 3) ** 3  # a_hat = 8
-    assert powered_palette_bound(0, 1, 2.5, 2) == (0 + 2 + 3) ** 2
+    # when it reaches ceil(a_hat).  Delta = 27 keeps x = 3 within its cap.
+    assert powered_palette_bound(27, 3, 2.7, 3) == (3 + 3 + 3) ** 3  # a_hat = 8.1
+    assert powered_palette_bound(27, 2, 4.0, 3) == (3 + 2 + 3) ** 3  # a_hat = 8
+    assert powered_palette_bound(0, 1, 2.5, 2) == 0 + 3 + 3  # Delta = 0 caps x at 1
 
 def test_powered_x1_matches_direct_palette():
     f = gen_forest(60, 6, seed=2)
@@ -464,14 +464,20 @@ def test_declared_palette_above_its_bound_raises(monkeypatch, module, bound, run
         run(g, a)
 
 
-@pytest.mark.parametrize("g, message", [
-    (gen_star(4), "degree 3 and out-degree 1, above 2 and 1"),
-    (Graph.from_edges(range(3), [(0, 1), (0, 2)]), "degree 2 and out-degree 2, above 2 and 1"),
+@pytest.mark.parametrize("pick, message", [
+    (lambda arcs: [arc for arc in arcs if arc[1] == 3][:4],
+     "degree 4 and out-degree 1, above 3 and 1"),
+    (lambda arcs: [arc for arc in arcs if arc[0] == 0],
+     "degree 2 and out-degree 2, above 3 and 1"),
 ], ids=["degree", "out-degree"])
-def test_powered_class_above_its_level_bounds_raises(monkeypatch, g, message):
-    # a level that keeps every arc in one class hands the leaf a class one
-    # above its degree or its out-degree bound (a=1: d=2, gout=3, gin=3)
-    monkeypatch.setattr(arbedge, "_connector_level", lambda arcs, *_, **__: ([arcs], {}, {}))
+def test_powered_class_above_its_level_bounds_raises(monkeypatch, pick, message):
+    # a level that hands the leaf one class of its picking: four in-arcs
+    # of the star's center, or the cherry's two out-arcs of vertex 0, one
+    # above the leaf's degree or out-degree bound (Delta=8 caps x at 2;
+    # a=1: d=2, gout=3, gin=4)
+    g = Graph.from_edges(range(12), [(0, 1), (0, 2)] + [(3, v) for v in range(4, 12)])
+    monkeypatch.setattr(arbedge, "_connector_level",
+                        lambda arcs, *_, **__: ([pick(arcs)], {}, {}))
     with pytest.raises(VerificationError, match=f"^level 1 class has {message}$"):
         powered_edge_coloring(g, 1, arbedge.DEFAULT_Q, 2)
 

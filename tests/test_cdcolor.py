@@ -14,6 +14,11 @@ from localcolor.staredge import star_palette_bound
 from localcolor.verify import brute_force_max_clique, is_proper_vertex
 
 
+def _within_cap(xs, bound):
+    """The depths of ``xs`` that graph._depth leaves as they are at ``bound``."""
+    return [x for x in xs if x == 1 or 2 ** (x + 1) <= bound]
+
+
 def test_choose_params():
     assert choose_params(81, 1) == 9
     assert choose_params(81, 3) == 3
@@ -111,10 +116,11 @@ def test_improper_leaf_coloring_raises(monkeypatch):
 def test_refined_level_palette_within_target():
     # a level's palette (D(t-1)+1) times the child's theory bound never
     # exceeds the parent's, so by induction the product of the level
-    # palettes, which the refined family declares, stays within its bound
+    # palettes, which the refined family declares, stays within its bound.
+    # Within the cap at S, x - 1 is within the cap at k.
     for D in range(2, 25):
         for S in range(REFINED_SMALL_S, 2000):
-            for x in range(1, 7):
+            for x in _within_cap(range(1, 7), S):
                 t = choose_params(S, x)
                 k = -(-S // t)
                 radix = D * (k - 1) + 1 if x == 1 else refined_palette_bound(D, k, x - 1)
@@ -188,7 +194,7 @@ def test_palette_bounds_are_exact_ints():
     for D in range(1, 8):
         for S in range(1, 60):
             for t in range(2, 12):
-                for x in range(1, 5):
+                for x in _within_cap(range(1, 5), S):
                     env = cd_envelope(D, S, t, x)
                     exact = Fraction(t * D) ** x * D * (Fraction(S, t ** x) + 2) + (t * D) ** x
                     assert type(env) is int and env == exact, (D, S, t, x)
@@ -196,7 +202,7 @@ def test_palette_bounds_are_exact_ints():
                     assert type(bound) is int and bound == _total_palette(D, S, t, x)
             for x in range(1, 4):
                 assert type(refined_palette_bound(D, S, x)) is int
-    assert cd_envelope(1, 3, 11, 3) == 3996
+    assert cd_envelope(1, 16, 11, 3) == 4009
     for delta in range(0, 40):
         assert type(star_palette_bound(delta, 2)) is int
         for a in range(1, 6):
@@ -252,6 +258,7 @@ def test_refined_is_cd_when_its_level_table_repeats_one_t(kind, seed, size, x):
 def test_declared_palette_is_the_product_of_the_level_palettes(kind, seed, t, x):
     g, cover = _cover(kind, seed)
     D, S = cover.D, cover.S
+    assume(x in _within_cap([x], S))
     col, report = cd_coloring(g, cover, t, x)
     assert col.palette_size == cd_palette_bound(D, S, t, x)
     assert len(report.levels) == x

@@ -559,7 +559,7 @@ def test_cd_color_depth_zero_names_x(tmp_path, capsys):
     path = tmp_path / "g.el"
     path.write_text("0 1\n1 2\n")
     assert main(["cd-color", "--input", str(path), "--x", "0"]) == 2
-    assert "error: choose_params needs x >= 1, got x=0" in capsys.readouterr().err
+    assert "error: x must be at least 1, got x=0" in capsys.readouterr().err
 
 
 def test_refined_declares_the_product_of_its_level_palettes(tmp_path, capsys):
