@@ -31,7 +31,6 @@ REFINED_SMALL_S = 16
 @dataclass
 class LevelStats:
     subgraph_count: int = 0
-    max_degree: int = 0
     max_clique: int = 0  # the most vertices of one cover clique in one class
 
 
@@ -57,7 +56,7 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, bound: int,
     splits with t_j = ``pick_t(S_j, x - j)`` into classes of clique bound
     S_{j+1} = ceil(S_j/t_j), for up to x levels or until ``pick_t`` is
     None, and leaves take D(S_L-1)+1 colors.  ``bound``, named ``name``,
-    caps the declared palette.  A part is a (graph, parent cover) pair."""
+    caps the declared palette.  A part is (ascending vertices, parent's cliques cut to them)."""
     report = DecompositionReport()
     D = cover.D
     if D == 0 or g.m == 0:  # one color; every family's bound is at least 1
@@ -69,11 +68,9 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, bound: int,
     report.levels = [LevelStats() for _ in ts]
 
     def split(part, depth: int):
-        sub, subcover = part
-        if depth:  # a class gets its parent's cover cut down to it
-            subcover = subcover.restrict(sub)
+        vertices, cliques = part
         t, k = ts[depth], ks[depth + 1]
-        phi, trace = delta_plus_one(build_vertex_connector(sub, subcover, t))
+        phi, trace = delta_plus_one(build_vertex_connector(vertices, cliques, t, D))
         if not depth:  # the top connector's phases open the run's trace
             report.extend(trace)
 
@@ -84,32 +81,38 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, bound: int,
         # class; a clique's is at most |q| and |q| - (colors in q) + 1.
         color = phi.assignment
         share = 0
-        for q in subcover.cliques:
+        for q in cliques:
             if len(q) > share:
                 cs = list(map(color.__getitem__, q))
                 if len(cs) - len(set(cs)) >= share:
                     share = max(share, *Counter(cs).values())
         if share > k:
             raise VerificationError(f"class clique {share} exceeds k={k}")
-        members: list[list[int]] = [[] for _ in range(D * (t - 1) + 1)]
-        for v, c in color.items():
-            members[c].append(v)
-        classes = [vs and (induced_subgraph(sub, vs), subcover) for vs in members]
-        graphs = [cls for cls, _ in filter(None, classes)]
+        by_class: list[tuple[list, list]] = [([], []) for _ in range(D * (t - 1) + 1)]
+        for v in vertices:
+            by_class[color[v]][0].append(v)
+        if depth + 1 < len(ts):  # the classes split again: cut each clique by class
+            for q in cliques:
+                cut: dict[int, list[int]] = {}
+                for v in q:
+                    cut.setdefault(color[v], []).append(v)
+                for c, piece in cut.items():
+                    by_class[c][1].append(piece)
+        classes = [vs and (vs, qs) for vs, qs in by_class]
         level = report.levels[depth]
-        level.subgraph_count += len(graphs)
-        level.max_degree = max(level.max_degree, *(cls.max_degree for cls in graphs))
+        level.subgraph_count += sum(map(bool, classes))
         level.max_clique = max(level.max_clique, share)
         return classes, trace.rounds
 
     def leaf(part):
-        psi, trace = delta_plus_one(part[0])
+        psi, trace = delta_plus_one(induced_subgraph(g, part[0]) if ts else g)
         if not ts:  # the root is the leaf, so its phases are the run's
             report.extend(trace)
         return psi.assignment.items(), trace.rounds
 
     palettes = [D * (t - 1) + 1 for t in ts] + [D * (ks[-1] - 1) + 1]
-    col, rounds = _recurse("vertex", (g, cover), palettes, split, leaf, bound, name)
+    col, rounds = _recurse("vertex", (sorted(g.adj), cover.cliques), palettes, split, leaf,
+                           bound, name)
     if ts:
         report.add_phase("level-0-classes", rounds - report.rounds)
     _require_proper(g, col, "clique-decomposition coloring output")

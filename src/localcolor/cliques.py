@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter, lt
 
-from .graph import Graph, GraphError, _degeneracy_order, _gc_paused
+from .graph import Graph, GraphError, _clique_graph, _degeneracy_order, _gc_paused
 
 CLIQUE_CAP = 10 ** 6
 
@@ -177,24 +177,14 @@ def _maximal_clique_cover(g: Graph, cap: int) -> CliqueCover:
     return CliqueCover.from_cliques(g, cliques)
 
 
-def build_vertex_connector(g: Graph, cover: CliqueCover, t: int) -> Graph:
-    """The derived graph keeping only the edges inside size-t parts of the
-    cover's cliques; each clique is split by ascending ID."""
+def build_vertex_connector(vertices, cliques, t: int, D: int) -> Graph:
+    """The graph on ascending ``vertices`` keeping only the edges inside
+    size-t parts of ``cliques``, each split by ascending ID; its degree is
+    checked against D(t-1), D the diversity of the cover they were cut from."""
     if t <= 1:
         raise GraphError(f"connector part size t must exceed 1, got {t}")
-    adj = {v: set() for v in sorted(g.adj)}
-    for q in cover.cliques:
-        for start in range(0, len(q), t):
-            part = q[start:start + t]
-            for v in part:
-                if v not in adj:
-                    raise GraphError(f"connector vertex {v} not in graph")
-                adj[v].update(part)
-    for v, ns in adj.items():
-        ns.discard(v)
-    derived = Graph({v: tuple(sorted(ns)) for v, ns in adj.items()})
-    # invariant: connector degree never exceeds D*(t-1)
-    if derived.max_degree > cover.D * (t - 1):
+    derived = _clique_graph(vertices, (q[s:s + t] for q in cliques for s in range(0, len(q), t)))
+    if derived.max_degree > D * (t - 1):
         raise GraphError(f"vertex connector degree {derived.max_degree} exceeds "
-                         f"D(t-1) = {cover.D}*{t - 1}")
+                         f"D(t-1) = {D}*{t - 1}")
     return derived

@@ -240,6 +240,20 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     return Graph({v: tuple(w for w in g.adj[v] if w in keep) for v in sorted(keep)})
 
 
+def _clique_graph(vertices: Iterable[int], groups) -> Graph:
+    """The graph on ascending ``vertices`` in which two are adjacent iff
+    some group holds both; a group vertex not among them is a GraphError."""
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for q in groups:
+        for v in q:
+            if v not in adj:
+                raise GraphError(f"connector vertex {v} not in graph")
+            adj[v].update(q)
+    for v, ns in adj.items():
+        ns.discard(v)
+    return Graph({v: tuple(sorted(ns)) for v, ns in adj.items()})
+
+
 def line_graph(g: Graph):
     """Line graph of g plus the per-original-vertex clique cover: the
     hypergraph line graph of g's sorted normalized edges.  Line-graph vertex
@@ -266,12 +280,5 @@ def hypergraph_line_graph(hyperedges: Iterable[Iterable[int]]):
             raise GraphError("empty hyperedge")
         for v in he:
             by_vertex.setdefault(v, []).append(i)
-    adj: list[set[int]] = [set() for _ in hyperedges]
-    for members in by_vertex.values():
-        for i in members:
-            adj[i].update(members)
-    for i, ns in enumerate(adj):
-        ns.discard(i)
-    lg = Graph({i: tuple(sorted(ns)) for i, ns in enumerate(adj)})
-    cliques = [members for _, members in sorted(by_vertex.items())]
-    return lg, CliqueCover.from_cliques(lg, cliques)
+    lg = _clique_graph(range(len(hyperedges)), by_vertex.values())
+    return lg, CliqueCover.from_cliques(lg, [by_vertex[v] for v in sorted(by_vertex)])

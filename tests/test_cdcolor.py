@@ -1,3 +1,6 @@
+import hashlib
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,8 +10,8 @@ from localcolor import cdcolor
 from localcolor.arbedge import arb_palette_bound, little_o_palette_bound, powered_palette_bound
 from localcolor.cdcolor import (REFINED_SMALL_S, cd_coloring, cd_envelope, cd_palette_bound,
                                 choose_params, refined_coloring, refined_palette_bound)
-from localcolor.cliques import enumerate_maximal_cliques
-from localcolor.graph import Coloring, Graph, GraphError, VerificationError
+from localcolor.cliques import CliqueCover, enumerate_maximal_cliques
+from localcolor.graph import Coloring, Graph, GraphError, VerificationError, induced_subgraph
 from localcolor.io import gen_complete, gen_hyper_line, gen_line_of, gen_random
 from localcolor.staredge import star_palette_bound
 from localcolor.verify import brute_force_max_clique, is_proper_vertex
@@ -55,7 +58,6 @@ def test_cd_leaf_cliques_via_oracle():
     for v, c in col.assignment.items():
         leaves.setdefault(c // leaf_radix, []).append(v)
     assert len(leaves) <= (t * cover.D) ** x
-    from localcolor.graph import induced_subgraph
     for vs in leaves.values():
         assert brute_force_max_clique(induced_subgraph(g, vs)) <= \
             cover.S / t ** x + 2
@@ -141,7 +143,7 @@ def test_level_palette_over_declared_raises(monkeypatch):
 def test_class_clique_check_fires(monkeypatch):
     # an edgeless connector lets phi put all of K9 in one class, 9 > k=3
     monkeypatch.setattr(cdcolor, "build_vertex_connector",
-                        lambda sub, cover, t: Graph({v: () for v in sub.adj}))
+                        lambda vertices, cliques, t, D: Graph(dict.fromkeys(vertices, ())))
     g = gen_complete(9)
     with pytest.raises(VerificationError, match="class clique 9 exceeds k=3"):
         cd_coloring(g, enumerate_maximal_cliques(g), t=3, x=1)
@@ -150,7 +152,7 @@ def test_class_clique_check_fires(monkeypatch):
 def test_class_clique_check_fires_one_over_k(monkeypatch):
     # K3 in one class at t=2 has share 3, one over k = ceil(3/2) = 2
     monkeypatch.setattr(cdcolor, "build_vertex_connector",
-                        lambda sub, cover, t: Graph({v: () for v in sub.adj}))
+                        lambda vertices, cliques, t, D: Graph(dict.fromkeys(vertices, ())))
     g = gen_complete(3)
     with pytest.raises(VerificationError, match="class clique 3 exceeds k=2"):
         cd_coloring(g, enumerate_maximal_cliques(g), t=2, x=1)
@@ -167,20 +169,34 @@ def _cover(kind, seed):
     return g, enumerate_maximal_cliques(g)
 
 
+def _assert_class_lemma(g, cover, col, report, ts):
+    """Each split level's class cliques stay within k = ceil(S_j/t_j), and
+    its classes, recomputed from the final colors, have degree at most
+    (k-1)D.  Level j's classes are the blocks of colors sharing c // radix,
+    radix the product of the palettes below the level."""
+    D, ks = cover.D, [cover.S]
+    for t in ts:
+        ks.append(-(-ks[-1] // t))
+    palettes = [D * (t - 1) + 1 for t in ts] + [D * (ks[-1] - 1) + 1]
+    assert len(report.levels) == len(ts) and col.palette_size == math.prod(palettes)
+    for j, (level, k) in enumerate(zip(report.levels, ks[1:])):
+        radix = math.prod(palettes[j + 1:])
+        classes = {}
+        for v, c in col.assignment.items():
+            classes.setdefault(c // radix, []).append(v)
+        assert 1 <= level.max_clique <= k and level.subgraph_count == len(classes)
+        assert max(induced_subgraph(g, vs).max_degree for vs in classes.values()) <= (k - 1) * D
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["line", "hyper", "intrinsic"]), st.integers(0, 1000),
        st.integers(2, 4), st.integers(1, 3))
 def test_class_cliques_within_k_on_every_level(kind, seed, t, x):
     g, cover = _cover(kind, seed)
-    _, report = cd_coloring(g, cover, t, x)
-    for i, level in enumerate(report.levels):
-        k = -(-cover.S // t ** (i + 1))
-        assert 1 <= level.max_clique <= k and level.max_degree <= (k - 1) * cover.D
-    _, report = refined_coloring(g, cover, x)
-    k = cover.S
-    for i, level in enumerate(report.levels):
-        k = -(-k // choose_params(k, x - i))
-        assert 1 <= level.max_clique <= k and level.max_degree <= (k - 1) * cover.D
+    col, report = cd_coloring(g, cover, t, x)
+    _assert_class_lemma(g, cover, col, report, [t] * len(report.levels))
+    col, report = refined_coloring(g, cover, x)
+    _assert_class_lemma(g, cover, col, report, _refined_ts(cover, x))
 
 
 def _total_palette(D, S, t, x):
@@ -270,3 +286,73 @@ def test_declared_palette_is_the_product_of_the_level_palettes(kind, seed, t, x)
         product *= D * (t - 1) + 1
     assert col.palette_size == product * (D * (k - 1) + 1) <= refined_palette_bound(D, S, x)
     assert len(report.levels) == len(ts)
+
+
+def _k20_and_two_isolated():
+    g = Graph.from_edges(range(22), [(u, v) for u in range(20) for v in range(u + 1, 20)])
+    return g, CliqueCover.from_cliques(g, [range(20)])
+
+
+K20_RUNS = {
+    "cd_t2_x1": lambda g, cover: cd_coloring(g, cover, 2, 1),
+    "cd_t2_x2": lambda g, cover: cd_coloring(g, cover, 2, 2),
+    "cd_t2_x3": lambda g, cover: cd_coloring(g, cover, 2, 3),
+    "refined_x2": lambda g, cover: refined_coloring(g, cover, 2),
+}
+
+# run -> (sha256 of the sorted assignment, palette, rounds, (subgraph_count,
+# max_clique) per level); D = 1 keeps the refined family direct
+K20_GOLDEN = {
+    "cd_t2_x1": ("666dd8a17bf418f2ebcfcb09dade57bd3ebf4abc8294ddb699887f85374cfada",
+                 20, 20, [(2, 10)]),
+    "cd_t2_x2": ("9d04b41717bbd487eb61d74608dde8af5d8b52b2aed97648d2ac8f8ef275bdb0",
+                 20, 33, [(2, 10), (4, 5)]),
+    "cd_t2_x3": ("b1ec7110740b7b3115040fc955fd787c5c3287afdb15ebfd12b9c59c2d6f434f",
+                 24, 43, [(2, 10), (4, 5), (8, 3)]),
+    "refined_x2": ("aaa5991222e5a31081d621dcf7bc8bd4b8edbef69dc6a2467b957e222b9bb14c",
+                   20, 2, []),
+}
+
+
+@pytest.mark.parametrize("run", K20_GOLDEN)
+def test_classes_keep_vertices_in_no_clique(run):
+    # vertices 20 and 21 lie in no clique of the provided cover, yet each
+    # class at every level keeps them, and the leaves color them
+    g, cover = _k20_and_two_isolated()
+    col, report = K20_RUNS[run](g, cover)
+    assert is_proper_vertex(g, col).ok and {20, 21} <= col.assignment.keys()
+    digest = hashlib.sha256(repr(sorted(col.assignment.items())).encode()).hexdigest()
+    levels = [(level.subgraph_count, level.max_clique) for level in report.levels]
+    assert (digest, col.palette_size, report.rounds, levels) == K20_GOLDEN[run]
+
+
+CUT_CASES = {
+    "cd_line_t2_x3": (lambda: gen_line_of(100, 30, seed=1),
+                      lambda g, cover: cd_coloring(g, cover, 2, 3)),
+    "refined_hyper_x3": (lambda: gen_hyper_line(40, 3, 300, seed=4),
+                         lambda g, cover: refined_coloring(g, cover, 3)),
+}
+
+
+@pytest.mark.parametrize("case", CUT_CASES)
+def test_classes_carry_cut_cliques_and_only_leaves_build_graphs(case, monkeypatch):
+    # a class's cover is its parent's cliques cut down to it, never a
+    # checked CliqueCover, and the only graphs built are the leaves'
+    make, run = CUT_CASES[case]
+    g, cover = make()
+    calls = Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(CliqueCover, "restrict", spy("restrict", CliqueCover.restrict))
+    monkeypatch.setattr(CliqueCover, "from_cliques",
+                        staticmethod(spy("from_cliques", CliqueCover.from_cliques)))
+    monkeypatch.setattr(cdcolor, "induced_subgraph",
+                        spy("induced_subgraph", cdcolor.induced_subgraph))
+    col, report = run(g, cover)
+    assert len(report.levels) >= 2 and is_proper_vertex(g, col).ok
+    assert calls == Counter(induced_subgraph=report.leaf_count())

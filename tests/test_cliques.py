@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import sys
@@ -10,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from localcolor.cliques import (CliqueCapExceeded, CliqueCover, build_vertex_connector,
                                 enumerate_maximal_cliques)
-from localcolor.graph import (Graph, GraphError, hypergraph_line_graph, induced_subgraph,
-                              line_graph, norm_edge)
-from localcolor.io import gen_complete, gen_forest, gen_grid, gen_line_of, gen_path, gen_random
+from localcolor.graph import (Graph, GraphError, _clique_graph, hypergraph_line_graph,
+                              induced_subgraph, line_graph, norm_edge)
+from localcolor.io import (gen_complete, gen_forest, gen_grid, gen_hyper_line, gen_line_of,
+                           gen_path, gen_random)
 from localcolor.verify import brute_force_maximal_cliques, check_clique_decomposition
 from helpers import petersen, relabel
 
@@ -225,7 +225,7 @@ def test_k600_is_one_clique_quickly():
 def test_k9_connector_t3_gives_three_triangles():
     g = gen_complete(9)
     cover = enumerate_maximal_cliques(g)
-    conn = build_vertex_connector(g, cover, t=3)
+    conn = build_vertex_connector(g.adj, cover.cliques, 3, cover.D)
     # one clique of 9 split into parts {0,1,2},{3,4,5},{6,7,8}
     assert conn.m == 9
     assert conn.max_degree == 2
@@ -236,12 +236,13 @@ def test_k9_connector_t3_gives_three_triangles():
 def test_connector_rejects_t1():
     g = gen_complete(3)
     with pytest.raises(GraphError):
-        build_vertex_connector(g, enumerate_maximal_cliques(g), t=1)
+        build_vertex_connector(g.adj, enumerate_maximal_cliques(g).cliques, 1, 1)
 
 
 def test_connector_rejects_a_cover_of_another_graph():
     with pytest.raises(GraphError, match="connector vertex 3 not in graph"):
-        build_vertex_connector(gen_complete(3), enumerate_maximal_cliques(gen_complete(4)), t=2)
+        build_vertex_connector(gen_complete(3).adj, enumerate_maximal_cliques(gen_complete(4)).cliques,
+                               2, 1)
 
 
 def test_max_clique_size():
@@ -267,10 +268,25 @@ def test_clique_enumeration_matches_oracle(seed):
     assert ours == brute_force_maximal_cliques(g)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["intrinsic", "line", "hyper"]), st.integers(0, 1000))
+def test_a_cover_rebuilds_its_graph(kind, seed):
+    # the one builder of connectors and hypergraph line graphs: every edge
+    # lies in a clique of a cover and every clique pair is an edge
+    if kind == "intrinsic":
+        g = gen_random(30, 8, seed=seed)
+        cover = enumerate_maximal_cliques(g)
+    elif kind == "line":
+        g, cover = gen_line_of(30, 8, seed=seed)
+    else:
+        g, cover = gen_hyper_line(20, 3, 40, seed=seed)
+    assert _clique_graph(g.adj, cover.cliques) == g
+
+
 def test_connector_edges_stay_inside_parts():
     g = gen_random(30, 8, seed=5)
     cover = enumerate_maximal_cliques(g)
-    conn = build_vertex_connector(g, cover, t=2)
+    conn = build_vertex_connector(g.adj, cover.cliques, 2, cover.D)
     # each clique's parts: its members by ascending ID, t at a time
     parts = [frozenset(sorted(q)[i:i + 2]) for q in cover.cliques for i in range(0, len(q), 2)]
     for u, v in conn.edges():
@@ -283,7 +299,7 @@ def test_vertex_connector_rejects_an_understated_diversity():
     cover = CliqueCover.from_cliques(g, [{0, 1, 2}, {0, 3, 4}])
     assert cover.D == 2
     with pytest.raises(GraphError, match="exceeds D"):
-        build_vertex_connector(g, dataclasses.replace(cover, D=1), 3)
+        build_vertex_connector(g.adj, cover.cliques, 3, 1)
 
 
 def test_vertex_connector_rejects_a_degree_one_over_d_t_minus_1():
@@ -293,7 +309,7 @@ def test_vertex_connector_rejects_a_degree_one_over_d_t_minus_1():
     cover = enumerate_maximal_cliques(g)
     assert cover.D == 2
     with pytest.raises(GraphError, match="degree 2 exceeds D"):
-        build_vertex_connector(g, dataclasses.replace(cover, D=1), 2)
+        build_vertex_connector(g.adj, cover.cliques, 2, 1)
 
 
 def _digest(x) -> str:
@@ -307,7 +323,8 @@ def test_covers_and_connectors_match_golden():
     cover = enumerate_maximal_cliques(g)
     assert (_digest([tuple(sorted(q)) for q in cover.cliques]), cover.D, cover.S) == \
         ("48509b49cf2a344e", 24, 4)
-    assert [_digest(build_vertex_connector(g, cover, t).edges()) for t in (2, 3)] == \
+    assert [_digest(build_vertex_connector(g.adj, cover.cliques, t, cover.D).edges())
+            for t in (2, 3)] == \
         ["4f40d5113bcc1128", "370d171abbe0c5f2"]
     lg, lcover = gen_line_of(100, 30, 1)
     assert (_digest([tuple(sorted(q)) for q in lcover.cliques]), lcover.D, lcover.S) == \
