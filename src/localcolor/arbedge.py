@@ -364,7 +364,9 @@ def delta_plus_little_o(g: Graph, a: int,
     _q_times_a(q, a)
     delta = g.max_degree
     if delta < 2:  # a matching: one color
-        return Coloring("edge", dict.fromkeys(g.edges(), 0), 1), trace
+        col = Coloring("edge", dict.fromkeys(g.edges(), 0), 1)
+        _require_proper(g, col, "delta_plus_little_o output")
+        return col, trace
     hp = h_partition(g, a, q)
     arcs = sorted(acyclic_orientation(g, hp).oriented_edges())
     k, rt_d, in_split = _little_o_split(delta, hp.d)
@@ -415,7 +417,9 @@ def powered_edge_coloring(g: Graph, a: int, q: float,
     trace = RoundTrace()
     a_hat = math.ceil(_q_times_a(q, a))
     if delta < 1:
-        return Coloring("edge", {}, 1), trace
+        col = Coloring("edge", {}, 1)
+        _require_proper(g, col, "powered_edge_coloring output")
+        return col, trace
     hp = h_partition(g, a, q)
     orient = acyclic_orientation(g, hp)
 

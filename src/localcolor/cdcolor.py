@@ -60,7 +60,9 @@ def _decompose(g: Graph, cover: CliqueCover, x: int, pick_t, bound: int,
     report = DecompositionReport()
     D = cover.D
     if D == 0 or g.m == 0:  # one color; every family's bound is at least 1
-        return Coloring("vertex", {v: 0 for v in g.adj}, 1), report
+        col = Coloring("vertex", {v: 0 for v in g.adj}, 1)
+        _require_proper(g, col, "clique-decomposition coloring output")
+        return col, report
     ts, ks = [], [cover.S]
     while len(ts) < x and (t := pick_t(ks[-1], x - len(ts))) is not None:
         ts.append(t)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections import defaultdict
 from itertools import islice
 
-from .graph import (Graph, GraphError, _freeze, _gc_paused, hypergraph_line_graph, line_graph,
-                    norm_edge)
+from .graph import Graph, GraphError, _freeze, _gc_paused, hypergraph_line_graph, line_graph
 
 
 class ParseError(GraphError):
@@ -20,17 +20,35 @@ class ParseError(GraphError):
 
 
 def _tokens(path):
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line.split()
+    """(line number, tokens) for each line of ``path`` left with a token
+    once its '#' comment is cut.  A byte that is not UTF-8 is a ParseError
+    naming its line, raised after the lines before it are served."""
+    served = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for served, raw in enumerate(fh, start=1):
+                toks = (raw[:raw.index("#")] if "#" in raw else raw).split()
+                if toks:
+                    yield served, toks
+        return
+    except UnicodeDecodeError:
+        pass
+    # text mode decodes ahead in chunks, so the bad byte may lie lines past
+    # the last one served: go on from there with bad bytes escaped
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in islice(enumerate(fh, start=1), served, None):
+            bad = [ord(ch) - 0xdc00 for ch in raw if "\udc80" <= ch <= "\udcff"]
+            if bad:
+                raise ParseError(f"{path}:{lineno}: byte {bad[0]:#04x} is not UTF-8")
+            toks = (raw[:raw.index("#")] if "#" in raw else raw).split()
+            if toks:
+                yield lineno, toks
 
 
 @_gc_paused
 def load_edgelist(path) -> Graph:
     edges = set()
-    adj: dict[int, list[int]] = {}
+    adj: defaultdict[int, list[int]] = defaultdict(list)
     for lineno, toks in _tokens(path):
         if len(toks) != 2:
             raise ParseError(f"{path}:{lineno}: expected two vertex ids, got {toks}")
@@ -42,12 +60,12 @@ def load_edgelist(path) -> Graph:
             raise ParseError(f"{path}:{lineno}: negative vertex id")
         if u == v:
             raise ParseError(f"{path}:{lineno}: self-loop {u}")
-        e = norm_edge(u, v)
+        e = (u, v) if u < v else (v, u)
         if e in edges:
             raise ParseError(f"{path}:{lineno}: duplicate edge {e}")
         edges.add(e)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+        adj[u].append(v)
+        adj[v].append(u)
     return _freeze(adj)
 
 
@@ -78,7 +96,7 @@ def load_dimacs(path) -> Graph:
                 raise ParseError(f"{path}:{lineno}: vertex out of range")
             if u == v:
                 raise ParseError(f"{path}:{lineno}: self-loop {u}")
-            e = norm_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in edges:
                 raise ParseError(f"{path}:{lineno}: duplicate edge {e}")
             edges.add(e)

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,26 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # sys.exit(main()) under ``python -m``: the real exit status, not main's return
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "localcolor.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    path = tmp_path / "f"
+    assert cli("gen", "--kind", "path", "--n", "5", "--out", str(path)).returncode == 0
+    assert path.read_text().count("\n") == 5  # the comment line and 4 edges
+    run = cli("star-edge", "--input", str(path))
+    assert run.returncode == 0 and json.loads(run.stdout)["ok"] is True
+    path.write_text("0 1\n1 x\n")
+    run = cli("star-edge", "--input", str(path))
+    assert run.returncode == 2 and f"{path}:2:" in run.stderr and run.stdout == ""
 
 
 def test_gen_and_load_roundtrip(tmp_path, capsys):
@@ -55,6 +79,18 @@ def test_edgelist_comments_blank_lines_and_reversed_repeats(tmp_path):
     p.write_text("\n# c\n0 1\n\n1 0  # the same edge reversed\n2 3\n")
     with pytest.raises(ParseError, match=re.escape(f"{p}:5: duplicate edge (0, 1)")):
         load_edgelist(p)
+    # tabs, CRLF endings, a comment glued to the tokens, blank and
+    # comment-only lines, and a '#' line with tokens only after it
+    p.write_bytes(b"# header\r\n\r\n5\t1\r\n \t \r\n1 2#glued\r\n#0 1\r\n0\t 1 \t# tab\r\n")
+    g = load_edgelist(p)
+    assert list(g.adj.items()) == [(0, (1,)), (1, (0, 2, 5)), (2, (1,)), (5, (1,))]
+    # the first bad line in file order wins
+    p.write_text("0 1\n1 0\n# c\n1 x\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:2: duplicate edge (0, 1)")):
+        load_edgelist(p)
+    p.write_text("0 1\n1 x\n\n1 0\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:2: non-integer vertex id")):
+        load_edgelist(p)
 
 
 def test_dimacs_comments_blank_lines_and_reversed_repeats(tmp_path):
@@ -65,6 +101,17 @@ def test_dimacs_comments_blank_lines_and_reversed_repeats(tmp_path):
     assert list(g.adj.items()) == [(1, (2,)), (2, (1, 3, 4)), (3, (2,)), (4, (2,)), (5, ())]
     p.write_text("p edge 3 2\n\ne 1 2\nc x\ne 2 1 # reversed\ne 2 3\n")
     with pytest.raises(ParseError, match=re.escape(f"{p}:5: duplicate edge (1, 2)")):
+        load_dimacs(p)
+    p.write_bytes(b"c a comment\r\n\r\np\tedge 5 3#glued\r\n# note\r\ne\t4\t2\r\n \t\r\n"
+                  b"c more\r\ne 2 3 \t# trailing\r\ne 2 1\r\n")
+    g = load_dimacs(p)
+    assert list(g.adj.items()) == [(1, (2,)), (2, (1, 3, 4)), (3, (2,)), (4, (2,)), (5, ())]
+    # the first bad line in file order wins
+    p.write_text("p edge 3 2\ne 1 2\ne 2 1\nc x\ne 1 x\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:3: duplicate edge (1, 2)")):
+        load_dimacs(p)
+    p.write_text("p edge 3 2\ne 1 x\n\ne 1 2\ne 2 1\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:2: expected 'e u v'")):
         load_dimacs(p)
 
 
@@ -225,6 +272,29 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "gen", "--kind", "grid")  # missing rows/cols
     assert code == 2
+
+
+@pytest.mark.parametrize("reader", ["edgelist", "dimacs", "hyper", "cover"])
+def test_non_utf8_byte_exits_2_with_its_line(tmp_path, capsys, reader):
+    # 1,500 lines ahead of the bad byte put it past the first 8 KB that
+    # text mode decodes at once
+    head = [f"{i} {i + 1}" for i in range(1500)]
+    if reader == "dimacs":
+        head = ["p edge 1600 1500"] + [f"e {i + 1} {i + 2}" for i in range(1500)]
+    p, graph = tmp_path / "bad.txt", tmp_path / "g.el"
+    graph.write_text("0 1\n")
+    argv = {"edgelist": ["star-edge", "--input", str(p)],
+            "dimacs": ["star-edge", "--input", str(p), "--format", "dimacs"],
+            "hyper": ["cd-color", "--input", str(p), "--format", "hyper"],
+            "cover": ["cd-color", "--input", str(graph), "--cover", f"provided:{p}"]}[reader]
+    p.write_bytes(("\n".join(head) + "\n").encode() + b"\xff 4\n0 1\n")
+    assert main(argv) == 2
+    assert f"error: {p}:{len(head) + 1}: byte 0xff is not UTF-8" in capsys.readouterr().err
+    # a bad line ahead of it in the same chunk is reported first
+    p.write_bytes(("\n".join(head[:-1] + ["x 1"]) + "\n").encode() + b"\xff 4\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {p}:{len(head)}: " in err and "UTF-8" not in err
 
 
 @pytest.mark.parametrize("lines", ["p edge 3 1\ne 1", "p edge 3 1\ne 1 x",

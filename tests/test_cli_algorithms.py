@@ -2,7 +2,11 @@
 each run exits 0 with a proper coloring within its declared palette, and
 the declared palette within the theory bound.  The corpus holds an
 edgeless edge list, also under ``--cover line``, and a hypergraph file
-with no hyperedges: each is the empty graph, colored with 1 color.
+with no hyperedges: each is the empty graph, colored with 1 color.  It
+also holds a perfect matching, where little-o takes its Delta < 2 shortcut.
+
+Each run checks its coloring against its graph once, in the coloring's
+own post-condition, and an improper result exits 1 with no report.
 
 Every subcommand that reads ``--x`` runs past its depth cap as at the cap."""
 
@@ -11,7 +15,9 @@ import json
 
 import pytest
 
+from localcolor import arbedge, basecolor, cli
 from localcolor.cli import ALGORITHMS, _build_parser, main
+from localcolor.verify import Verdict
 
 # name -> (file body, --format); the gen graphs are written by the fixture
 CORPUS = {
@@ -21,11 +27,13 @@ CORPUS = {
     "hyper": ("0 1 2\n2 3 4\n4 5\n0 5 6\n1 3 5\n", "hyper"),
     "edgeless": ("# no edges\n", "edgelist"),
     "no-hyperedges": ("# no hyperedges\n", "hyper"),
+    "matching": (None, "edgelist"),
 }
 GEN = {
     "random": ["--kind", "random", "--n", "40", "--delta", "7", "--seed", "3"],
     "forest": ["--kind", "forest", "--n", "40", "--delta", "5", "--seed", "1"],
     "k5": ["--kind", "complete", "--n", "5"],
+    "matching": ["--kind", "matching", "--n", "6"],
 }
 RUNS = [(command, name, cover)
         for command, (*_, options) in ALGORITHMS.items()
@@ -46,12 +54,14 @@ def inputs(tmp_path_factory):
     return root
 
 
+def _argv(inputs, command, name, cover):
+    argv = [command, "--input", str(inputs / name), "--format", CORPUS[name][1]]
+    return argv + ["--cover", cover] if cover is not None else argv
+
+
 @pytest.mark.parametrize("command,name,cover", RUNS, ids=str)
 def test_every_algorithm_within_its_bounds(inputs, capsys, command, name, cover):
-    argv = [command, "--input", str(inputs / name), "--format", CORPUS[name][1]]
-    if cover is not None:
-        argv += ["--cover", cover]
-    assert main(argv) == 0
+    assert main(_argv(inputs, command, name, cover)) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["algorithm"] == command
     assert report["ok"] and report["verdicts"]["proper"]
@@ -59,6 +69,63 @@ def test_every_algorithm_within_its_bounds(inputs, capsys, command, name, cover)
     if name in ("edgeless", "no-hyperedges"):
         assert report["graph"] == {"n": 0, "m": 0, "delta": 0, "a_estimate": 0}
         assert report["declared_bound"] == 1
+
+
+def _spy_run(monkeypatch, inputs, command, name, cover, failing=False):
+    """main's exit code on one run, the run's graph and returned coloring,
+    and every (graph, coloring) pair the properness checks were handed.
+    The checks are wrapped wherever the package binds them; with
+    ``failing``, a check against the run's own graph returns a failing
+    verdict."""
+    run, checks = {}, []
+    load = cli._load
+
+    def spied_load(args):
+        run["g"] = (loaded := load(args))[0]
+        return loaded
+
+    module, coloring = ALGORITHMS[command][:2]
+    color = getattr(module, coloring)
+
+    def spied_coloring(*args):
+        run["col"] = (result := color(*args))[0]
+        return result
+
+    def spy(check):
+        def spied_check(g, col):
+            checks.append((g, col))
+            if failing and g is run.get("g"):
+                return Verdict(False, ["spy"])
+            return check(g, col)
+        return spied_check
+
+    monkeypatch.setattr(cli, "_load", spied_load)
+    monkeypatch.setattr(module, coloring, spied_coloring)
+    for mod in (arbedge, basecolor, cli):
+        for attr in ("is_proper_vertex", "is_proper_edge"):
+            if attr in vars(mod):
+                monkeypatch.setattr(mod, attr, spy(vars(mod)[attr]))
+    return main(_argv(inputs, command, name, cover)), run, checks
+
+
+@pytest.mark.parametrize("command,name,cover", RUNS, ids=str)
+def test_each_run_verifies_its_coloring_once(inputs, capsys, monkeypatch, command, name,
+                                             cover):
+    # checks of connector, class or leaf graphs do not count
+    code, run, checks = _spy_run(monkeypatch, inputs, command, name, cover)
+    assert code == 0
+    assert sum(g is run["g"] and col is run["col"] for g, col in checks) == 1
+    assert json.loads(capsys.readouterr().out)["verdicts"]["proper"]
+
+
+@pytest.mark.parametrize("command,name,cover", RUNS, ids=str)
+def test_an_improper_result_exits_1_before_any_report(inputs, capsys, monkeypatch, command,
+                                                      name, cover):
+    code, _, _ = _spy_run(monkeypatch, inputs, command, name, cover, failing=True)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "improper" in err
+    assert out == ""
 
 
 def test_subcommands_are_the_table_plus_gen_and_verify():
